@@ -6,13 +6,16 @@ against a brute-force scan to show the index matters, gates the lazy
 regex compilation (building a matcher from a >= 10K-rule list must be
 measurably faster than if every rule compiled eagerly), and gates the
 matching core itself: at 12K rules the token-automaton decision path must
-be at least 2x faster than the reference tokenize-then-probe walk, and
-``decide_many`` must beat looping single decisions — while staying
-decision- and attribution-identical to both.
+be at least 2x faster than the reference tokenize-then-probe walk
+(``tests/reference_matcher.py``), and ``decide_many`` must beat looping
+single decisions — while staying decision- and attribution-identical to
+both.
 """
 
 import random
+import sys
 import time
+from pathlib import Path
 
 from repro.filterlists.cache import CachedMatcher
 from repro.filterlists.lists import default_lists
@@ -22,6 +25,9 @@ from repro.filterlists.parser import parse_filter_list
 from repro.filterlists.rules import RequestContext
 
 from conftest import BENCH_SEED, BENCH_SMOKE, write_artifact, write_json_artifact
+
+sys.path.append(str(Path(__file__).resolve().parent.parent / "tests"))
+from reference_matcher import ReferenceMatcher  # noqa: E402
 
 
 def _request_urls(study, limit=5_000):
@@ -205,7 +211,7 @@ def test_matcher_core_gates(output_dir):
     text = _large_list_text(rule_count)
     parsed = parse_filter_list(text, name="large")
     fast = FilterMatcher.from_lists(parsed)
-    walk = FilterMatcher.from_lists(parsed, automaton=False)
+    walk = ReferenceMatcher.from_lists(parsed)
 
     urls = _decision_workload(rule_count, url_count)
     contexts = [RequestContext(url=url) for url in urls]

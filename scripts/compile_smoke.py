@@ -4,8 +4,10 @@
 End-to-end over the real artifact code path: compile a small list to a
 ``.tsoracle``, boot a :class:`BlockingService` from the artifact, compare
 every decision against a text-built service, hot-reload a *running*
-text-built service from the artifact, and confirm corrupt artifacts are
-rejected without touching the serving snapshot.  Pure stdlib + repro,
+text-built service from the artifact (its churn report must equal a
+text reload's), recompile the opened image (it must re-emit byte for
+byte, as fan-out does), and confirm corrupt artifacts are rejected
+without touching the serving snapshot.  Pure stdlib + repro,
 seconds to run — the cheap guarantee that the artifact a user compiles is
 the oracle they serve.
 """
@@ -18,7 +20,12 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from repro.filterlists.compile import ArtifactError, compile_lists  # noqa: E402
+from repro.filterlists.compile import (  # noqa: E402
+    ArtifactError,
+    compile_lists,
+    compile_matcher,
+    open_image,
+)
 from repro.filterlists.parser import parse_filter_list  # noqa: E402
 from repro.serve.service import BlockingService  # noqa: E402
 
@@ -67,6 +74,14 @@ def main() -> int:
         report = running.reload_artifact(artifact)
         assert report["revision"] == 2, report
         assert report["rule_count"] == 5, report
+        text_report = BlockingService().reload(parsed)
+        for field in ("lists", "churn"):
+            assert report[field] == text_report[field], (field, report)
+
+        # Fan-out path: an opened image recompiles to the same bytes.
+        copy = Path(tmp) / "copy.tsoracle"
+        compile_matcher(open_image(artifact), copy)
+        assert copy.read_bytes() == artifact.read_bytes()
         for url in PROBE_URLS:
             assert (
                 running.decide(url)["blocked"]
@@ -89,7 +104,8 @@ def main() -> int:
 
     print(
         "compile smoke: compile → boot → hot-reload identical on "
-        f"{len(PROBE_URLS)} probes; corrupt artifact rejected cleanly"
+        f"{len(PROBE_URLS)} probes, churn equals a text reload, recompile "
+        "re-emits the image; corrupt artifact rejected cleanly"
     )
     return 0
 

@@ -1,11 +1,13 @@
 #!/usr/bin/env python3
-"""Automaton-vs-walk identity smoke, run by ``scripts/check.sh``.
+"""Matcher-vs-reference-walk identity smoke, run by ``scripts/check.sh``.
 
 The token automaton is a pure pruning optimization: over the *real*
 embedded lists (EasyList + EasyPrivacy snapshots) every decision — and
-the exact rule it is attributed to — must be identical to the reference
-tokenize-then-probe walk (``FilterMatcher(automaton=False)``), and
-``decide_many`` must equal looping single decisions.  The probe set mixes
+the exact rule it is attributed to — of both production forms (the
+in-memory :class:`FilterMatcher` and the compiled :class:`ImageMatcher`)
+must be identical to the reference tokenize-then-probe walk
+(``tests/reference_matcher.py``), and ``decide_many`` must equal looping
+single decisions.  The probe set mixes
 ordinary traffic shapes with the boundary cases the matching core
 normalizes (trailing-dot hosts, IDN authorities, userinfo, ports,
 schemeless strings).  Pure stdlib + repro, seconds to run.
@@ -16,8 +18,12 @@ from __future__ import annotations
 import sys
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
+sys.path.insert(0, str(ROOT / "tests"))
 
+from reference_matcher import ReferenceMatcher  # noqa: E402
+from repro.filterlists.image import ImageMatcher, build_image  # noqa: E402
 from repro.filterlists.lists import default_lists  # noqa: E402
 from repro.filterlists.matcher import FilterMatcher  # noqa: E402
 from repro.filterlists.rules import RequestContext, ResourceType  # noqa: E402
@@ -48,8 +54,8 @@ PROBE_URLS = [
 def main() -> int:
     easylist, easyprivacy = default_lists()
     fast = FilterMatcher.from_lists(easylist, easyprivacy)
-    walk = FilterMatcher.from_lists(easylist, easyprivacy, automaton=False)
-    assert fast.automaton_enabled and not walk.automaton_enabled
+    walk = ReferenceMatcher.from_lists(easylist, easyprivacy)
+    image = ImageMatcher(memoryview(build_image(fast)))
 
     contexts = [
         RequestContext(url=url, resource_type=resource_type)
@@ -61,21 +67,20 @@ def main() -> int:
         )
     ]
     for context in contexts:
-        fast_result = fast.match(context)
         walk_result = walk.match(context)
-        assert fast_result == walk_result, (
-            context.url,
-            fast_result,
-            walk_result,
-        )
+        for matcher in (fast, image):
+            result = matcher.match(context)
+            # Image rules re-parse from their lines: equal, not identical.
+            assert result == walk_result, (context.url, result, walk_result)
 
     urls = [context.url for context in contexts]
-    batched = fast.decide_many(urls)
-    looped = [fast.match(RequestContext(url=url)) for url in urls]
-    assert batched == looped, "decide_many diverged from looped match"
+    for matcher in (fast, image):
+        batched = matcher.decide_many(urls)
+        looped = [matcher.match(RequestContext(url=url)) for url in urls]
+        assert batched == looped, "decide_many diverged from looped match"
 
     print(
-        "matcher smoke: automaton and reference walk identical on "
+        "matcher smoke: automaton, image and reference walk identical on "
         f"{len(contexts)} probes over {fast.rule_count:,} embedded rules; "
         "decide_many == looped singles"
     )

@@ -40,6 +40,11 @@ PRs without per-bench knowledge, so they share a minimal contract:
   ``roundtrip_ok`` / ``identity_ok``; any ``False`` verdict must name
   its ``failure_reason`` in a non-empty string — a silently failed
   recovery reads as the loop having won the race when it lost;
+* the artifacts bench (``bench: "artifacts"``) carries a positive
+  integer ``artifact_bytes`` and numeric ``readiness_from_text_seconds``
+  / ``readiness_from_artifact_seconds`` (both timed through the first
+  decision); when it carries ``rss``, the cold-RSS gate's denominator is
+  ``rss.text_cold_bytes`` — a matcher built from list text;
 * optional ``faults``: the chaos-injection record (``BENCH_chaos.json``)
   — ``injected`` (a non-empty mapping of fault kind to a non-negative
   count, at least one positive), ``quarantined`` (int >= 0), and
@@ -247,6 +252,30 @@ def validate_bench(payload: dict, name: str) -> list[str]:
                         f"{where} is skipped but carries no skip_reason — "
                         "skipped packs must fail loudly",
                     )
+
+    if bench == "artifacts":
+        artifact_bytes = payload.get("artifact_bytes")
+        check(
+            isinstance(artifact_bytes, int)
+            and not isinstance(artifact_bytes, bool)
+            and artifact_bytes > 0,
+            "artifact_bytes must be a positive integer",
+        )
+        for field in (
+            "readiness_from_text_seconds",
+            "readiness_from_artifact_seconds",
+        ):
+            value = payload.get(field)
+            check(
+                isinstance(value, (int, float)) and not isinstance(value, bool),
+                f"{field} must be a number, got {value!r}",
+            )
+        rss = payload.get("rss")
+        if isinstance(rss, dict):
+            check(
+                "text_cold_bytes" in rss,
+                "rss.text_cold_bytes (the cold-RSS denominator) is missing",
+            )
 
     gates = payload.get("gates")
     if gates is None:

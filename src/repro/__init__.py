@@ -75,11 +75,11 @@ finish on the old snapshot.
 **Compiled artifacts.**  Parsing list text and building the token/host
 indexes is paid *once*, at compile time: ``trackersift compile --out
 lists.tsoracle`` (or :func:`repro.filterlists.compile.compile_lists`)
-serializes a fully built matcher into a versioned, checksummed artifact,
-and :meth:`FilterListOracle.from_artifact` /
+writes a fully built matcher's flat oracle image into a versioned,
+checksummed artifact, and :meth:`FilterListOracle.from_artifact` /
 ``trackersift serve --artifact`` / ``POST /v1/reload {"artifact": ...}``
-load it back with no parsing or index construction (>= 5x faster oracle
-readiness, gated in ``benchmarks/bench_artifacts.py``).  The parallel
+map it read-only with no parsing or index construction (>= 5x faster
+oracle readiness, gated in ``benchmarks/bench_artifacts.py``).  The parallel
 engine uses the same machinery internally: shard workers receive a
 compiled oracle plus per-shard site slices from an on-disk fan-out store
 instead of a pickled copy of the whole study, and ship a

@@ -5,18 +5,16 @@ network request matching EasyList or EasyPrivacy is tracking, everything
 else is functional.  It is a complete ABP network-rule engine — parser,
 rule model with options, token-indexed matcher, embedded list snapshots,
 and a compiled-artifact layer (:mod:`repro.filterlists.compile`) that
-materializes a built matcher to disk so consumers load it without
+writes a built matcher's flat image to disk so consumers map it without
 re-parsing or re-indexing — not a lookup table.
 """
 
 from .cache import CachedMatcher, CacheStats, DecisionCache
 from .compile import (
     ArtifactError,
-    OracleArtifact,
     compile_lists,
     compile_matcher,
-    load_artifact,
-    load_matcher,
+    open_image,
     read_artifact_meta,
 )
 from .lists import (
@@ -57,11 +55,9 @@ __all__ = [
     "CacheStats",
     "DecisionCache",
     "ArtifactError",
-    "OracleArtifact",
     "compile_lists",
     "compile_matcher",
-    "load_artifact",
-    "load_matcher",
+    "open_image",
     "read_artifact_meta",
     "FilterListOracle",
     "Label",

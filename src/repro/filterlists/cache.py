@@ -116,10 +116,11 @@ class DecisionCache:
         return self._max_entries
 
     def __getstate__(self) -> dict:
-        # Locks cannot cross process boundaries, but warm caches must: the
-        # parallel shard workers (core/parallel.py) ship a cached oracle to
-        # each worker via pickle.  Snapshot the entries under the lock and
-        # rebuild a fresh lock on the other side.
+        # Locks cannot cross process boundaries, but warm caches must: an
+        # oracle subclass travels to the parallel shard workers
+        # (core/parallel.py) pickled inside its WorkerSpec, cache
+        # included.  Snapshot the entries under the lock and rebuild a
+        # fresh lock on the other side.
         with self.lock:
             return {
                 "stats": CacheStats(self.stats.hits, self.stats.misses),

@@ -1,196 +1,131 @@
-"""Compiled oracle artifacts: build the matcher once, load it anywhere.
+"""Compiled oracle artifacts: build the matcher once, map it anywhere.
 
 Parsing EasyList-scale text and constructing the token/host indexes is the
 dominant cost of getting an oracle ready — and before this module, every
 consumer paid it: each parallel shard worker, every service cold-start,
-every hot reload.  A *compiled artifact* (``.tsoracle``) materializes a
-fully built :class:`~repro.filterlists.matcher.FilterMatcher` — token
-buckets, host-suffix dict, lazily-compiled rules — so loading skips both
-parsing and index construction entirely.  The lazy-regex invariant is
-preserved across serialization: :class:`NetworkRule` drops its compiled
-pattern when pickled, so a loaded artifact is exactly as lazy as a freshly
-built matcher (``benchmarks/bench_artifacts.py`` gates the load speedup).
+every hot reload.  A *compiled artifact* (``.tsoracle``) stores one
+payload, the flat oracle *image* of a fully built
+:class:`~repro.filterlists.matcher.FilterMatcher`
+(:mod:`repro.filterlists.image` documents the layout): sorted key
+directories, bucket spans, the source line of every rule and the list
+provenance.  :func:`open_image` maps it read-only and answers decisions
+straight from the map, so loading skips parsing and index construction,
+and N processes that open one artifact share a single page-cache copy of
+its rule data (``benchmarks/bench_artifacts.py`` gates readiness and the
+per-worker memory).
 
 On-disk layout (all integers big-endian)::
 
     MAGIC (8)  "TSORACLE"
     version    u16     ARTIFACT_VERSION
     meta_len   u32     length of the JSON metadata block
-    data_len   u64     length of the pickled payload
-    image_len  u64     length of the mmap-ready oracle image
-    sha256     32      digest over metadata + payload + image
+    image_len  u64     length of the oracle image
+    sha256     32      digest over metadata + image
     meta       JSON    {"rule_count", "lists", "revision", "format",
-                        "automaton_keys", "unsupported", "unsupported_rules",
-                        "image_bytes"}
-    payload    pickle  {"matcher": FilterMatcher, "lists": (ParsedList, ...)}
+                        "version", "automaton_keys", "unsupported",
+                        "unsupported_rules", "image_bytes"}
     image      binary  flat oracle image (see repro.filterlists.image)
 
-Since version 2 the pickled matcher carries its candidate-generation
-:class:`~repro.filterlists.matcher.TokenAutomaton` (vocabulary only — the
-compiled scan patterns follow the same lazy invariant as per-rule regexes
-and never serialize), so loaded oracles scan URLs the same way freshly
-built ones do.  Version 3 appends the *oracle image*: a flat,
-pickle-free encoding of the same matcher that serving workers ``mmap``
-read-only via :func:`open_image`, so N worker processes share one
-page-cache-resident copy of the rule data instead of holding N unpickled
-oracles (:mod:`repro.filterlists.image` documents the layout and the
-identity argument).  Older artifacts are rejected with
-:class:`ArtifactError`, never half-loaded — recompile from list text.
-
-Every load verifies magic, version, lengths and checksum before touching
-the pickle, so a truncated or corrupted artifact (or one written by a
-different format version) is rejected with :class:`ArtifactError` instead
-of being half-loaded.  ``lists`` carries the parsed provenance when the
-artifact was compiled from lists — that is what lets the serving layer
-(:meth:`repro.serve.service.Snapshot.from_artifact`) diff rule churn on a
-reload without re-parsing anything; pickle's shared-object dedup makes
-storing both the matcher and its lists nearly free.
-
-The artifact is an internal transport format (pickle inside): treat it
-like a cache you rebuild from list text, not like an interchange format,
-and only load artifacts you compiled.
+Every open verifies magic, version, lengths and checksum before the image
+is touched, so a truncated or damaged artifact (or one written by a
+different format version) is rejected with :class:`ArtifactError`
+instead of being half-loaded.  The checksum guards against accidents, not
+adversaries — anyone can recompute it — so the image itself is parsed as
+untrusted data: its header and table shapes are checked on open, every
+range and line inside it before first use, and bad content surfaces as
+:class:`ArtifactError`, never as a raw decoding error mid-request.  The artifact holds no executable
+serialization, only data.
 """
 
 from __future__ import annotations
 
-import gc
 import hashlib
 import json
-import pickle
 import struct
-from contextlib import contextmanager
-from dataclasses import dataclass
 from pathlib import Path
 
 from ..obs.trace import span
 from .cache import CachedMatcher
-from .image import ImageMatcher, build_image
+from .image import ArtifactError, ImageMatcher, build_image
 from .matcher import FilterMatcher
 from .parser import ParsedList
 
 __all__ = [
     "ARTIFACT_VERSION",
     "ArtifactError",
-    "OracleArtifact",
     "dumps_artifact",
-    "loads_artifact",
     "compile_matcher",
     "compile_lists",
-    "load_artifact",
-    "load_matcher",
     "open_image",
     "read_artifact_meta",
-    "gc_paused",
 ]
-
-
-@contextmanager
-def gc_paused():
-    """Pause the generational GC for a mass-unpickle, restore on exit.
-
-    Unpickling an artifact (or a shard slice — :mod:`repro.core.parallel`
-    shares this helper) allocates tens of thousands of long-lived
-    objects; letting the GC run mid-load costs ~25% of load time for
-    zero reclaim, since nothing built during a load is garbage.  Only
-    re-enables collection if it was enabled on entry, so nested or
-    caller-disabled GC states are preserved.
-    """
-    was_collecting = gc.isenabled()
-    if was_collecting:
-        gc.disable()
-    try:
-        yield
-    finally:
-        if was_collecting:
-            gc.enable()
 
 MAGIC = b"TSORACLE"
 # Version history:
 #   1 — token/host-bucket matcher, lazy per-rule regexes.
-#   2 — matcher carries its TokenAutomaton (candidate generation by one
-#       automaton scan instead of tokenize-then-probe) and per-reason
-#       unsupported-rule accounting; version-1 artifacts predate both and
-#       are rejected loudly — recompile from list text.
-#   3 — appends the mmap-ready oracle image (repro.filterlists.image):
-#       the header grows an image_len field and the checksum covers all
-#       three sections.  Version-2 artifacts carry no image for serving
-#       workers to share and are rejected loudly — recompile.
-ARTIFACT_VERSION = 3
-_HEADER = struct.Struct(">8sHIQQ32s")
+#   2 — matcher carries its TokenAutomaton and per-reason
+#       unsupported-rule accounting.
+#   3 — appends the mmap-ready oracle image next to the serialized
+#       matcher.
+#   4 — the image is the only payload (it gains list provenance and the
+#       automaton key count); the header drops the payload length.
+# Artifacts of any other version are rejected loudly — recompile from
+# list text.
+ARTIFACT_VERSION = 4
+_HEADER = struct.Struct(">8sHIQ32s")
 # Magic + version prefix, validated before the full header so an
 # old-format artifact (whose header is a different size) reports a
 # version mismatch instead of a confusing truncation error.
 _PREFIX = struct.Struct(">8sH")
 
 
-class ArtifactError(ValueError):
-    """A ``.tsoracle`` artifact failed validation (magic, version,
-    truncation, checksum) or carries the wrong content for the caller."""
-
-
-@dataclass(frozen=True)
-class OracleArtifact:
-    """A decoded artifact: the ready matcher plus its provenance."""
-
-    matcher: FilterMatcher
-    lists: tuple[ParsedList, ...]
-    meta: dict
-
-    @property
-    def rule_count(self) -> int:
-        return self.matcher.rule_count
-
-
-def _unwrap(matcher: FilterMatcher | CachedMatcher) -> FilterMatcher:
-    return matcher.wrapped if isinstance(matcher, CachedMatcher) else matcher
-
-
 def _encode(
-    matcher: FilterMatcher | CachedMatcher,
+    matcher: FilterMatcher | ImageMatcher | CachedMatcher,
     lists: tuple[ParsedList, ...],
 ) -> tuple[bytes, dict]:
-    """Encode a built matcher; returns ``(artifact bytes, metadata)``."""
-    plain = _unwrap(matcher)
-    payload = pickle.dumps(
-        {"matcher": plain, "lists": tuple(lists)},
-        protocol=pickle.HIGHEST_PROTOCOL,
-    )
-    image = build_image(plain)
-    automaton = plain.automaton
+    """Encode a built matcher; returns ``(artifact bytes, metadata)``.
+
+    An :class:`ImageMatcher` re-emits its image unchanged — provenance
+    included — so an oracle opened from an artifact can be recompiled
+    (e.g. for fan-out workers) without a matcher ever being rebuilt."""
+    plain = matcher.wrapped if isinstance(matcher, CachedMatcher) else matcher
+    if isinstance(plain, ImageMatcher):
+        image = plain.image_bytes()
+    else:
+        image = build_image(plain, tuple(lists))
     meta = {
         "format": "tsoracle",
         "version": ARTIFACT_VERSION,
         "rule_count": plain.rule_count,
         "lists": list(plain.list_names),
         "revision": plain.revision,
-        "automaton_keys": automaton.vocabulary_size if automaton else 0,
+        "automaton_keys": plain.automaton.vocabulary_size,
         "unsupported": plain.unsupported_counts,
         "unsupported_rules": plain.unsupported_rule_count,
         "image_bytes": len(image),
     }
     meta_bytes = json.dumps(meta, sort_keys=True).encode("utf-8")
-    digest = hashlib.sha256(meta_bytes + payload + image).digest()
+    digest = hashlib.sha256(meta_bytes + image).digest()
     header = _HEADER.pack(
-        MAGIC, ARTIFACT_VERSION, len(meta_bytes), len(payload), len(image),
-        digest,
+        MAGIC, ARTIFACT_VERSION, len(meta_bytes), len(image), digest
     )
-    return header + meta_bytes + payload + image, meta
+    return header + meta_bytes + image, meta
 
 
 def dumps_artifact(
-    matcher: FilterMatcher | CachedMatcher,
+    matcher: FilterMatcher | ImageMatcher | CachedMatcher,
     lists: tuple[ParsedList, ...] = (),
 ) -> bytes:
     """Encode a built matcher (and optional list provenance) to bytes."""
     return _encode(matcher, lists)[0]
 
 
-def _read_header(data) -> tuple[int, int, int, bytes]:
-    """Validate magic/version/lengths; returns ``(meta_len, data_len,
-    image_len, digest)``.  Magic and version are checked before the full
-    header is unpacked, so an artifact written by an older format version
-    (whose header has a different size) is reported as a version
-    mismatch, never as truncation."""
+def _read_header(data) -> tuple[int, bytes]:
+    """Validate magic/version/lengths; returns ``(meta_len, digest)``.
+    Magic and version are checked before the full header is unpacked, so
+    an artifact written by another format version (whose header has a
+    different size) is reported as a version mismatch, never as
+    truncation."""
     if len(data) < _PREFIX.size:
         raise ArtifactError(
             f"artifact truncated: {len(data)} bytes is shorter than the "
@@ -211,58 +146,37 @@ def _read_header(data) -> tuple[int, int, int, bytes]:
             f"artifact truncated: {len(data)} bytes is shorter than the "
             f"{_HEADER.size}-byte header"
         )
-    _, _, meta_len, data_len, image_len, digest = _HEADER.unpack_from(data)
-    expected = _HEADER.size + meta_len + data_len + image_len
+    _, _, meta_len, image_len, digest = _HEADER.unpack_from(data)
+    expected = _HEADER.size + meta_len + image_len
     if len(data) != expected:
         raise ArtifactError(
             f"artifact truncated or padded: header promises {expected} "
             f"bytes, file holds {len(data)}"
         )
-    return meta_len, data_len, image_len, digest
+    return meta_len, digest
 
 
-def _verified_sections(data) -> tuple[bytes, "memoryview", "memoryview"]:
-    """Checksum-validated ``(meta bytes, payload view, image view)``."""
-    meta_len, data_len, _, digest = _read_header(data)
-    # Views, not copies: hashing, unpickling and mmap consumption all
-    # accept buffers, and a list-scale artifact is megabytes — slice
-    # copies would cost more than the checksum itself.
+def _verified_sections(data) -> tuple[bytes, "memoryview"]:
+    """Checksum-validated ``(meta bytes, image view)``."""
+    meta_len, digest = _read_header(data)
+    # A view, not a copy: hashing and the image both accept buffers, and
+    # a list-scale artifact is megabytes.
     body = memoryview(data)[_HEADER.size :]
     if hashlib.sha256(body).digest() != digest:
         raise ArtifactError(
             "artifact checksum mismatch: content was corrupted after compile"
         )
-    return (
-        bytes(body[:meta_len]),
-        body[meta_len : meta_len + data_len],
-        body[meta_len + data_len :],
-    )
-
-
-def loads_artifact(data: bytes) -> OracleArtifact:
-    """Decode and validate artifact bytes (see module docstring)."""
-    meta_bytes, payload, _ = _verified_sections(data)
-    meta = json.loads(meta_bytes.decode("utf-8"))
-    with gc_paused():
-        record = pickle.loads(payload)
-    matcher = record["matcher"]
-    if not isinstance(matcher, FilterMatcher):
-        raise ArtifactError(
-            f"artifact payload holds {type(matcher).__name__}, "
-            "expected FilterMatcher"
-        )
-    return OracleArtifact(
-        matcher=matcher, lists=tuple(record.get("lists", ())), meta=meta
-    )
+    return bytes(body[:meta_len]), body[meta_len:]
 
 
 def compile_matcher(
-    matcher: FilterMatcher | CachedMatcher,
+    matcher: FilterMatcher | ImageMatcher | CachedMatcher,
     path: str | Path,
     lists: tuple[ParsedList, ...] = (),
 ) -> dict:
     """Write a built matcher to ``path`` atomically and durably;
-    returns the metadata."""
+    returns the metadata.  ``lists`` is the provenance to store; an
+    :class:`ImageMatcher` carries its own and is re-emitted unchanged."""
     from ..durable import atomic_write_bytes
 
     with span("artifact.compile", path=str(path)):
@@ -282,86 +196,68 @@ def compile_lists(path: str | Path, *lists: ParsedList) -> dict:
     return compile_matcher(matcher, path, lists=tuple(lists))
 
 
-def _read_bytes(path: str | Path) -> bytes:
-    try:
-        return Path(path).read_bytes()
-    except OSError as error:
-        raise ArtifactError(f"cannot read artifact {path}: {error}") from error
-
-
-def load_artifact(path: str | Path) -> OracleArtifact:
-    """Load and validate a compiled artifact from disk."""
-    with span("artifact.load", path=str(path)):
-        return loads_artifact(_read_bytes(path))
-
-
-def load_matcher(path: str | Path) -> FilterMatcher:
-    """The fast path consumers want: a ready matcher, no parsing, no
-    index construction — just validation plus unpickling."""
-    return load_artifact(path).matcher
-
-
 def open_image(path: str | Path) -> ImageMatcher:
     """Map an artifact's oracle image read-only and return its matcher.
 
-    The multi-worker serving path: the file is ``mmap``-ed (never read
+    The one way to load an artifact: the file is ``mmap``-ed (never read
     into a private buffer), the whole-artifact checksum is verified over
     the map — faulting the pages into the kernel page cache, where every
-    worker mapping the same file shares them — and the image section is
+    process mapping the same file shares them — and the image section is
     handed to :class:`~repro.filterlists.image.ImageMatcher`.  Rule data
     stays in the shared map; each process privately holds only the bucket
     directory skeleton and whatever rules its traffic materializes.
     Raises :class:`ArtifactError` for a missing, truncated, corrupt,
-    version-mismatched or image-less artifact.
+    version-mismatched or malformed artifact.
     """
     import mmap
 
     path = Path(path)
     with span("artifact.map", path=str(path)):
-        return _open_image(path, mmap)
-
-
-def _open_image(path: Path, mmap) -> ImageMatcher:
-    try:
-        handle = open(path, "rb")
-    except OSError as error:
-        raise ArtifactError(f"cannot read artifact {path}: {error}") from error
-    try:
-        mapped = mmap.mmap(handle.fileno(), 0, access=mmap.ACCESS_READ)
-    except (OSError, ValueError) as error:
-        handle.close()
-        raise ArtifactError(f"cannot map artifact {path}: {error}") from error
-    try:
-        data = memoryview(mapped)
-        _, _, image = _verified_sections(data)
-        if len(image) == 0:
-            raise ArtifactError(
-                f"artifact {path} carries no oracle image; recompile"
+        try:
+            handle = open(path, "rb")
+        except OSError as error:
+            raise ArtifactError(f"cannot read artifact {path}: {error}") from error
+        try:
+            mapped = mmap.mmap(handle.fileno(), 0, access=mmap.ACCESS_READ)
+        except ValueError:  # mmap refuses an empty file
+            handle.close()
+            raise ArtifactError(f"artifact truncated: {path} is empty") from None
+        except OSError as error:
+            handle.close()
+            raise ArtifactError(f"cannot map artifact {path}: {error}") from error
+        try:
+            data = memoryview(mapped)
+            _, image = _verified_sections(data)
+            # Closers run in order on ImageMatcher.close(): parent view
+            # first (exported sub-views are dropped by the matcher
+            # itself), then the map, then the file.
+            return ImageMatcher(
+                image, closers=(data.release, mapped.close, handle.close)
             )
-        # Closers run in order on ImageMatcher.close(): parent view first
-        # (exported sub-views are dropped by the matcher itself), then the
-        # map, then the file.
-        return ImageMatcher(
-            image, closers=(data.release, mapped.close, handle.close)
-        )
-    except BaseException:
-        # Error path: close only the file handle eagerly.  The map (and
-        # any buffer views a partially-built matcher exported) is released
-        # by garbage collection — mmap.close() would raise BufferError
-        # while traceback frames keep those views alive.
-        handle.close()
-        raise
+        except BaseException:
+            # Error path: close only the file handle eagerly.  The map
+            # (and any buffer views a partially-built matcher exported) is
+            # released by garbage collection — mmap.close() would raise
+            # BufferError while traceback frames keep those views alive.
+            handle.close()
+            raise
 
 
 def read_artifact_meta(path: str | Path) -> dict:
-    """Header introspection without unpickling the payload.
+    """Header introspection without opening the image.
 
     Cheap enough for tooling (``trackersift compile`` prints it); the
     checksum is still verified so a corrupt file never reports healthy
     metadata.
     """
-    data = _read_bytes(path)
-    meta_bytes, _, _ = _verified_sections(data)
-    meta = json.loads(meta_bytes.decode("utf-8"))
+    try:
+        data = Path(path).read_bytes()
+    except OSError as error:
+        raise ArtifactError(f"cannot read artifact {path}: {error}") from error
+    meta_bytes, _ = _verified_sections(data)
+    try:
+        meta = json.loads(meta_bytes.decode("utf-8"))
+    except ValueError as error:
+        raise ArtifactError(f"artifact metadata is malformed: {error}") from None
     meta["bytes"] = len(data)
     return meta

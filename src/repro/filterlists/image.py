@@ -1,25 +1,20 @@
-"""Memory-mapped oracle images: N serving processes, one oracle in RAM.
+"""Memory-mapped oracle images: the one compiled form of an oracle.
 
-A compiled ``.tsoracle`` artifact (format version 3 — see
-:mod:`repro.filterlists.compile`) carries, alongside the pickled matcher,
-a flat *image* section designed to be consumed through a read-only
-``mmap``.  The pickled payload is the single-process fast path: one
-validated load materializes every :class:`NetworkRule` as Python objects.
-That is exactly the wrong shape for a multi-process server — N workers
-would each hold a full private copy of an oracle whose rules are
-identical, so resident memory scales with worker count.
-
-The image section inverts that: rule *data* (source lines, bucket
-membership, list provenance) **and the bucket directories themselves**
-live in the artifact file, the workers map it read-only, and the
-kernel's page cache keeps one physical copy no matter how many processes
-map it.  Per worker, only a thin skeleton is private:
+A compiled ``.tsoracle`` artifact (format version 4 — see
+:mod:`repro.filterlists.compile`) carries exactly one payload: a flat
+*image* of a built matcher, designed to be consumed through a read-only
+``mmap``.  Rule *data* (source lines, bucket membership, list provenance)
+**and the bucket directories themselves** live in the artifact file;
+every process that opens it maps it read-only, and the kernel's page
+cache keeps one physical copy no matter how many processes map it.  Per
+process, only a thin skeleton is private:
 
 * the :class:`~repro.filterlists.matcher.TokenAutomaton` vocabulary
-  (derived from the directory keys, so it is the same automaton the
-  pickled matcher carries),
+  (derived from the directory keys, so it scans the same language as the
+  automaton of the matcher the image was built from): host keys are
+  probed in the map, token keys decoded into one set on first use,
 * a per-key cache of materialized buckets — key lookups bisect the
-  sorted key tables *in the mapped file* (no per-worker ``dict`` of
+  sorted key tables *in the mapped file* (no per-process ``dict`` of
   12K span entries, no JSON-decoded directory: decoding one in every
   worker was measured to dirty ~3 MB of private arena pages per
   process for a 12K-rule oracle, most of the cost this layout exists
@@ -29,20 +24,20 @@ map it.  Per worker, only a thin skeleton is private:
   line with :func:`repro.filterlists.parser.parse_rule_line`.
 
 Cold RSS per additional worker is therefore the skeleton, not the oracle
-(``benchmarks/bench_artifacts.py`` gates it below 25% of a full unpickled
-copy), and a worker that only ever sees a slice of the URL space only
-ever materializes the buckets that slice touches.
+(``benchmarks/bench_artifacts.py`` gates it below 25% of a matcher built
+from list text), and a process that only ever sees a slice of the URL
+space only ever materializes the buckets that slice touches.
 
 Image layout (offsets relative to the image section; integers
 big-endian)::
 
     header_len  u32
-    header      JSON   {"rule_count", "revision", "lists", "list_pool",
-                        "domain_sensitive", "digit_anywhere",
-                        "unsupported", "unsupported_rules",
-                        "blocking", "exceptions", "sections"}
+    header      JSON   {"rule_count", "line_count", "revision", "lists",
+                        "list_pool", "automaton_keys", "domain_sensitive",
+                        "digit_anywhere", "unsupported", "unsupported_rules",
+                        "blocking", "exceptions", "provenance", "sections"}
     sections    binary rule_ids          u32[total bucket entries]
-                       line_offsets      u32[rule_count + 1]
+                       line_offsets      u32[line_count + 1]
                        line_blob         utf-8 rule lines, concatenated
                        rule_lists        u16[rule_count] (→ list_pool)
                        blocking_hosts    key table (below)
@@ -50,6 +45,17 @@ big-endian)::
                        exceptions_hosts  key table
                        exceptions_buckets key table
                        digit_hosts       utf-8 hosts, newline-joined
+                       provenance        u32[parsed rules] (→ lines)
+
+Lines ``0 .. rule_count-1`` are the indexed rules; the lines after them
+are provenance-only text (unsupported rules, and any parsed line no
+indexed rule carries).  ``provenance`` in the JSON header holds one
+``[list name, start, count]`` span per compiled list into the
+``provenance`` section, in list order: every parsed rule line of every
+list, unsupported and duplicate lines included, so a reload can diff rule
+churn from the image exactly as :func:`~repro.filterlists.maintenance.
+diff_lists` diffs parsed lists.  Nothing decodes it on open or on the
+decision path; only :meth:`ImageMatcher.rule_lines` does.
 
 Each *key table* is a bisectable directory mapping key → ``[start,
 count]`` span into ``rule_ids``, kept entirely inside the map::
@@ -66,11 +72,22 @@ order, so a binary search over encoded probe keys is exact.
 stay in the map: the ``catch_all`` span and the tier's ``rules`` /
 ``host_rules`` totals.  :class:`ImageMatcher` walks hosts, catch-all,
 then token buckets in the exact candidate order the in-memory
-:class:`~repro.filterlists.matcher._RuleIndex` uses, so decisions *and
-rule attribution* are bit-identical to the pickled matcher's
+:class:`~repro.filterlists.matcher._RuleIndex` uses, and decides through
+the same shared decision loop, so decisions *and rule attribution* are
+bit-identical to the matcher the image was built from
 (``tests/test_filterlists_image.py`` holds the two together).  Section
-offsets in ``sections`` are relative to the first byte after the
-header.
+offsets in ``sections`` are relative to the first byte after the header.
+
+**Untrusted input.**  A checksum proves only that the bytes were not
+damaged in transit — anyone can recompute a sha256 — so an image is
+validated as hostile input.  The header and every table shape it
+declares are checked at open; the ranges stored inside the tables
+(bucket spans, rule ids, list-pool indexes) are checked where a
+decision first reads them, once per bucket or rule as it materializes,
+so opening stays independent of the oracle's size.  Text that fails to
+decode or re-parse raises :class:`ArtifactError` the same way: a mapped
+image either refuses to open, refuses a decision with ``ArtifactError``,
+or decides — never a raw decoding or struct error mid-request.
 
 Build with :func:`build_image` (called by the compiler), consume with
 :func:`repro.filterlists.compile.open_image`, which validates the
@@ -82,23 +99,19 @@ from __future__ import annotations
 
 import json
 import struct
-from dataclasses import replace
 from typing import Iterable
 
-import re
-
 from .matcher import (
-    _NO_MATCH,
-    _trie_pattern,
+    _DecisionLoop,
+    _URL_RUN_RE,
     FilterMatcher,
-    MatchResult,
     RequestShape,
     TokenAutomaton,
 )
-from .parser import parse_rule_line
-from .rules import NetworkRule, RequestContext
+from .parser import ParsedList, parse_rule_line
+from .rules import NetworkRule, RequestContext, RuleParseError
 
-__all__ = ["build_image", "ImageMatcher"]
+__all__ = ["ArtifactError", "build_image", "ImageMatcher"]
 
 _U32 = struct.Struct(">I")
 _U32X2 = struct.Struct(">2I")
@@ -112,24 +125,36 @@ _SECTION_ORDER = (
     "exceptions_hosts",
     "exceptions_buckets",
     "digit_hosts",
+    "provenance",
+)
+_KEY_TABLES = (
+    "blocking_hosts",
+    "blocking_buckets",
+    "exceptions_hosts",
+    "exceptions_buckets",
 )
 _UNPROBED = object()  # cache sentinel: key never looked up in the map yet
 
 
-def _image_error(message: str) -> Exception:
-    # ArtifactError lives in compile.py, which imports this module; the
-    # lazy import keeps the dependency one-directional at import time.
-    from .compile import ArtifactError
-
-    return ArtifactError(message)
+class ArtifactError(ValueError):
+    """A ``.tsoracle`` artifact or its oracle image failed validation
+    (magic, version, truncation, checksum, malformed or out-of-range
+    content) or carries the wrong content for the caller."""
 
 
-def build_image(matcher: FilterMatcher) -> bytes:
+def _pack(code: str, values: list[int]) -> bytes:
+    return struct.pack(f">{len(values)}{code}", *values)
+
+
+def build_image(matcher: FilterMatcher, lists: tuple[ParsedList, ...] = ()) -> bytes:
     """Encode a built matcher's index skeleton + rule lines as an image.
+
+    ``lists`` is the list provenance to store (every parsed rule line,
+    per list, in order) — what a serving reload diffs churn against.
 
     Every indexed rule must round-trip through
     :func:`~repro.filterlists.parser.parse_rule_line` — the image stores
-    source lines, not pickles, so lazy materialization re-parses them.
+    source lines, not objects, so lazy materialization re-parses them.
     Rules constructed programmatically with a ``text`` that does not
     re-parse to the same rule are rejected at compile time rather than
     silently drifting at serve time.
@@ -143,7 +168,7 @@ def build_image(matcher: FilterMatcher) -> bytes:
         if index is None:
             reparsed = parse_rule_line(rule.text, rule.list_name)
             if reparsed != rule:
-                raise _image_error(
+                raise ArtifactError(
                     f"rule {rule.text!r} does not round-trip through the "
                     "parser; oracle images store source lines and cannot "
                     "carry it — compile from parsed list text"
@@ -169,12 +194,7 @@ def build_image(matcher: FilterMatcher) -> bytes:
             blob += key.encode("utf-8")
             offsets.append(len(blob))
             flat.extend(spans[key])
-        return (
-            _U32.pack(len(keys))
-            + struct.pack(f">{len(offsets)}I", *offsets)
-            + struct.pack(f">{len(flat)}I", *flat)
-            + bytes(blob)
-        )
+        return _U32.pack(len(keys)) + _pack("I", offsets) + _pack("I", flat) + bytes(blob)
 
     def encode_index(index) -> dict:
         return {
@@ -206,24 +226,43 @@ def build_image(matcher: FilterMatcher) -> bytes:
             pool_index[rule.list_name] = index
         rule_lists.append(index)
     if len(list_pool) > 0xFFFF:
-        raise _image_error("oracle images support at most 65535 list names")
+        raise ArtifactError("oracle images support at most 65535 list names")
+
+    # Provenance reuses an indexed rule's line whenever the text matches
+    # and appends provenance-only lines after the indexed ones.
+    lines = [rule.text for rule in rules]
+    line_ids: dict[str, int] = {}
+    for index, text in enumerate(lines):
+        line_ids.setdefault(text, index)
+    provenance_ids: list[int] = []
+    provenance: list[list] = []
+    for parsed in lists:
+        start = len(provenance_ids)
+        for rule in parsed.rules:
+            index = line_ids.get(rule.text)
+            if index is None:
+                index = line_ids[rule.text] = len(lines)
+                lines.append(rule.text)
+            provenance_ids.append(index)
+        provenance.append([parsed.name, start, len(provenance_ids) - start])
 
     line_blob = bytearray()
     line_offsets = [0]
-    for rule in rules:
-        line_blob += rule.text.encode("utf-8")
+    for text in lines:
+        line_blob += text.encode("utf-8")
         line_offsets.append(len(line_blob))
 
     sections = {
-        "rule_ids": struct.pack(f">{len(ids)}I", *ids),
-        "line_offsets": struct.pack(f">{len(line_offsets)}I", *line_offsets),
+        "rule_ids": _pack("I", ids),
+        "line_offsets": _pack("I", line_offsets),
         "line_blob": bytes(line_blob),
-        "rule_lists": struct.pack(f">{len(rule_lists)}H", *rule_lists),
+        "rule_lists": _pack("H", rule_lists),
         "blocking_hosts": key_table(blocking["hosts"]),
         "blocking_buckets": key_table(blocking["buckets"]),
         "exceptions_hosts": key_table(exceptions["hosts"]),
         "exceptions_buckets": key_table(exceptions["buckets"]),
         "digit_hosts": "\n".join(sorted(matcher._digit_hosts)).encode("utf-8"),
+        "provenance": _pack("I", provenance_ids),
     }
     table: dict[str, list[int]] = {}
     offset = 0
@@ -233,15 +272,18 @@ def build_image(matcher: FilterMatcher) -> bytes:
 
     header = {
         "rule_count": len(rules),
+        "line_count": len(lines),
         "revision": matcher.revision,
         "lists": list(matcher.list_names),
         "list_pool": list_pool,
+        "automaton_keys": matcher.automaton.vocabulary_size,
         "domain_sensitive": matcher._domain_sensitive,
         "digit_anywhere": matcher._digit_anywhere,
         "unsupported": matcher.unsupported_counts,
         "unsupported_rules": matcher.unsupported_rule_count,
         "blocking": index_header(blocking),
         "exceptions": index_header(exceptions),
+        "provenance": provenance,
         "sections": table,
     }
     header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
@@ -250,6 +292,23 @@ def build_image(matcher: FilterMatcher) -> bytes:
         + header_bytes
         + b"".join(sections[name] for name in _SECTION_ORDER)
     )
+
+
+def _read_image_header(view) -> tuple[dict, int]:
+    """The image's JSON header and the offset of its section body."""
+    if len(view) < _U32.size:
+        raise ArtifactError("oracle image truncated before its header")
+    (header_len,) = _U32.unpack_from(view)
+    base = _U32.size + header_len
+    if len(view) < base:
+        raise ArtifactError("oracle image truncated inside its header")
+    try:
+        header = json.loads(bytes(view[_U32.size : base]).decode("utf-8"))
+    except (ValueError, RecursionError) as error:
+        raise ArtifactError(f"oracle image header is malformed: {error}") from None
+    if not isinstance(header, dict):
+        raise ArtifactError("oracle image header is not a JSON object")
+    return header, base
 
 
 class _KeyTable:
@@ -267,12 +326,12 @@ class _KeyTable:
 
     def __init__(self, section) -> None:
         if len(section) < _U32.size:
-            raise _image_error("oracle image key-table section truncated")
+            raise ArtifactError("oracle image key-table section truncated")
         (count,) = _U32.unpack_from(section)
         offsets_end = _U32.size + 4 * (count + 1)
         spans_end = offsets_end + 8 * count
         if len(section) < spans_end:
-            raise _image_error(
+            raise ArtifactError(
                 f"oracle image key-table section too short for {count} keys"
             )
         self._count = count
@@ -281,20 +340,24 @@ class _KeyTable:
         self._blob = section[spans_end:]
         (blob_len,) = _U32.unpack_from(self._offsets, 4 * count)
         if blob_len != len(self._blob):
-            raise _image_error(
+            raise ArtifactError(
                 "oracle image key-table blob does not match its offsets"
             )
 
     def __len__(self) -> int:
         return self._count
 
-    def lookup(self, key: str) -> tuple[int, int] | None:
-        """The span for ``key``, or ``None`` — one bisect over the map."""
+    def _open_blob(self):
         blob = self._blob
         if blob is None:
-            raise _image_error(
+            raise ArtifactError(
                 "oracle image is closed; cannot materialize more rules"
             )
+        return blob
+
+    def lookup(self, key: str) -> tuple[int, int] | None:
+        """The span for ``key``, or ``None`` — one bisect over the map."""
+        blob = self._open_blob()
         probe = key.encode("utf-8")
         offsets = self._offsets
         lo, hi = 0, self._count
@@ -312,18 +375,21 @@ class _KeyTable:
 
     def keys(self):
         """Decode every key (automaton vocabulary construction only)."""
-        blob = self._blob
-        if blob is None:
-            raise _image_error(
-                "oracle image is closed; cannot materialize more rules"
-            )
+        blob = self._open_blob()
         offsets = self._offsets
         for index in range(self._count):
             start, end = _U32X2.unpack_from(offsets, 4 * index)
-            yield bytes(blob[start:end]).decode("utf-8")
+            yield _decode(blob[start:end], "key")
 
     def close(self) -> None:
         self._offsets = self._spans = self._blob = None
+
+
+def _decode(view, what: str) -> str:
+    try:
+        return bytes(view).decode("utf-8")
+    except UnicodeDecodeError:
+        raise ArtifactError(f"oracle image {what} is not valid UTF-8") from None
 
 
 class _TableMembership:
@@ -345,28 +411,51 @@ class _TableMembership:
         return False
 
 
+class _TokenSet:
+    """The token tier as a set of decoded keys.
+
+    Yields the maximal alphanumeric runs of a URL that are vocabulary
+    tokens, in URL order — exactly the runs the in-memory automaton's
+    trie regex matches whole, so ``scan`` returns the same tokens.
+    Decoding a few thousand keys into a frozenset costs a fraction of
+    compiling them into a trie regex, in time and in private memory
+    (the regex compiler's transient parse tree leaves megabytes of
+    dirtied allocator pages behind in every process that builds it).
+    """
+
+    __slots__ = ("_keys",)
+
+    def __init__(self, keys: frozenset) -> None:
+        self._keys = keys
+
+    def findall(self, lowered_url: str) -> list[str]:
+        keys = self._keys
+        return [run for run in _URL_RUN_RE.findall(lowered_url) if run in keys]
+
+
 class _MappedVocabulary(TokenAutomaton):
     """A :class:`TokenAutomaton` whose vocabulary stays in the map.
 
-    Scans the same language as the automaton the pickled matcher
-    carries — the key tables hold exactly the vocabulary ``build_image``
-    serialized from it — but the host tier probes the mapped tables
-    directly and the token tier decodes its keys only transiently, while
-    compiling the scan regex.  A worker's private share of a 12K-key
-    vocabulary is then the compiled pattern (which every process pays,
-    pickled or mapped), not 12K heap strings plus a frozenset.
+    Scans the same language as the automaton of the matcher the image was
+    built from — the key tables hold exactly that vocabulary — but the
+    host tier probes the mapped tables directly (no per-worker host
+    strings at all) and the token tier is a :class:`_TokenSet` decoded
+    on the first scan.  ``vocabulary_size`` is the compiler's count,
+    carried in the image header.
     """
 
-    __slots__ = ("_host_tables", "_token_tables")
+    __slots__ = ("_host_tables", "_token_tables", "_size")
 
     def __init__(
         self,
         host_tables: tuple[_KeyTable, ...],
         token_tables: tuple[_KeyTable, ...],
+        size: int,
     ) -> None:
         TokenAutomaton.__init__(self)
         self._host_tables = host_tables
         self._token_tables = token_tables
+        self._size = size
 
     def _compile(self) -> tuple:
         host_table = (
@@ -374,26 +463,15 @@ class _MappedVocabulary(TokenAutomaton):
             if any(len(table) for table in self._host_tables)
             else None
         )
-        tokens = sorted(
-            {key for table in self._token_tables for key in table.keys()}
+        tokens = frozenset(
+            key for table in self._token_tables for key in table.keys()
         )
-        token_pattern = (
-            re.compile(
-                r"(?<![a-z0-9])(?:%s)(?![a-z0-9])" % _trie_pattern(tokens)
-            )
-            if tokens
-            else None
-        )
-        self._scanners = (host_table, token_pattern)
+        self._scanners = (host_table, _TokenSet(tokens) if tokens else None)
         return self._scanners
 
     @property
-    def host_key_count(self) -> int:
-        return sum(len(table) for table in self._host_tables)
-
-    @property
-    def token_key_count(self) -> int:
-        return len({key for table in self._token_tables for key in table.keys()})
+    def vocabulary_size(self) -> int:
+        return self._size
 
     def __getstate__(self) -> tuple:
         raise TypeError(
@@ -409,7 +487,7 @@ class _ImageIndex:
     candidate order is host-directory hits in URL order (pattern
     prechecked by the key lookup), then catch-all, then token buckets in
     URL order, insertion order within a bucket — so attribution cannot
-    drift between the pickled and the mapped form of the same oracle.
+    drift between the in-memory and the mapped form of the same oracle.
     Key lookups bisect the mapped :class:`_KeyTable`; each probed key is
     cached (bucket tuple, or ``None`` for a miss) so steady-state
     traffic costs one dict hit, exactly like the in-memory index.  The
@@ -439,7 +517,10 @@ class _ImageIndex:
         self._buckets = buckets
         self._host_cache: dict = {}
         self._bucket_cache: dict = {}
-        self._catch_all: object = [int(spec["catch_all"][0]), int(spec["catch_all"][1])]
+        catch_all = [int(spec["catch_all"][0]), int(spec["catch_all"][1])]
+        if min(catch_all) < 0:
+            raise ArtifactError("oracle image catch-all span is negative")
+        self._catch_all: object = catch_all
         self._count = int(spec["rules"])
         self._host_rules = int(spec["host_rules"])
 
@@ -500,7 +581,7 @@ class _ImageIndex:
         self._buckets.close()
 
 
-class ImageMatcher:
+class ImageMatcher(_DecisionLoop):
     """A matcher over a memory-mapped oracle image.
 
     Decision- and attribution-identical to the
@@ -521,49 +602,36 @@ class ImageMatcher:
         self._closers = closers
         self._closed = False
         view = memoryview(view)
-        if len(view) < _U32.size:
-            raise _image_error("oracle image truncated before its header")
-        (header_len,) = _U32.unpack_from(view)
-        base = _U32.size + header_len
-        if len(view) < base:
-            raise _image_error("oracle image truncated inside its header")
+        header, base = _read_image_header(view)
         try:
-            header = json.loads(bytes(view[_U32.size : base]).decode("utf-8"))
             sections = header["sections"]
             body = view[base:]
-            self._rule_ids = body[slice(*_section_bounds(sections["rule_ids"], len(body)))]
-            self._line_offsets = body[
-                slice(*_section_bounds(sections["line_offsets"], len(body)))
-            ]
-            self._line_blob = body[
-                slice(*_section_bounds(sections["line_blob"], len(body)))
-            ]
-            self._rule_lists = body[
-                slice(*_section_bounds(sections["rule_lists"], len(body)))
-            ]
+
+            def section(name: str):
+                return body[slice(*_section_bounds(sections[name], len(body)))]
+
+            self._view = view
+            self._rule_ids = section("rule_ids")
+            self._line_offsets = section("line_offsets")
+            self._line_blob = section("line_blob")
+            self._rule_lists = section("rule_lists")
+            self._digit_blob = section("digit_hosts")
+            self._provenance_ids = section("provenance")
             self._rule_count = int(header["rule_count"])
+            self._line_count = int(header["line_count"])
             self._revision = int(header["revision"])
             self._lists = tuple(header["lists"])
             self._list_pool = tuple(header["list_pool"])
             self._domain_sensitive = bool(header["domain_sensitive"])
             self._digit_anywhere = bool(header["digit_anywhere"])
-            self._digit_blob = body[
-                slice(*_section_bounds(sections["digit_hosts"], len(body)))
-            ]
             self._digit_hosts: tuple[str, ...] | None = None  # decoded lazily
             self._unsupported_counts = dict(header["unsupported"])
             self._unsupported_rules = int(header["unsupported_rules"])
-            tables = {
-                name: _KeyTable(
-                    body[slice(*_section_bounds(sections[name], len(body)))]
-                )
-                for name in (
-                    "blocking_hosts",
-                    "blocking_buckets",
-                    "exceptions_hosts",
-                    "exceptions_buckets",
-                )
-            }
+            self._provenance = tuple(
+                (str(name), int(start), int(count))
+                for name, start, count in header["provenance"]
+            )
+            tables = {name: _KeyTable(section(name)) for name in _KEY_TABLES}
             self._blocking = _ImageIndex(
                 self,
                 header["blocking"],
@@ -576,21 +644,46 @@ class ImageMatcher:
                 tables["exceptions_hosts"],
                 tables["exceptions_buckets"],
             )
-        except (KeyError, TypeError, ValueError, json.JSONDecodeError) as error:
-            raise _image_error(f"oracle image header is malformed: {error}") from None
-        if len(self._line_offsets) != 4 * (self._rule_count + 1):
-            raise _image_error(
-                "oracle image line-offset table does not cover its rules"
-            )
-        if len(self._rule_lists) != 2 * self._rule_count:
-            raise _image_error(
-                "oracle image list-provenance table does not cover its rules"
-            )
+            automaton_keys = int(header["automaton_keys"])
+        except ArtifactError:
+            raise
+        except (LookupError, TypeError, ValueError, OverflowError) as error:
+            raise ArtifactError(f"oracle image header is malformed: {error}") from None
+        self._validate_tables()
         self._rules: dict[int, NetworkRule] = {}
         self._automaton = _MappedVocabulary(
             host_tables=(self._blocking._hosts, self._exceptions._hosts),
             token_tables=(self._blocking._buckets, self._exceptions._buckets),
+            size=automaton_keys,
         )
+
+    def _validate_tables(self) -> None:
+        """Check the table shapes the header declares, once, at open.
+
+        Ranges stored *inside* the tables (bucket spans, rule ids, list
+        indexes) are checked where a decision first reads them — once per
+        bucket or rule, when it is materialized — so opening an image
+        stays independent of its size."""
+        rule_count, line_count = self._rule_count, self._line_count
+        if not 0 <= rule_count <= line_count:
+            raise ArtifactError(
+                f"oracle image claims {rule_count} rules over {line_count} lines"
+            )
+        if len(self._line_offsets) != 4 * (line_count + 1):
+            raise ArtifactError(
+                "oracle image line-offset table does not cover its lines"
+            )
+        if len(self._rule_lists) != 2 * rule_count:
+            raise ArtifactError(
+                "oracle image list-provenance table does not cover its rules"
+            )
+        if len(self._rule_ids) % 4 or len(self._provenance_ids) % 4:
+            raise ArtifactError("oracle image u32 table is not u32-aligned")
+        for _, start, count in self._provenance:
+            if start < 0 or count < 0 or 4 * (start + count) > len(self._provenance_ids):
+                raise ArtifactError(
+                    "oracle image provenance span escapes its table"
+                )
 
     # -- lifecycle ---------------------------------------------------------
     def close(self) -> None:
@@ -602,8 +695,9 @@ class ImageMatcher:
         self._closed = True
         # Drop buffer views before the mmap closes — an exported
         # memoryview keeps mmap.close() from releasing the map.
-        self._rule_ids = self._line_offsets = self._line_blob = None
-        self._rule_lists = self._digit_blob = None
+        self._view = self._rule_ids = self._line_offsets = None
+        self._line_blob = self._rule_lists = None
+        self._digit_blob = self._provenance_ids = None
         self._blocking.close()
         self._exceptions.close()
         for closer in self._closers:
@@ -612,6 +706,12 @@ class ImageMatcher:
     @property
     def closed(self) -> bool:
         return self._closed
+
+    def _check_open(self) -> None:
+        if self._closed:
+            raise ArtifactError(
+                "oracle image is closed; cannot materialize more rules"
+            )
 
     def __enter__(self) -> "ImageMatcher":
         return self
@@ -625,13 +725,19 @@ class ImageMatcher:
             "ship the artifact path and open_image() it in the target process"
         )
 
+    def image_bytes(self) -> bytes:
+        """The image section, byte for byte (what a recompile re-emits)."""
+        self._check_open()
+        return bytes(self._view)
+
     # -- materialization ---------------------------------------------------
     def _span_rules(self, span) -> tuple[NetworkRule, ...]:
-        if self._closed:
-            raise _image_error(
-                "oracle image is closed; cannot materialize more rules"
-            )
+        self._check_open()
         start, count = span
+        if 4 * (start + count) > len(self._rule_ids):
+            raise ArtifactError(
+                "oracle image bucket span escapes its rule-id table"
+            )
         ids = struct.unpack_from(f">{count}I", self._rule_ids, 4 * start)
         rules = self._rules
         out = []
@@ -643,27 +749,58 @@ class ImageMatcher:
             out.append(rule)
         return tuple(out)
 
+    def _line(self, index: int) -> str:
+        low, high = _U32X2.unpack_from(self._line_offsets, 4 * index)
+        return _decode(self._line_blob[low:high], f"rule line {index}")
+
     def _materialize(self, index: int) -> NetworkRule:
-        if not 0 <= index < self._rule_count:
-            raise _image_error(
+        if index >= self._rule_count:
+            raise ArtifactError(
                 f"oracle image references rule {index} outside its "
                 f"{self._rule_count}-rule table"
             )
-        low, high = struct.unpack_from(">2I", self._line_offsets, 4 * index)
-        line = bytes(self._line_blob[low:high]).decode("utf-8")
         (pool,) = struct.unpack_from(">H", self._rule_lists, 2 * index)
-        rule = parse_rule_line(line, self._list_pool[pool])
+        if pool >= len(self._list_pool):
+            raise ArtifactError(
+                f"oracle image rule {index} names list {pool} outside its list pool"
+            )
+        line = self._line(index)
+        try:
+            rule = parse_rule_line(line, self._list_pool[pool])
+        except RuleParseError:
+            rule = None
         if rule is None or not rule.supported:
-            raise _image_error(
+            raise ArtifactError(
                 f"oracle image rule {index} ({line!r}) no longer parses to "
                 "a supported rule; the image is corrupt — recompile"
             )
         return rule
 
+    def rule_lines(self) -> tuple[tuple[str, tuple[str, ...]], ...]:
+        """``(list name, every parsed rule line)`` per compiled list.
+
+        The list provenance a reload diffs churn against, decoded from
+        the map on demand — never on open or on the decision path.
+        """
+        self._check_open()
+        lists = []
+        for name, start, count in self._provenance:
+            ids = struct.unpack_from(f">{count}I", self._provenance_ids, 4 * start)
+            if max(ids, default=-1) >= self._line_count:
+                raise ArtifactError("oracle image provenance names a missing line")
+            lists.append((name, tuple(self._line(index) for index in ids)))
+        return tuple(lists)
+
     # -- introspection (FilterMatcher protocol) ----------------------------
     @property
     def list_names(self) -> tuple[str, ...]:
         return self._lists
+
+    @property
+    def provenance_names(self) -> tuple[str, ...]:
+        """Names of the compiled lists whose rule lines the image stores
+        (empty for an image compiled without list provenance)."""
+        return tuple(name for name, _, _ in self._provenance)
 
     @property
     def rule_count(self) -> int:
@@ -689,10 +826,6 @@ class ImageMatcher:
         return self._automaton
 
     @property
-    def automaton_enabled(self) -> bool:
-        return True
-
-    @property
     def unsupported_counts(self) -> dict[str, int]:
         return dict(self._unsupported_counts)
 
@@ -712,12 +845,8 @@ class ImageMatcher:
             # First use: decode the host list out of the map.  Keeping it
             # out of the cold skeleton matters — for host-heavy oracles
             # it is the same order of magnitude as the key vocabulary.
-            blob = self._digit_blob
-            if blob is None:
-                raise _image_error(
-                    "oracle image is closed; cannot decode its digit hosts"
-                )
-            text = bytes(blob).decode("utf-8")
+            self._check_open()
+            text = _decode(self._digit_blob, "digit-host list")
             hosts = self._digit_hosts = tuple(text.split("\n")) if text else ()
         if not hosts:
             return True
@@ -726,7 +855,7 @@ class ImageMatcher:
 
     # -- mutation is a compile-time activity -------------------------------
     def add_list(self, parsed) -> None:
-        raise _image_error(
+        raise ArtifactError(
             "oracle images are immutable: update the list text and "
             "recompile the artifact instead of mutating a mapped matcher"
         )
@@ -734,85 +863,11 @@ class ImageMatcher:
     def add_rules(self, rules) -> None:
         self.add_list(rules)
 
-    # -- matching (same decision path as FilterMatcher) --------------------
-    def match(self, context: RequestContext) -> MatchResult:
-        shape = RequestShape(context.url, self._automaton)
-        if shape.match_url is not context.url:
-            context = replace(context, url=shape.match_url)
-        blocking = self._blocking.first_match(context, shape)
-        if blocking is None:
-            return _NO_MATCH
-        exception = self._exceptions.first_match(context, shape)
-        if exception is not None:
-            return MatchResult(blocked=False, rule=blocking, exception=exception)
-        return MatchResult(blocked=True, rule=blocking)
-
-    def match_many(
-        self, contexts: Iterable[RequestContext]
-    ) -> list[MatchResult]:
-        automaton = self._automaton
-        blocking_index = self._blocking
-        exception_index = self._exceptions
-        results: list[MatchResult] = []
-        append = results.append
-        for context in contexts:
-            shape = RequestShape(context.url, automaton)
-            if shape.match_url is not context.url:
-                context = replace(context, url=shape.match_url)
-            blocking = blocking_index.first_match(context, shape)
-            if blocking is None:
-                append(_NO_MATCH)
-                continue
-            exception = exception_index.first_match(context, shape)
-            if exception is not None:
-                append(
-                    MatchResult(
-                        blocked=False, rule=blocking, exception=exception
-                    )
-                )
-                continue
-            append(MatchResult(blocked=True, rule=blocking))
-        return results
-
-    def decide_many(self, urls: Iterable[str]) -> list[MatchResult]:
-        automaton = self._automaton
-        blocking_index = self._blocking
-        exception_index = self._exceptions
-        no_catch_all = blocking_index.catch_all_empty
-        results: list[MatchResult] = []
-        append = results.append
-        for url in urls:
-            shape = RequestShape(url, automaton)
-            if no_catch_all and not shape.host_keys and not shape.tokens:
-                append(_NO_MATCH)
-                continue
-            context = RequestContext(url=shape.match_url)
-            blocking = blocking_index.first_match(context, shape)
-            if blocking is None:
-                append(_NO_MATCH)
-                continue
-            exception = exception_index.first_match(context, shape)
-            if exception is not None:
-                append(
-                    MatchResult(
-                        blocked=False, rule=blocking, exception=exception
-                    )
-                )
-                continue
-            append(MatchResult(blocked=True, rule=blocking))
-        return results
-
-    def should_block(self, context: RequestContext) -> bool:
-        return self.match(context).blocked
-
-    def should_block_url(self, url: str) -> bool:
-        return self.match(RequestContext(url=url)).blocked
-
 
 def _section_bounds(span, body_len: int) -> tuple[int, int]:
     offset, length = int(span[0]), int(span[1])
     if offset < 0 or length < 0 or offset + length > body_len:
-        raise _image_error(
+        raise ArtifactError(
             f"oracle image section [{offset}, {length}] escapes the "
             f"{body_len}-byte section body"
         )

@@ -20,7 +20,7 @@ automaton** (:class:`TokenAutomaton`) over the rule corpus's literals:
   index-safe when it matches a *whole* alphanumeric run of the URL (see
   :func:`repro.filterlists.rules._extract_token`), and a host literal can
   only match starting at the authority or immediately after a ``.``,
-  ending where its non-separator run ends (see :func:`_host_anchor_keys`).
+  ending where its non-separator run ends (see :meth:`TokenAutomaton.scan`).
   A mismatch therefore never restarts mid-key — the Aho-Corasick failure
   function collapses to the root — so the goto function alone decides
   membership, and each tier executes it in its cheapest form.  The token
@@ -38,12 +38,11 @@ automaton** (:class:`TokenAutomaton`) over the rule corpus's literals:
   alphanumeric run against mostly-absent keys — are gone from the
   per-decision path.
 
-The automaton is constructed when rules are indexed and travels inside
-compiled ``.tsoracle`` artifacts (``ARTIFACT_VERSION`` 2 — see
-:mod:`repro.filterlists.compile`; older artifacts are rejected loudly).
-Its compiled scan patterns follow the same lazy invariant as per-rule
-regexes: derived state never serializes, and the patterns materialize on
-the first scan in each process.
+The automaton is constructed when rules are indexed; its compiled scan
+patterns follow the same lazy invariant as per-rule regexes and
+materialize on the first scan in each process.  A compiled ``.tsoracle``
+image carries the vocabulary as mapped key tables instead
+(:mod:`repro.filterlists.image`).
 
 Candidate iteration is deterministic: host keys and tokens are consulted
 in URL order (deduplicated), never in set-hash order, so which rule a
@@ -52,16 +51,16 @@ runs regardless of ``PYTHONHASHSEED``.  The automaton preserves this
 bit-for-bit: its hits are reported in ascending match position, which is
 provably the same order the tokenize-then-probe walk produced (every
 valid key starts at a run boundary, and at most one vocabulary key can be
-valid per start position).  The legacy walk is retained behind
-``FilterMatcher(automaton=False)`` as the reference implementation; the
-equivalence property tests and ``scripts/matcher_smoke.py`` hold the two
-decision-identical.
+valid per start position).  The walk itself lives in
+``tests/reference_matcher.py`` as the reference oracle; the equivalence
+property tests and ``scripts/matcher_smoke.py`` hold the automaton
+decision-identical to it.
 
 Batch decisions go through :meth:`FilterMatcher.match_many` /
-:meth:`FilterMatcher.decide_many`, which amortize per-call overhead
-(shape construction stays per-URL, but attribute lookups, result
-assembly, and — one layer up — cache lock acquisitions are paid once per
-batch).  Quickstart::
+:meth:`FilterMatcher.decide_many` (``decide_many`` skips context
+construction and the index walks for URLs with no candidate keys; one
+layer up, the decision cache pays its lock once per batch).
+Quickstart::
 
     >>> from repro.filterlists.matcher import FilterMatcher
     >>> matcher = FilterMatcher.from_text("||tracker.example^\\n/pixel/*")
@@ -88,7 +87,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, replace
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 from ..urlkit.url import URLError, normalize_host
 from .parser import ParsedList, parse_filter_list
@@ -101,14 +100,12 @@ __all__ = [
     "TokenAutomaton",
 ]
 
-_URL_TOKEN_RE = re.compile(r"[a-z0-9]+")
-# The scheme prefix ``||`` anchors under (lowercased form of _HOST_ANCHOR).
-_SCHEME_RE = re.compile(r"^[a-z][a-z0-9.+-]*://")
 # First character that ends the authority.
 _AUTH_DELIM_RE = re.compile(r"[/?#]")
-# Scheme prefix and authority span in one anchored pass — group 1 is the
-# authority.  Functionally _SCHEME_RE + _AUTH_DELIM_RE, fused because the
-# hot path locates the authority once per decision.
+# Maximal alphanumeric runs: the unit a bucket token must cover whole.
+_URL_RUN_RE = re.compile(r"[a-z0-9]+")
+# Scheme prefix (the one ``||`` anchors under) and authority span in one
+# anchored pass — group 1 is the authority.
 _AUTH_SPAN_RE = re.compile(r"[a-z][a-z0-9.+-]*://([^/?#]*)")
 # Maximal runs of non-separator characters inside an authority; the
 # complement of the ABP separator class, minus ``/?#`` which end the
@@ -117,66 +114,6 @@ _AUTH_RUN_RE = re.compile(r"[a-z0-9_\-.%]+")
 # Patterns eligible for the host-anchor dict: ``||host^`` with a literal
 # hostname body (no wildcards, anchors or separators beyond the trailing one).
 _PURE_HOST_RULE_RE = re.compile(r"^\|\|([a-z0-9_\-.%]+)\^$")
-
-
-def _url_tokens(lowered_url: str) -> tuple[str, ...]:
-    """Maximal alphanumeric runs of a *pre-lowercased* URL, deduplicated,
-    in URL order — *never* set order, so candidate iteration (and
-    therefore rule attribution) is hash-seed independent.  This is the
-    reference tokenizer for the ``automaton=False`` walk; the automaton
-    path never materializes tokens that select no bucket."""
-    seen: set[str] = set()
-    ordered: list[str] = []
-    for match in _URL_TOKEN_RE.finditer(lowered_url):
-        token = match.group()
-        if token not in seen:
-            seen.add(token)
-            ordered.append(token)
-    return tuple(ordered)
-
-
-def _host_anchor_keys(lowered_url: str) -> tuple[str, ...]:
-    """Every host literal ``h`` for which ``||h^`` matches this URL.
-
-    Derivation from the compiled form (``rules._HOST_ANCHOR`` + literal +
-    ``rules._SEPARATOR``): the match must start right after
-    ``scheme://(junk-without-/?#-ending-in-dot)?``, so ``h`` begins at the
-    authority's first character or immediately after a ``.``; and the
-    character after ``h`` must be a separator or the end, so ``h`` ends
-    exactly where a maximal non-separator run ends (hostname characters are
-    all non-separators, so ``h`` can never stop mid-run).  The keys are
-    therefore: the authority's leading run, plus every dot-suffix of every
-    run.  Hash-looking authorities (``user@host``, ports) fall out
-    correctly because runs are split on the same separator class the regex
-    uses.
-
-    This is the reference enumeration for the ``automaton=False`` walk;
-    :meth:`TokenAutomaton.scan` applies the same positional argument as
-    lookaround assertions and yields only the keys with a bucket behind
-    them.
-    """
-    scheme = _SCHEME_RE.match(lowered_url)
-    if scheme is None:
-        return ()
-    start = scheme.end()
-    delim = _AUTH_DELIM_RE.search(lowered_url, start)
-    end = delim.start() if delim is not None else len(lowered_url)
-    authority = lowered_url[start:end]
-    seen: set[str] = set()
-    keys: list[str] = []
-    for run_match in _AUTH_RUN_RE.finditer(authority):
-        run = run_match.group()
-        if run_match.start() == 0 and run not in seen:
-            seen.add(run)
-            keys.append(run)
-        dot = run.find(".")
-        while dot != -1:
-            suffix = run[dot + 1 :]
-            if suffix and suffix not in seen:
-                seen.add(suffix)
-                keys.append(suffix)
-            dot = run.find(".", dot + 1)
-    return tuple(keys)
 
 
 def _trie_pattern(words: Sequence[str]) -> str:
@@ -258,9 +195,9 @@ class TokenAutomaton:
     in, so rule attribution is unchanged bit for bit.
 
     The compiled scan patterns are derived state: they are dropped on
-    pickling (``.tsoracle`` artifacts stay lean and loads stay fast) and
-    rebuilt lazily on the first scan in each process, mirroring the lazy
-    per-rule regex invariant.
+    pickling (an oracle subclass shipped to fan-out workers inside its
+    ``WorkerSpec`` stays lean) and rebuilt lazily on the first scan in
+    each process, mirroring the lazy per-rule regex invariant.
     """
 
     __slots__ = ("_hosts", "_tokens", "_scanners")
@@ -282,14 +219,6 @@ class TokenAutomaton:
         self._scanners = None
 
     # -- introspection -----------------------------------------------------
-    @property
-    def host_key_count(self) -> int:
-        return len(self._hosts)
-
-    @property
-    def token_key_count(self) -> int:
-        return len(self._tokens)
-
     @property
     def vocabulary_size(self) -> int:
         return len(self._hosts) + len(self._tokens)
@@ -364,8 +293,8 @@ class TokenAutomaton:
         authority: str, host_table: frozenset
     ) -> tuple[str, ...]:
         """Host-anchor probes for authorities with separator characters
-        (userinfo, ports, IP literals): the general run-by-run walk of
-        :func:`_host_anchor_keys`, filtered through the key table."""
+        (userinfo, ports, IP literals): every run's leading key plus its
+        dot-suffixes, filtered through the key table."""
         seen: set[str] = set()
         hits: list[str] = []
         for run_match in _AUTH_RUN_RE.finditer(authority):
@@ -436,15 +365,14 @@ class RequestShape:
     ``url`` (same object) when the authority was already canonical, so
     callers can detect normalization with an identity check.
 
-    With an ``automaton``, ``host_keys``/``tokens`` hold only the keys
-    that select a bucket (one automaton scan); without one they hold the
-    full tokenize-then-probe enumeration.  Either way they are
-    deduplicated and in URL order — the attribution contract.
+    ``host_keys``/``tokens`` come from one ``automaton.scan`` of the
+    lowered URL: only keys that select a bucket, deduplicated and in URL
+    order — the attribution contract.
     """
 
     __slots__ = ("url", "match_url", "tokens", "host_keys")
 
-    def __init__(self, url: str, automaton: TokenAutomaton | None = None) -> None:
+    def __init__(self, url: str, automaton: TokenAutomaton) -> None:
         self.url = url
         lowered = url.lower()
         span = _AUTH_SPAN_RE.match(lowered)
@@ -483,13 +411,9 @@ class RequestShape:
                     auth_end = (
                         delim.start() if delim is not None else len(lowered)
                     )
-        if automaton is not None:
-            self.host_keys, self.tokens = automaton.scan(
-                lowered, auth_start, auth_end
-            )
-        else:
-            self.tokens = _url_tokens(lowered)
-            self.host_keys = _host_anchor_keys(lowered)
+        self.host_keys, self.tokens = automaton.scan(
+            lowered, auth_start, auth_end
+        )
 
 
 def _pure_host_literal(rule: NetworkRule) -> str | None:
@@ -527,9 +451,8 @@ class _RuleIndex:
     Candidate order (and so first-match attribution) is deterministic:
     host-dict hits in the URL's host-key order, then the catch-all bucket,
     then token buckets in URL-token order; insertion order within a bucket.
-    The shape's key tuples honour that order whether they came from the
-    automaton scan (pre-filtered) or the reference tokenizer (every key),
-    so the index itself is agnostic to how candidates were generated.
+    The shape's key tuples carry that order, so the index itself is
+    agnostic to how candidates were generated.
     """
 
     def __init__(self) -> None:
@@ -555,38 +478,19 @@ class _RuleIndex:
         return self._count
 
     @property
+    def catch_all_empty(self) -> bool:
+        return not self._catch_all
+
+    @property
     def host_rule_count(self) -> int:
         """Rules served by the host-anchor fast path (introspection)."""
         return sum(len(bucket) for bucket in self._hosts.values())
 
-    def _tiers(
-        self, shape: RequestShape
-    ) -> Iterator[tuple[list[NetworkRule], bool]]:
-        """The single definition of candidate order: ``(bucket,
-        pattern_prechecked)`` per tier.  Host-dict hits have their pattern
-        match established by the key lookup itself (see
-        :func:`_host_anchor_keys`), so only their options remain to check.
-        Both :meth:`candidates` and :meth:`first_match` consume this, so
-        the deterministic attribution order cannot drift between them.
-        """
-        for key in shape.host_keys:
-            bucket = self._hosts.get(key)
-            if bucket:
-                yield bucket, True
-        if self._catch_all:
-            yield self._catch_all, False
-        for token in shape.tokens:
-            bucket = self._buckets.get(token)
-            if bucket:
-                yield bucket, False
-
-    def candidates(self, shape: RequestShape) -> Iterator[NetworkRule]:
-        for bucket, _ in self._tiers(shape):
-            yield from bucket
-
     def first_match(
         self, context: RequestContext, shape: RequestShape
     ) -> NetworkRule | None:
+        # Host-dict hits have their pattern match established by the key
+        # lookup itself, so only their options remain to check.
         hosts = self._hosts
         for key in shape.host_keys:
             bucket = hosts.get(key)
@@ -605,6 +509,80 @@ class _RuleIndex:
                     if rule.matches(context):
                         return rule
         return None
+
+
+class _DecisionLoop:
+    """The one ABP decision loop, shared by every matcher form.
+
+    A subclass supplies ``_automaton`` (candidate generation) and two tier
+    indexes, ``_blocking`` and ``_exceptions``, that answer
+    ``first_match(context, shape)`` and ``catch_all_empty`` — the
+    in-memory :class:`_RuleIndex` here, the mapped
+    :class:`~repro.filterlists.image._ImageIndex` for compiled images.
+    Decisions and rule attribution therefore cannot drift between forms
+    that index the same rules in the same order.
+    """
+
+    __slots__ = ()
+
+    def _decide(self, context: RequestContext, shape: RequestShape) -> MatchResult:
+        blocking = self._blocking.first_match(context, shape)
+        if blocking is None:
+            return _NO_MATCH
+        exception = self._exceptions.first_match(context, shape)
+        if exception is not None:
+            return MatchResult(blocked=False, rule=blocking, exception=exception)
+        return MatchResult(blocked=True, rule=blocking)
+
+    def match(self, context: RequestContext) -> MatchResult:
+        """Full ABP decision: blocking rule minus exception override."""
+        shape = RequestShape(context.url, self._automaton)
+        if shape.match_url is not context.url:
+            # Authority normalization changed the URL: every pattern
+            # (including per-rule regexes) must see the normalized view.
+            context = replace(context, url=shape.match_url)
+        return self._decide(context, shape)
+
+    def match_many(
+        self, contexts: Iterable[RequestContext]
+    ) -> list[MatchResult]:
+        """Batch :meth:`match`: one result per context, same order.
+
+        This is the layer :class:`~repro.filterlists.cache.CachedMatcher`
+        and the oracle's ``decide_many`` build on.
+        """
+        match = self.match
+        return [match(context) for context in contexts]
+
+    def decide_many(self, urls: Iterable[str]) -> list[MatchResult]:
+        """Batch URL-only decisions (default request context per URL).
+
+        Skips :class:`RequestContext` construction — and the index walks
+        entirely — for URLs whose automaton scan produced no candidate
+        keys at all.  With an empty catch-all tier such a URL cannot
+        match *any* blocking rule (every bucket the walk would visit is
+        absent), so the decision is ``_NO_MATCH`` by construction;
+        exceptions never matter when no blocking rule fires.
+        """
+        automaton = self._automaton
+        no_catch_all = self._blocking.catch_all_empty
+        decide = self._decide
+        results: list[MatchResult] = []
+        append = results.append
+        for url in urls:
+            shape = RequestShape(url, automaton)
+            if no_catch_all and not shape.host_keys and not shape.tokens:
+                append(_NO_MATCH)
+            else:
+                append(decide(RequestContext(url=shape.match_url), shape))
+        return results
+
+    def should_block(self, context: RequestContext) -> bool:
+        return self.match(context).blocked
+
+    def should_block_url(self, url: str) -> bool:
+        """Convenience wrapper for URL-only matching (default context)."""
+        return self.match(RequestContext(url=url)).blocked
 
 
 def _digit_segment(pattern: str) -> str | None:
@@ -636,22 +614,15 @@ def _digit_segment(pattern: str) -> str | None:
     return None
 
 
-class FilterMatcher:
+class FilterMatcher(_DecisionLoop):
     """Matches requests against one or more parsed filter lists.
 
     >>> matcher = FilterMatcher.from_text("||tracker.example^", name="mini")
     >>> matcher.match(RequestContext("https://tracker.example/p.js")).blocked
     True
-
-    ``automaton=False`` keeps the tokenize-then-probe walk as the decision
-    path — the reference implementation the automaton is benchmarked and
-    property-tested against.  Both modes are decision- and
-    attribution-identical by construction.
     """
 
-    def __init__(
-        self, rules: Iterable[NetworkRule] = (), *, automaton: bool = True
-    ) -> None:
+    def __init__(self, rules: Iterable[NetworkRule] = ()) -> None:
         self._blocking = _RuleIndex()
         self._exceptions = _RuleIndex()
         self._lists: list[str] = []
@@ -659,26 +630,21 @@ class FilterMatcher:
         self._digit_anywhere = False
         self._digit_hosts: set[str] = set()
         self._revision = 0
-        self._automaton_enabled = automaton
-        self._automaton: TokenAutomaton | None = None
+        self._automaton = TokenAutomaton()
         self._unsupported_counts: dict[str, int] = {}
         self._unsupported_rules = 0
         self.add_rules(rules)
 
     # -- construction -----------------------------------------------------
     @classmethod
-    def from_text(
-        cls, data: str, name: str = "", *, automaton: bool = True
-    ) -> "FilterMatcher":
-        matcher = cls(automaton=automaton)
+    def from_text(cls, data: str, name: str = "") -> "FilterMatcher":
+        matcher = cls()
         matcher.add_list(parse_filter_list(data, name=name))
         return matcher
 
     @classmethod
-    def from_lists(
-        cls, *lists: ParsedList, automaton: bool = True
-    ) -> "FilterMatcher":
-        matcher = cls(automaton=automaton)
+    def from_lists(cls, *lists: ParsedList) -> "FilterMatcher":
+        matcher = cls()
         for parsed in lists:
             matcher.add_list(parsed)
         return matcher
@@ -711,12 +677,10 @@ class FilterMatcher:
                 self._exceptions.add(rule)
             else:
                 self._blocking.add(rule)
-        if self._automaton_enabled:
-            self._automaton = TokenAutomaton(
-                hosts=list(self._blocking._hosts) + list(self._exceptions._hosts),
-                tokens=list(self._blocking._buckets)
-                + list(self._exceptions._buckets),
-            )
+        self._automaton = TokenAutomaton(
+            hosts=list(self._blocking._hosts) + list(self._exceptions._hosts),
+            tokens=list(self._blocking._buckets) + list(self._exceptions._buckets),
+        )
 
     # -- introspection ----------------------------------------------------
     @property
@@ -742,13 +706,9 @@ class FilterMatcher:
         )
 
     @property
-    def automaton(self) -> TokenAutomaton | None:
-        """The candidate-generation automaton (``None`` in walk mode)."""
+    def automaton(self) -> TokenAutomaton:
+        """The candidate-generation automaton."""
         return self._automaton
-
-    @property
-    def automaton_enabled(self) -> bool:
-        return self._automaton_enabled
 
     @property
     def unsupported_counts(self) -> dict[str, int]:
@@ -797,98 +757,3 @@ class FilterMatcher:
             return True
         lowered = url.lower()
         return not any(host in lowered for host in self._digit_hosts)
-
-    # -- matching ----------------------------------------------------------
-    def match(self, context: RequestContext) -> MatchResult:
-        """Full ABP decision: blocking rule minus exception override."""
-        shape = RequestShape(context.url, self._automaton)
-        if shape.match_url is not context.url:
-            # Authority normalization changed the URL: every pattern
-            # (including per-rule regexes) must see the normalized view.
-            context = replace(context, url=shape.match_url)
-        blocking = self._blocking.first_match(context, shape)
-        if blocking is None:
-            return _NO_MATCH
-        exception = self._exceptions.first_match(context, shape)
-        if exception is not None:
-            return MatchResult(blocked=False, rule=blocking, exception=exception)
-        return MatchResult(blocked=True, rule=blocking)
-
-    def match_many(
-        self, contexts: Iterable[RequestContext]
-    ) -> list[MatchResult]:
-        """Batch :meth:`match`: one result per context, same order.
-
-        Decision-identical to looping :meth:`match`; per-call overhead
-        (attribute lookups, automaton/index binding) is paid once for the
-        whole batch.  This is the layer :class:`~repro.filterlists.cache.
-        CachedMatcher` and the oracle's ``decide_many`` build on.
-        """
-        automaton = self._automaton
-        blocking_index = self._blocking
-        exception_index = self._exceptions
-        results: list[MatchResult] = []
-        append = results.append
-        for context in contexts:
-            shape = RequestShape(context.url, automaton)
-            if shape.match_url is not context.url:
-                context = replace(context, url=shape.match_url)
-            blocking = blocking_index.first_match(context, shape)
-            if blocking is None:
-                append(_NO_MATCH)
-                continue
-            exception = exception_index.first_match(context, shape)
-            if exception is not None:
-                append(
-                    MatchResult(
-                        blocked=False, rule=blocking, exception=exception
-                    )
-                )
-                continue
-            append(MatchResult(blocked=True, rule=blocking))
-        return results
-
-    def decide_many(self, urls: Iterable[str]) -> list[MatchResult]:
-        """Batch URL-only decisions (default request context per URL).
-
-        Beyond :meth:`match_many`'s amortization this path skips
-        :class:`RequestContext` construction — and the index walks
-        entirely — for URLs whose automaton scan produced no candidate
-        keys at all.  With an empty catch-all tier such a URL cannot
-        match *any* blocking rule (every bucket the walk would visit is
-        absent), so the decision is ``_NO_MATCH`` by construction;
-        exceptions never matter when no blocking rule fires.
-        """
-        automaton = self._automaton
-        blocking_index = self._blocking
-        exception_index = self._exceptions
-        no_catch_all = not blocking_index._catch_all
-        results: list[MatchResult] = []
-        append = results.append
-        for url in urls:
-            shape = RequestShape(url, automaton)
-            if no_catch_all and not shape.host_keys and not shape.tokens:
-                append(_NO_MATCH)
-                continue
-            context = RequestContext(url=shape.match_url)
-            blocking = blocking_index.first_match(context, shape)
-            if blocking is None:
-                append(_NO_MATCH)
-                continue
-            exception = exception_index.first_match(context, shape)
-            if exception is not None:
-                append(
-                    MatchResult(
-                        blocked=False, rule=blocking, exception=exception
-                    )
-                )
-                continue
-            append(MatchResult(blocked=True, rule=blocking))
-        return results
-
-    def should_block(self, context: RequestContext) -> bool:
-        return self.match(context).blocked
-
-    def should_block_url(self, url: str) -> bool:
-        """Convenience wrapper for URL-only matching (default context)."""
-        return self.match(RequestContext(url=url)).blocked

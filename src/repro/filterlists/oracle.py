@@ -81,18 +81,18 @@ class FilterListOracle:
     def from_artifact(
         cls, path: "str | Path", *, cache: bool = False
     ) -> "FilterListOracle":
-        """Load a compiled ``.tsoracle`` artifact into a ready oracle.
+        """Open a compiled ``.tsoracle`` artifact as a ready oracle.
 
         This is the fast path the parallel shard workers and the serving
-        layer use: validation plus unpickling, with list parsing and
-        token/host index construction skipped entirely
-        (:mod:`repro.filterlists.compile` defines the format and gates).
-        Raises :class:`~repro.filterlists.compile.ArtifactError` for a
-        missing, truncated, corrupt or version-mismatched artifact.
+        layer use: validation plus a read-only map of the oracle image,
+        with list parsing and token/host index construction skipped
+        entirely (:mod:`repro.filterlists.compile` defines the format and
+        gates).  Raises :class:`~repro.filterlists.compile.ArtifactError`
+        for a missing, truncated, corrupt or version-mismatched artifact.
         """
-        from .compile import load_matcher
+        from .compile import open_image
 
-        return cls.from_matcher(load_matcher(path), cache=cache)
+        return cls.from_matcher(open_image(path), cache=cache)
 
     def enable_cache(self) -> "FilterListOracle":
         """Memoize match decisions (idempotent); returns ``self``.

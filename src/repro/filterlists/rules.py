@@ -103,9 +103,11 @@ class RuleOptions:
     unsupported: tuple[str, ...] = ()
 
     def __getstate__(self) -> tuple:
-        # The generic slots-dataclass pickle path rebuilds the fields()
-        # list per object — measurably slow at 10K-rule artifact scale.
-        # A positional tuple (slot order) keeps load time flat.
+        # An oracle subclass travels to fan-out workers pickled inside
+        # its WorkerSpec, rules included.  The generic slots-dataclass
+        # pickle path rebuilds the fields() list per object — measurably
+        # slow at 10K-rule scale; a positional tuple (slot order) keeps
+        # that transfer flat.
         return tuple(getattr(self, name) for name in self.__slots__)
 
     def __setstate__(self, state: tuple) -> None:
@@ -228,18 +230,19 @@ class NetworkRule:
     _token = None
 
     def __getstate__(self) -> dict:
-        # Derived state never travels: a pickled rule (worker transfer,
-        # compiled ``.tsoracle`` artifacts) carries only its defining
-        # fields, so artifacts stay small and loading pays neither regex
-        # compilation nor token extraction — both re-derive lazily, and a
-        # loaded matcher's indexes are already built so tokens are only
-        # ever needed again if more rules are added.  No ``__setstate__``
-        # on purpose: a plain dict state keeps unpickling on the C fast
-        # path (``inst.__dict__.update``), which is what holds artifact
-        # load time at 10K-rule scale.  Always a *copy*, taken with the
-        # atomic C-level ``dict()`` (string keys, no Python callbacks):
-        # a concurrent reader's lazy ``object.__setattr__`` (regex/token
-        # materialization) must not blow up a pickle iterating this dict.
+        # Derived state never travels: a pickled rule (an oracle subclass
+        # shipped to fan-out workers inside its WorkerSpec) carries only
+        # its defining fields, so the transfer stays small and the worker
+        # pays neither regex compilation nor token extraction — both
+        # re-derive lazily, and the shipped matcher's indexes are already
+        # built so tokens are only ever needed again if more rules are
+        # added.  No ``__setstate__`` on purpose: a plain dict state keeps
+        # unpickling on the C fast path (``inst.__dict__.update``), which
+        # holds worker startup flat at 10K-rule scale.  Always a *copy*,
+        # taken with the atomic C-level ``dict()`` (string keys, no Python
+        # callbacks): a concurrent reader's lazy ``object.__setattr__``
+        # (regex/token materialization) must not blow up a pickle
+        # iterating this dict.
         state = dict(self.__dict__)
         state.pop("_regex", None)
         state.pop("_token", None)

@@ -852,10 +852,17 @@ class ControlLoop:
 
         Replays the workload through the live service in batches and
         compares every decision against an *independently built* oracle
-        over the served snapshot's own lists.  Any label/blocked mismatch
-        or a decision answered by a different revision counts."""
+        over the served snapshot's own rule lines (re-parsed, so a
+        snapshot opened from an artifact is checked the same way).  Any
+        label/blocked mismatch or a decision answered by a different
+        revision counts."""
         snapshot = self._service.snapshot
-        offline = FilterListOracle(*snapshot.lists)
+        offline = FilterListOracle(
+            *(
+                parse_filter_list("\n".join(lines), name=name)
+                for name, lines in snapshot.rule_lines()
+            )
+        )
         mismatches = 0
         for start in range(0, len(workload), chunk):
             batch = workload[start : start + chunk]

@@ -11,8 +11,9 @@ rule.  The surface is four endpoints:
   body reloads the embedded default lists; ``{"artifact": "<name>"}``
   adopts a compiled ``.tsoracle`` without parsing — opt-in only: the
   server must have been started with ``--artifact``, and the name is
-  resolved inside that artifact's directory (artifacts embed pickle, so
-  clients never choose arbitrary server paths to deserialize).
+  resolved inside that artifact's directory (clients never choose which
+  server files get opened: a request must not probe or map arbitrary
+  paths on the host).
 * ``GET /healthz``      — liveness plus the serving snapshot revision.
 * ``GET /metrics``      — cache hit/miss counters, decision latency
   p50/p99, snapshot revision, uptime.

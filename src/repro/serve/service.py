@@ -5,15 +5,16 @@ filter rules a content blocker consults per request.  Everything else in
 this repo runs as an offline batch study; :class:`BlockingService` is the
 long-lived deployment of the same oracle: it answers per-request blocking
 decisions from a :class:`Snapshot` (a cache-enabled
-:class:`~repro.filterlists.oracle.FilterListOracle` plus the parsed lists
-it was built from) and swaps in new list versions without dropping a
-request.
+:class:`~repro.filterlists.oracle.FilterListOracle` plus the list
+provenance it was built from) and swaps in new list versions without
+dropping a request.
 
 **Snapshot semantics.**  A snapshot is immutable once published.
 :meth:`BlockingService.reload` parses the new lists, builds the new
 oracle and its fresh decision cache entirely off to the side, computes
-rule churn against the old snapshot via
-:func:`repro.filterlists.maintenance.diff_lists`, and then publishes the
+rule churn against the old snapshot by rule text (the numbers
+:func:`repro.filterlists.maintenance.diff_lists` reports), and then
+publishes the
 result with a *single reference assignment* — the one mutation in the
 whole scheme.  Every decision starts by reading that reference exactly
 once, so an in-flight request (or an in-flight *batch*) finishes on the
@@ -34,8 +35,8 @@ import threading
 import time
 from dataclasses import dataclass
 
+from ..filterlists.image import ImageMatcher
 from ..filterlists.lists import default_lists
-from ..filterlists.maintenance import ListDiff, diff_lists
 from ..filterlists.oracle import FilterListOracle
 from ..filterlists.parser import ParsedList, parse_filter_list
 from ..filterlists.rules import ResourceType
@@ -60,11 +61,13 @@ def _coerce_resource_type(value: object) -> ResourceType:
 class Snapshot:
     """One immutable, atomically-swappable serving state.
 
-    Holds the cache-enabled oracle *and* the parsed lists it was built
-    from: the lists are what the next reload diffs against, and the
-    oracle's decision cache belongs to the snapshot (a reload starts with
-    a cold cache for the new rules — stale decisions can never leak
-    across rule sets because they live and die with their snapshot).
+    Holds the cache-enabled oracle *and* the list provenance the next
+    reload diffs against: the parsed ``lists`` a text-built snapshot came
+    from, or — for a snapshot opened from a compiled artifact — the rule
+    lines its mapped image stores.  The oracle's decision cache belongs
+    to the snapshot (a reload starts with a cold cache for the new rules
+    — stale decisions can never leak across rule sets because they live
+    and die with their snapshot).
     """
 
     oracle: FilterListOracle
@@ -91,48 +94,38 @@ class Snapshot:
 
     @classmethod
     def from_artifact(cls, path, revision: int) -> "Snapshot":
-        """Build a serving snapshot from a compiled ``.tsoracle`` artifact.
+        """Build a serving snapshot over a compiled ``.tsoracle`` artifact.
 
-        The artifact's matcher is adopted as-is — no parsing, no index
-        construction — so cold start and hot reload become a single
-        validated load.  The artifact must carry list provenance
-        (``trackersift compile`` always stores it): that is what the next
-        reload diffs churn against.  Raises
+        The artifact's oracle image is ``mmap``-ed read-only
+        (:func:`repro.filterlists.compile.open_image`) — no parsing, no
+        index construction — so cold start and hot reload are a single
+        validated open, and every worker process holding such a snapshot
+        shares one page-cache copy of the rule data.  The artifact must
+        carry list provenance (``trackersift compile`` always stores it):
+        that is what the next reload diffs churn against.  Raises
         :class:`~repro.filterlists.compile.ArtifactError` otherwise.
         """
-        from ..filterlists.compile import ArtifactError, load_artifact
+        from ..filterlists.compile import ArtifactError, open_image
 
-        artifact = load_artifact(path)
-        if not artifact.lists:
+        image = open_image(path)
+        if not image.provenance_names:
+            image.close()
             raise ArtifactError(
                 f"artifact {path} carries no list provenance; serving "
                 "snapshots need it for reload churn reports — recompile "
                 "with compile_lists / `trackersift compile`"
             )
         return cls(
-            oracle=FilterListOracle.from_matcher(artifact.matcher, cache=True),
-            lists=artifact.lists,
-            revision=revision,
-        )
-
-    @classmethod
-    def from_image(cls, path, revision: int) -> "Snapshot":
-        """Build a serving snapshot over a memory-mapped oracle image.
-
-        The multi-worker path: the artifact's image section is ``mmap``-ed
-        read-only (:func:`repro.filterlists.compile.open_image`), so every
-        worker process holding such a snapshot shares one page-cache copy
-        of the rule data.  The snapshot carries no parsed lists — churn
-        reporting is the supervisor's job in this mode (it holds the list
-        provenance once, in the parent), not each worker's.
-        """
-        from ..filterlists.compile import open_image
-
-        return cls(
-            oracle=FilterListOracle.from_matcher(open_image(path), cache=True),
+            oracle=FilterListOracle.from_matcher(image, cache=True),
             lists=(),
             revision=revision,
         )
+
+    @property
+    def _image(self) -> ImageMatcher | None:
+        matcher = self.oracle.matcher
+        matcher = getattr(matcher, "wrapped", matcher)
+        return matcher if isinstance(matcher, ImageMatcher) else None
 
     @property
     def rule_count(self) -> int:
@@ -140,7 +133,22 @@ class Snapshot:
 
     @property
     def list_names(self) -> tuple[str, ...]:
+        image = self._image
+        if image is not None:
+            return image.provenance_names
         return tuple(parsed.name for parsed in self.lists)
+
+    def rule_lines(self) -> tuple[tuple[str, tuple[str, ...]], ...]:
+        """``(list name, rule lines)`` per list — what churn is diffed
+        on.  An artifact snapshot decodes them from its image on demand,
+        so only a reload ever pays for them."""
+        image = self._image
+        if image is not None:
+            return image.rule_lines()
+        return tuple(
+            (parsed.name, tuple(rule.text for rule in parsed.rules))
+            for parsed in self.lists
+        )
 
 
 # The latency window grew up here and was promoted into the shared
@@ -164,21 +172,13 @@ class BlockingService:
     exposes over HTTP.
     """
 
-    def __init__(
-        self, *lists: ParsedList, artifact=None, image=None
-    ) -> None:
-        if artifact is not None or image is not None:
-            if lists or (artifact is not None and image is not None):
+    def __init__(self, *lists: ParsedList, artifact=None) -> None:
+        if artifact is not None:
+            if lists:
                 raise ValueError(
-                    "pass parsed lists, a compiled artifact, or an image "
-                    "artifact — exactly one"
+                    "pass parsed lists or a compiled artifact — exactly one"
                 )
-            if image is not None:
-                # Worker mode: share the artifact's mapped oracle image
-                # with sibling processes instead of unpickling a copy.
-                self._snapshot = Snapshot.from_image(image, revision=1)
-            else:
-                self._snapshot = Snapshot.from_artifact(artifact, revision=1)
+            self._snapshot = Snapshot.from_artifact(artifact, revision=1)
         else:
             if not lists:
                 lists = default_lists()
@@ -420,10 +420,10 @@ class BlockingService:
         """Swap in a snapshot loaded from a compiled ``.tsoracle``.
 
         The hot-reload equivalent of :meth:`Snapshot.from_artifact`: the
-        new oracle is adopted from the artifact (one validated load, no
-        parsing or index construction) and published with the same single
-        reference assignment — churn is still diffed against the outgoing
-        snapshot's lists, from the provenance the artifact carries.
+        new oracle maps the artifact's image (one validated open, no
+        parsing or index construction) and is published with the same
+        single reference assignment — churn is still diffed against the
+        outgoing snapshot's lists, from the provenance the image stores.
         Raises :class:`~repro.filterlists.compile.ArtifactError` for a
         missing/corrupt/mismatched artifact; the serving snapshot is
         untouched in that case.
@@ -442,15 +442,15 @@ class BlockingService:
         to every worker, and each worker swaps with the same single
         reference assignment :meth:`reload` uses — so all workers agree on
         what revision N means, and each in-flight batch finishes on the
-        snapshot it started with.  Churn is not diffed here (image
-        snapshots carry no parsed lists; the supervisor reports churn once
-        from the provenance it holds).  The previous snapshot's mapped
+        snapshot it started with.  Churn is not diffed here — the image's
+        provenance is never decoded on this path, so a swap costs one
+        validated open.  The previous snapshot's mapped
         image is closed once the swap is published — its already-answered
         decisions carried materialized rule objects, which stay valid.
         Raises :class:`~repro.filterlists.compile.ArtifactError` with the
         serving snapshot untouched when the artifact fails validation.
         """
-        new = Snapshot.from_image(path, revision)
+        new = Snapshot.from_artifact(path, revision)
         with self._reload_lock:
             old = self._snapshot
             self._snapshot = new  # the atomic publish
@@ -476,7 +476,7 @@ class BlockingService:
         with self._reload_lock:
             old = self._snapshot
             new = build(old.revision + 1)
-            per_list, total = self._churn(old.lists, new.lists)
+            per_list, total = self._churn(old.rule_lines(), new.rule_lines())
             self._snapshot = new  # the atomic publish
         self._reloads.inc()
         self._note_revision(new)
@@ -486,12 +486,7 @@ class BlockingService:
             "rule_count": new.rule_count,
             "provenance": new.provenance,
             "lists": per_list,
-            "churn": {
-                "added": len(total.added),
-                "removed": len(total.removed),
-                "unchanged": total.unchanged,
-                "summary": total.summary(),
-            },
+            "churn": total,
             "reload_seconds": time.perf_counter() - started,
         }
 
@@ -523,44 +518,26 @@ class BlockingService:
         return self.reload(*parsed, provenance=provenance)
 
     @staticmethod
-    def _churn(
-        old_lists: tuple[ParsedList, ...], new_lists: tuple[ParsedList, ...]
-    ) -> tuple[list[dict], ListDiff]:
-        """Per-list and total rule churn, via ``diff_lists``.
+    def _churn(old_lists, new_lists) -> tuple[list[dict], dict]:
+        """Per-list and total rule churn over ``(name, rule lines)``
+        pairs, by distinct rule text — the numbers
+        :func:`~repro.filterlists.maintenance.diff_lists` reports.
 
         Lists are paired by name; an old list with no namesake counts as
         fully removed, a new one as fully added.
         """
-        remaining = {parsed.name: parsed for parsed in old_lists}
-        per_list: list[dict] = []
-        total = ListDiff()
-        for new in new_lists:
-            old = remaining.pop(new.name, None)
-            diff = diff_lists(old if old is not None else ParsedList(name=new.name), new)
-            per_list.append(
-                {
-                    "name": new.name,
-                    "added": len(diff.added),
-                    "removed": len(diff.removed),
-                    "unchanged": diff.unchanged,
-                    "summary": diff.summary(),
-                }
-            )
-            total.added.extend(diff.added)
-            total.removed.extend(diff.removed)
-            total.unchanged += diff.unchanged
+        remaining = {name: set(lines) for name, lines in old_lists}
+        per_list = []
+        for name, lines in new_lists:
+            new = set(lines)
+            old = remaining.pop(name, set())
+            row = _churn_row(len(new - old), len(old - new), len(old & new))
+            per_list.append({"name": name, **row})
         for name, old in remaining.items():
-            diff = diff_lists(old, ParsedList(name=name))
-            per_list.append(
-                {
-                    "name": name,
-                    "added": 0,
-                    "removed": len(diff.removed),
-                    "unchanged": 0,
-                    "summary": diff.summary(),
-                }
-            )
-            total.removed.extend(diff.removed)
+            per_list.append({"name": name, **_churn_row(0, len(old), 0)})
+        total = _churn_row(
+            *(sum(row[key] for row in per_list) for key in ("added", "removed", "unchanged"))
+        )
         return per_list, total
 
     # -- observability -----------------------------------------------------
@@ -695,6 +672,15 @@ class BlockingService:
             hasher.update_many(items)
 
 
+def _churn_row(added: int, removed: int, unchanged: int) -> dict:
+    return {
+        "added": added,
+        "removed": removed,
+        "unchanged": unchanged,
+        "summary": f"+{added} -{removed} (unchanged {unchanged})",
+    }
+
+
 def apply_reload_payload(
     service: BlockingService, payload: dict, artifact_dir
 ) -> dict:
@@ -707,9 +693,9 @@ def apply_reload_payload(
     * ``{}``                      — re-parse the embedded default lists;
     * ``{"lists": [{"name","text"}, ...]}`` — parse and swap in new text;
     * ``{"artifact": "<name>"}``  — adopt a compiled ``.tsoracle``.
-      Artifacts embed pickle (compile.py's trust model: only load what
-      you compiled), so clients never choose arbitrary server paths: the
-      server must have been booted with ``--artifact``, and the name is
+      Clients never choose arbitrary server paths — a reload request
+      must not be able to probe or map any file on the host: the server
+      must have been booted with ``--artifact``, and the name is
       resolved inside that artifact's directory (``artifact_dir``).
 
     Raises :class:`ValueError` (which both servers map to HTTP 400) for a

@@ -1,14 +1,14 @@
 """Multi-process serving: N asyncio workers over one shared oracle image.
 
 One Python process cannot use more than one core for decide work, and N
-independent servers would hold N unpickled copies of the rule index.
+independent servers would hold N private copies of the rule index.
 :class:`ServeSupervisor` gets parallelism *and* shared memory:
 
 * **Workers** are forked processes, each running an
   :class:`~repro.serve.protocol.AsyncBlockingServer` event loop over a
   :class:`~repro.serve.service.BlockingService` booted with
-  ``image=artifact`` — the worker ``mmap``\\ s the artifact's oracle-image
-  section read-only, so all N workers share one page-cache-resident copy
+  ``artifact=path`` — the worker ``mmap``\\ s the artifact's oracle image
+  read-only, so all N workers share one page-cache-resident copy
   of the rule bytes and pay only a small private skeleton each (the
   cold-RSS gate in ``BENCH_artifacts.json`` pins this).
 * **One port.** Where the platform has ``SO_REUSEPORT`` (Linux), the
@@ -223,7 +223,7 @@ def _worker_main(
     from .service import BlockingService
 
     async def main() -> None:
-        service = BlockingService(image=artifact)
+        service = BlockingService(artifact=artifact)
         shared = _as_board(board, workers, ring)
 
         def health() -> dict:
@@ -340,8 +340,8 @@ def _worker_main(
 class ServeSupervisor:
     """Parent of N image-backed asyncio serve workers on one port.
 
-    Requires a compiled ``.tsoracle`` artifact (version 3, carrying the
-    oracle image): multi-process serving exists precisely to share that
+    Requires a compiled ``.tsoracle`` artifact (its oracle image is the
+    whole payload): multi-process serving exists precisely to share that
     image's pages, and a coordinated reload needs an artifact path it can
     publish to every worker.  Embeddable (:meth:`start`/:meth:`shutdown`
     or context manager) for tests and benchmarks, or run blocking with

@@ -18,6 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reference_matcher import candidates
 from repro.filterlists.cache import CachedMatcher, normalize_url_key
 from repro.filterlists.matcher import FilterMatcher, RequestShape
 from repro.filterlists.parser import parse_filter_list
@@ -207,17 +208,17 @@ class TestCandidateCompleteness:
     def test_candidates_never_drop_a_matching_rule(self, rules, context):
         """Token pruning is complete: matching rules are always candidates."""
         matcher = _build(rules)
-        shape = RequestShape(context.url)
+        shape = RequestShape(context.url, matcher.automaton)
         if shape.match_url is not context.url:
             # first_match/candidates contract: the context carries the
             # shape's normalized-authority view (what FilterMatcher.match
             # rewrites before consulting the indexes).
             context = dataclasses.replace(context, url=shape.match_url)
         for index in (matcher._blocking, matcher._exceptions):
-            candidates = list(index.candidates(shape))
+            considered = list(candidates(index, shape))
             for rule in _index_rules(index):
                 if rule.matches(context):
-                    assert rule in candidates, rule.text
+                    assert rule in considered, rule.text
 
     @given(
         rules=st.lists(_rule_lines(), min_size=1, max_size=15),
@@ -227,7 +228,7 @@ class TestCandidateCompleteness:
     def test_first_match_agrees_with_brute_force_existence(self, rules, context):
         """``first_match`` finds a rule iff some rule matches at all."""
         matcher = _build(rules)
-        shape = RequestShape(context.url)
+        shape = RequestShape(context.url, matcher.automaton)
         if shape.match_url is not context.url:
             context = dataclasses.replace(context, url=shape.match_url)
         for index in (matcher._blocking, matcher._exceptions):

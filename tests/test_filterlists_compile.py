@@ -2,20 +2,22 @@
 
 The proof obligations for ``repro.filterlists.compile``:
 
-* a compiled-then-loaded matcher is observationally equivalent to the
+* a compiled-then-opened matcher is observationally equivalent to the
   original on ``match()`` (property-tested over generated rule sets and
   fuzzed URLs, including rules whose regexes were already compiled —
   derived state must not leak into the artifact);
 * every way an artifact can be wrong on disk — bad magic, future format
-  version, truncation, bit corruption, payload of the wrong type — is
-  rejected with :class:`ArtifactError` before any rule is trusted;
-* a loaded matcher is *live*: ``add_list`` keeps bumping the revision
-  monotonically (the invariant external decision caches key on) and new
-  rules actually match.
+  version, truncation, bit corruption, an image that is not an image —
+  is rejected with :class:`ArtifactError` before any rule is trusted;
+* an opened matcher is *immutable*: its revision is the compiled one,
+  and ``add_list`` refuses (edit list text and recompile instead).
 """
 
-import pickle
+import hashlib
+import json
 import struct
+import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -29,11 +31,10 @@ from repro.filterlists.compile import (
     compile_lists,
     compile_matcher,
     dumps_artifact,
-    load_artifact,
-    load_matcher,
-    loads_artifact,
+    open_image,
     read_artifact_meta,
 )
+from repro.filterlists.image import ImageMatcher
 from repro.filterlists.matcher import FilterMatcher
 from repro.filterlists.oracle import FilterListOracle
 from repro.filterlists.parser import parse_filter_list
@@ -51,6 +52,14 @@ LIST_TEXT = """\
 
 def _matcher() -> FilterMatcher:
     return FilterMatcher.from_text(LIST_TEXT, name="unit")
+
+
+def _opened(data: bytes) -> ImageMatcher:
+    """``open_image`` over artifact bytes (written to a temporary file)."""
+    with tempfile.TemporaryDirectory() as directory:
+        path = Path(directory) / "artifact.tsoracle"
+        path.write_bytes(data)
+        return open_image(path)
 
 
 # -- round trip ---------------------------------------------------------------
@@ -87,7 +96,7 @@ class TestRoundTrip:
         # Warm some regexes so the round trip must strip derived state.
         for url in urls[::2]:
             original.match(RequestContext(url=url))
-        loaded = loads_artifact(dumps_artifact(original, (parsed,))).matcher
+        loaded = _opened(dumps_artifact(original, (parsed,)))
         assert loaded.rule_count == original.rule_count
         assert loaded.revision == original.revision
         for url in urls:
@@ -103,8 +112,9 @@ class TestRoundTrip:
                 ), (url, context)
 
     def test_artifact_rules_arrive_lazy(self):
-        """Neither compiled regexes nor extracted tokens travel: loaded
-        rules re-derive both on demand."""
+        """Neither compiled regexes nor extracted tokens travel: opened
+        rules materialize from their source lines on first traffic and
+        re-derive both on demand."""
         parsed = parse_filter_list(LIST_TEXT, name="unit")
         matcher = FilterMatcher.from_lists(parsed)
         # Force every rule's regex and token to materialize pre-compile.
@@ -113,21 +123,14 @@ class TestRoundTrip:
             rule.token
         probe = RequestContext(url="https://tracker.example/pixel/1.gif")
         matcher.match(probe)
-        data = dumps_artifact(matcher)
-        loaded = loads_artifact(data).matcher
-        buckets = [
-            *loaded._blocking._hosts.values(),
-            *loaded._blocking._buckets.values(),
-            [*loaded._blocking._catch_all],
-            *loaded._exceptions._hosts.values(),
-            *loaded._exceptions._buckets.values(),
-        ]
-        rules = [rule for bucket in buckets for rule in bucket]
+        loaded = _opened(dumps_artifact(matcher))
+        assert loaded.materialized_rule_count == 0
+        assert loaded.match(probe).blocked
+        rules = list(loaded._rules.values())
         assert rules
+        # The host-anchor hit decided by key lookup: no regex compiled.
         assert all(not rule.regex_compiled for rule in rules)
         assert all("_token" not in rule.__dict__ for rule in rules)
-        # ...and still matches (lazy re-derivation works).
-        assert loaded.match(probe).blocked
 
     def test_file_round_trip_and_meta(self, tmp_path):
         path = tmp_path / "unit.tsoracle"
@@ -139,9 +142,12 @@ class TestRoundTrip:
         assert info["rule_count"] == 6
         assert info["version"] == ARTIFACT_VERSION
         assert info["bytes"] == path.stat().st_size
-        artifact = load_artifact(path)
-        assert [p.name for p in artifact.lists] == ["unit"]
-        assert artifact.matcher.rule_count == 6
+        opened = open_image(path)
+        assert opened.provenance_names == ("unit",)
+        assert opened.rule_lines() == (
+            ("unit", tuple(rule.text for rule in parsed.rules)),
+        )
+        assert opened.rule_count == 6
 
     def test_cached_matcher_is_unwrapped(self, tmp_path):
         from repro.filterlists.cache import CachedMatcher
@@ -149,8 +155,8 @@ class TestRoundTrip:
         cached = CachedMatcher(_matcher())
         path = tmp_path / "cached.tsoracle"
         compile_matcher(cached, path)
-        loaded = load_matcher(path)
-        assert isinstance(loaded, FilterMatcher)
+        loaded = open_image(path)
+        assert isinstance(loaded, ImageMatcher)
         assert loaded.rule_count == cached.rule_count
 
 
@@ -164,7 +170,7 @@ class TestRejection:
     def test_bad_magic_rejected(self):
         data = self._data()
         with pytest.raises(ArtifactError, match="magic"):
-            loads_artifact(b"NOTANART" + data[8:])
+            _opened(b"NOTANART" + data[8:])
 
     def test_version_mismatch_rejected(self):
         data = self._data()
@@ -174,56 +180,51 @@ class TestRejection:
             + data[10:]
         )
         with pytest.raises(ArtifactError, match="version"):
-            loads_artifact(bumped)
+            _opened(bumped)
 
     @pytest.mark.parametrize("keep", [0, 4, _HEADER.size - 1])
     def test_shorter_than_header_rejected(self, keep):
         with pytest.raises(ArtifactError, match="truncated"):
-            loads_artifact(self._data()[:keep])
+            _opened(self._data()[:keep])
 
     def test_truncated_payload_rejected(self):
         data = self._data()
         with pytest.raises(ArtifactError, match="truncated"):
-            loads_artifact(data[:-7])
+            _opened(data[:-7])
 
     def test_trailing_garbage_rejected(self):
         with pytest.raises(ArtifactError, match="truncated or padded"):
-            loads_artifact(self._data() + b"xx")
+            _opened(self._data() + b"xx")
 
     def test_corrupt_byte_rejected(self):
         data = bytearray(self._data())
-        data[-10] ^= 0xFF  # flip bits deep in the pickle payload
+        data[-10] ^= 0xFF  # flip bits deep in the image
         with pytest.raises(ArtifactError, match="checksum"):
-            loads_artifact(bytes(data))
+            _opened(bytes(data))
 
     def test_corrupt_meta_rejected(self):
         data = bytearray(self._data())
         data[_HEADER.size] ^= 0xFF  # first metadata byte
         with pytest.raises(ArtifactError, match="checksum"):
-            loads_artifact(bytes(data))
+            _opened(bytes(data))
 
     def test_wrong_payload_type_rejected(self):
-        """A well-formed container whose pickle is not a matcher must be
-        refused — checksums don't vouch for content."""
-        import hashlib
-        import json
-
-        payload = pickle.dumps({"matcher": ["not", "a", "matcher"], "lists": ()})
+        """A well-formed container whose image is not an oracle image
+        must be refused — checksums don't vouch for content."""
+        image = struct.pack(">I", 2) + b"[]"  # a JSON header, but a list
         meta = json.dumps({"rule_count": 0}).encode()
-        digest = hashlib.sha256(meta + payload).digest()
+        digest = hashlib.sha256(meta + image).digest()
         data = (
-            _HEADER.pack(
-                MAGIC, ARTIFACT_VERSION, len(meta), len(payload), 0, digest
-            )
+            _HEADER.pack(MAGIC, ARTIFACT_VERSION, len(meta), len(image), digest)
             + meta
-            + payload
+            + image
         )
-        with pytest.raises(ArtifactError, match="FilterMatcher"):
-            loads_artifact(data)
+        with pytest.raises(ArtifactError, match="image header"):
+            _opened(data)
 
     def test_missing_file_rejected(self, tmp_path):
         with pytest.raises(ArtifactError, match="cannot read"):
-            load_matcher(tmp_path / "absent.tsoracle")
+            open_image(tmp_path / "absent.tsoracle")
 
     def test_truncated_file_rejected(self, tmp_path):
         path = tmp_path / "cut.tsoracle"
@@ -231,25 +232,23 @@ class TestRejection:
         whole = path.read_bytes()
         path.write_bytes(whole[: len(whole) // 2])
         with pytest.raises(ArtifactError, match="truncated"):
-            load_matcher(path)
+            open_image(path)
 
 
-# -- liveness after load ------------------------------------------------------
+# -- the opened matcher -------------------------------------------------------
 
 
 class TestLoadedMatcherLiveness:
-    def test_revision_monotone_after_add_list(self, tmp_path):
-        path = tmp_path / "live.tsoracle"
-        compile_matcher(_matcher(), path)
-        loaded = load_matcher(path)
-        seen = [loaded.revision]
-        for index in range(3):
-            loaded.add_list(
-                parse_filter_list(f"||fresh{index}.example^", name=f"extra{index}")
-            )
-            seen.append(loaded.revision)
-        assert seen == sorted(set(seen)), "revision must strictly increase"
-        assert loaded.should_block_url("https://fresh2.example/x")
+    def test_opened_matcher_is_immutable_at_its_revision(self, tmp_path):
+        path = tmp_path / "frozen.tsoracle"
+        original = _matcher()
+        compile_matcher(original, path)
+        loaded = open_image(path)
+        assert loaded.revision == original.revision
+        with pytest.raises(ArtifactError, match="immutable"):
+            loaded.add_list(parse_filter_list("||fresh.example^", name="extra"))
+        assert loaded.revision == original.revision
+        assert not loaded.should_block_url("https://fresh.example/x")
 
     def test_oracle_from_artifact_serves_and_caches(self, tmp_path):
         path = tmp_path / "oracle.tsoracle"
@@ -273,21 +272,28 @@ class TestLoadedMatcherLiveness:
 
 
 class TestVersionedFormat:
-    """Version 3: the automaton travels with the matcher, the mmap-ready
-    oracle image rides behind the payload, old artifacts are rejected
-    loudly, and the meta block accounts unsupported rules."""
+    """Version 4: the oracle image is the only payload, old artifacts are
+    rejected loudly, the automaton vocabulary comes from the image's key
+    tables, and the meta block accounts unsupported rules."""
 
     def test_version_1_artifact_rejected(self):
         data = dumps_artifact(_matcher())
         downgraded = MAGIC + struct.pack(">H", 1) + data[10:]
         with pytest.raises(ArtifactError, match="version 1"):
-            loads_artifact(downgraded)
+            _opened(downgraded)
+
+    def test_version_3_artifact_rejected_with_recompile(self):
+        data = dumps_artifact(_matcher())
+        downgraded = MAGIC + struct.pack(">H", 3) + data[10:]
+        with pytest.raises(ArtifactError, match="version 3.*recompile"):
+            _opened(downgraded)
 
     def test_automaton_travels_and_stays_lazy(self):
-        loaded = loads_artifact(dumps_artifact(_matcher())).matcher
+        original = _matcher()
+        loaded = _opened(dumps_artifact(original))
         automaton = loaded.automaton
         assert automaton is not None
-        assert automaton.vocabulary_size > 0
+        assert automaton.vocabulary_size == original.automaton.vocabulary_size > 0
         # Lazy invariant: compiled scan patterns never serialize; they
         # materialize on the first decision in the loading process.
         assert not automaton.compiled
@@ -295,20 +301,20 @@ class TestVersionedFormat:
         assert automaton.compiled
 
     def test_loaded_decisions_match_normalized_hosts(self):
-        loaded = loads_artifact(dumps_artifact(_matcher())).matcher
+        loaded = _opened(dumps_artifact(_matcher()))
         assert loaded.should_block_url("http://tracker.example./x")
 
     def test_meta_accounts_automaton_and_unsupported(self, tmp_path):
         parsed = parse_filter_list(
             LIST_TEXT + "/track/v1/\n/re\\d/\n", name="unit"
         )
-        path = tmp_path / "v3.tsoracle"
+        path = tmp_path / "v4.tsoracle"
         meta = compile_lists(path, parsed)
-        assert meta["version"] == ARTIFACT_VERSION == 3
+        assert meta["version"] == ARTIFACT_VERSION == 4
         assert meta["image_bytes"] > 0
         assert meta["automaton_keys"] > 0
         assert meta["unsupported"] == {"regex-rule": 2}
         assert meta["unsupported_rules"] == 2
         assert read_artifact_meta(path)["unsupported"] == {"regex-rule": 2}
         # The counts survive the round trip on the matcher itself, too.
-        assert load_matcher(path).unsupported_counts == {"regex-rule": 2}
+        assert open_image(path).unsupported_counts == {"regex-rule": 2}

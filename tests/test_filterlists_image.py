@@ -1,22 +1,27 @@
 """The memory-mapped oracle image: fidelity, tampering, shared opens.
 
-Proof obligations for ``repro.filterlists.image`` and the v3 artifact's
-image section:
+Proof obligations for ``repro.filterlists.image`` and the v4 artifact's
+image payload:
 
 * an :class:`ImageMatcher` over ``build_image(matcher)`` is
   observationally identical to the matcher it was built from — same
   verdicts *and* same winning rule/list attribution — while
   materializing only the rules traffic actually touches;
-* a version-2 artifact is refused with a message naming both versions
-  (operators must learn "recompile", not "corrupt file");
+* artifacts of older versions are refused with a message naming both
+  versions (operators must learn "recompile", not "corrupt file");
 * every way the mapped image can be wrong — flipped bytes anywhere in
   the file, truncation at any section boundary, section offsets pointing
   outside the body, inconsistent rule tables — is rejected with
   :class:`ArtifactError` before any rule is trusted;
+* a *checksum-valid* hostile image (any byte of any section mutated, the
+  sha256 recomputed) either refuses to open, refuses a decision with
+  :class:`ArtifactError`, or decides — never a raw decoding or struct
+  error mid-request;
 * N processes can ``open_image`` the same artifact concurrently and
   agree on every decision (the property multi-worker serving rests on).
 """
 
+import hashlib
 import json
 import multiprocessing
 import pickle
@@ -27,10 +32,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.filterlists.compile import (
+    _HEADER,
     ARTIFACT_VERSION,
     MAGIC,
     ArtifactError,
     compile_lists,
+    dumps_artifact,
     open_image,
     read_artifact_meta,
 )
@@ -176,10 +183,32 @@ class TestVersionRejection:
         # "recompile", not "truncated".
         path = tmp_path / "old.tsoracle"
         path.write_bytes(struct.pack(">8sH", MAGIC, 2) + b"\x00" * 64)
-        with pytest.raises(ArtifactError, match="version 2 is not the supported version 3"):
+        with pytest.raises(
+            ArtifactError,
+            match=f"version 2 is not the supported version {ARTIFACT_VERSION}",
+        ):
             open_image(path)
         with pytest.raises(ArtifactError, match="recompile"):
             read_artifact_meta(path)
+
+    def test_v3_artifact_rejected_with_recompile(self, tmp_path):
+        # A v3 file: the header carries a pickled-payload length next to
+        # the image length.  It must read as "recompile", not corruption.
+        meta, payload, image = b"{}", b"payload", build_image(_matcher())
+        v3_header = struct.Struct(">8sHIQQ32s")
+        digest = hashlib.sha256(meta + payload + image).digest()
+        path = tmp_path / "v3.tsoracle"
+        path.write_bytes(
+            v3_header.pack(MAGIC, 3, len(meta), len(payload), len(image), digest)
+            + meta
+            + payload
+            + image
+        )
+        for load in (open_image, read_artifact_meta):
+            with pytest.raises(
+                ArtifactError, match="version 3 is not the supported.*recompile"
+            ):
+                load(path)
 
     def test_future_version_rejected(self, tmp_path):
         path = tmp_path / "future.tsoracle"
@@ -235,19 +264,13 @@ class TestTamperMatrix:
             open_image(path)
 
     def test_artifact_without_image_section_rejected(self, tmp_path):
-        # A structurally valid v3 file whose image_len is zero (e.g. a
+        # A structurally valid file whose image_len is zero (e.g. a
         # hand-rolled artifact) must not open as an image.
-        from repro.filterlists.compile import _HEADER
-        import hashlib
-
         path = tmp_path / "flat.tsoracle"
-        meta = json.dumps({"version": 3}).encode()
-        payload = pickle.dumps({"not": "a matcher"})
-        digest = hashlib.sha256(meta + payload).digest()
+        meta = json.dumps({"version": ARTIFACT_VERSION}).encode()
+        digest = hashlib.sha256(meta).digest()
         path.write_bytes(
-            _HEADER.pack(MAGIC, ARTIFACT_VERSION, len(meta), len(payload), 0, digest)
-            + meta
-            + payload
+            _HEADER.pack(MAGIC, ARTIFACT_VERSION, len(meta), 0, digest) + meta
         )
         with pytest.raises(ArtifactError, match="image"):
             open_image(path)
@@ -264,6 +287,7 @@ class TestTamperMatrix:
             "exceptions_hosts",
             "exceptions_buckets",
             "digit_hosts",
+            "provenance",
         ],
     )
     def test_section_offsets_outside_body_rejected(self, section):
@@ -291,6 +315,113 @@ class TestTamperMatrix:
         )
         with pytest.raises(ArtifactError):
             ImageMatcher(memoryview(rebuilt))
+
+
+# -- hostile images: checksum-valid, content mutated -------------------------
+
+HOSTILE_TEXT = LIST_TEXT + "/ad*\n^\n/re\\d/\n||tracker.example^\n@@||deep.example^\n"
+
+
+def _hostile_image() -> bytes:
+    extra = parse_filter_list("||x.y^\n||cdn9.example/v2/^", name="second")
+    parsed = parse_filter_list(HOSTILE_TEXT, name="unit")
+    return build_image(FilterMatcher.from_lists(parsed, extra), (parsed, extra))
+
+
+def _image_regions(image: bytes) -> dict[str, tuple[int, int]]:
+    """``name -> (start, end)`` of the JSON header and every section."""
+    (header_len,) = struct.unpack_from(">I", image)
+    base = 4 + header_len
+    header = json.loads(image[4:base].decode())
+    regions = {"header": (4, base)}
+    for name, (offset, length) in header["sections"].items():
+        if length:
+            regions[name] = (base + offset, base + offset + length)
+    return regions
+
+
+_HOSTILE = _hostile_image()
+_REGIONS = _image_regions(_HOSTILE)
+
+
+def _artifact_over(image: bytes) -> bytes:
+    """A v4 container around ``image`` with a *recomputed* checksum."""
+    meta = b"{}"
+    digest = hashlib.sha256(meta + image).digest()
+    return _HEADER.pack(MAGIC, ARTIFACT_VERSION, len(meta), len(image), digest) + meta + image
+
+
+class TestHostileImages:
+    def test_regions_cover_every_section(self):
+        assert set(_REGIONS) >= {"header", "rule_ids", "line_blob", "provenance",
+                                 "digit_hosts", "rule_lists", "line_offsets"}
+
+    def _decide_all(self, image: bytes, tmp_path) -> None:
+        path = tmp_path / "hostile.tsoracle"
+        path.write_bytes(_artifact_over(image))
+        open_image(path).decide_many(URLS)
+
+    def test_out_of_range_rule_id_is_an_artifact_error(self, tmp_path):
+        image = bytearray(_HOSTILE)
+        for start in range(*_REGIONS["rule_ids"], 4):
+            image[start : start + 4] = struct.pack(">I", 999)
+        with pytest.raises(ArtifactError, match="outside"):
+            self._decide_all(bytes(image), tmp_path)
+
+    def test_out_of_range_list_pool_index_is_an_artifact_error(self, tmp_path):
+        image = bytearray(_HOSTILE)
+        for start in range(*_REGIONS["rule_lists"], 2):
+            image[start : start + 2] = struct.pack(">H", 999)
+        with pytest.raises(ArtifactError, match="list pool"):
+            self._decide_all(bytes(image), tmp_path)
+
+    def test_span_past_rule_ids_is_an_artifact_error(self, tmp_path):
+        # Point every host-table span far past the rule-id table.
+        image = bytearray(_HOSTILE)
+        start, _ = _REGIONS["blocking_hosts"]
+        (count,) = struct.unpack_from(">I", image, start)
+        spans = start + 4 + 4 * (count + 1)
+        for at in range(spans, spans + 8 * count, 8):
+            image[at : at + 4] = struct.pack(">I", 1 << 20)
+        with pytest.raises(ArtifactError, match="span"):
+            self._decide_all(bytes(image), tmp_path)
+
+    def test_non_utf8_rule_line_is_an_artifact_error(self, tmp_path):
+        start, end = _REGIONS["line_blob"]
+        image = bytearray(_HOSTILE)
+        image[start:end] = b"\xff" * (end - start)
+        path = tmp_path / "utf8.tsoracle"
+        path.write_bytes(_artifact_over(bytes(image)))
+        matcher = open_image(path)
+        with pytest.raises(ArtifactError, match="UTF-8"):
+            matcher.decide_many(URLS)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_mutated_image_errors_cleanly_or_decides(self, tmp_path_factory, data):
+        region = data.draw(st.sampled_from(sorted(_REGIONS)))
+        start, end = _REGIONS[region]
+        offset = data.draw(st.integers(start, end - 1))
+        flip = data.draw(st.integers(1, 255))
+        image = bytearray(_HOSTILE)
+        image[offset] ^= flip
+        path = tmp_path_factory.mktemp("hostile") / "mutated.tsoracle"
+        path.write_bytes(_artifact_over(bytes(image)))
+        try:
+            matcher = open_image(path)
+        except ArtifactError:
+            return
+        try:
+            for url in URLS:
+                for page_host in ("", "site.example"):
+                    matcher.match(RequestContext(url=url, page_host=page_host))
+                matcher.digit_runs_irrelevant_for(url)
+            matcher.decide_many(URLS)
+            matcher.rule_lines()
+        except ArtifactError:
+            pass
+        finally:
+            matcher.close()
 
 
 # -- concurrent multi-process open -------------------------------------------

@@ -7,12 +7,15 @@ import sys
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.filterlists.matcher import (
-    FilterMatcher,
-    RequestShape,
-    _host_anchor_keys,
-    _url_tokens,
+from reference_matcher import (
+    WALK,
+    ReferenceMatcher,
+    candidates,
+    host_anchor_keys,
+    url_tokens,
 )
+from repro.filterlists.image import ImageMatcher, build_image
+from repro.filterlists.matcher import FilterMatcher, RequestShape
 from repro.filterlists.parser import parse_filter_list
 from repro.filterlists.rules import RequestContext
 
@@ -102,19 +105,19 @@ class TestHostFastPath:
         assert matcher.should_block(third_party)
 
     def test_host_anchor_keys_shape(self):
-        keys = _host_anchor_keys("https://a.b.tracker.example:443/x?y#z")
+        keys = host_anchor_keys("https://a.b.tracker.example:443/x?y#z")
         assert keys == (
             "a.b.tracker.example",
             "b.tracker.example",
             "tracker.example",
             "example",
         )
-        assert _host_anchor_keys("about:blank") == ()
+        assert host_anchor_keys("about:blank") == ()
         # Faithful ABP quirk: the anchor group must end in a dot, so a
         # host behind userinfo is NOT matchable as a whole ("u:p@" ends in
         # "@") while its dot-suffix is.  The keys reproduce the regex
-        # exactly — see the equivalence argument in _host_anchor_keys.
-        assert _host_anchor_keys("https://u:p@evil.com/") == ("u", "com")
+        # exactly — see the equivalence argument in host_anchor_keys.
+        assert host_anchor_keys("https://u:p@evil.com/") == ("u", "com")
 
 
 class TestDeterministicAttribution:
@@ -133,7 +136,7 @@ class TestDeterministicAttribution:
     )
 
     def test_tokens_follow_url_order(self):
-        assert _url_tokens("https://x.example/beta/alpha/") == (
+        assert url_tokens("https://x.example/beta/alpha/") == (
             "https",
             "x",
             "example",
@@ -241,22 +244,20 @@ class TestHostNormalization:
         assert not matcher.should_block_url("http://..../x")
 
     def test_normalization_respected_in_both_modes(self):
-        for automaton in (True, False):
-            matcher = FilterMatcher.from_text(
-                "||tracker.com^", automaton=automaton
-            )
+        for matcher_class in (FilterMatcher, ReferenceMatcher):
+            matcher = matcher_class.from_text("||tracker.com^")
             assert matcher.should_block_url("http://tracker.com./x")
 
     def test_already_canonical_url_is_same_object(self):
         url = "https://tracker.com/Path?Q=1"
-        shape = RequestShape(url)
+        shape = RequestShape(url, FilterMatcher().automaton)
         # Identity (not just equality) marks the no-normalization fast
         # path; path/query case is preserved for match_case rules.
         assert shape.match_url is url
 
     def test_mixed_case_host_canonicalized(self):
         # The crawler reports lower-case hosts; the match view agrees.
-        shape = RequestShape("https://Tracker.com/X")
+        shape = RequestShape("https://Tracker.com/X", FilterMatcher().automaton)
         assert shape.match_url == "https://tracker.com/X"
 
 
@@ -369,17 +370,17 @@ class TestAutomatonEquivalence:
     @given(lines=st.lists(_rule_lines, max_size=12), url=_fuzz_urls)
     def test_candidates_superset_and_decision_identity(self, lines, url):
         parsed = parse_filter_list("\n".join(lines))
-        fast = FilterMatcher(parsed.rules, automaton=True)
-        walk = FilterMatcher(parsed.rules, automaton=False)
+        fast = FilterMatcher(parsed.rules)
+        walk = ReferenceMatcher(parsed.rules)
 
         fast_shape = RequestShape(url, fast.automaton)
-        walk_shape = RequestShape(url)
+        walk_shape = RequestShape(url, WALK)
         for index_name in ("_blocking", "_exceptions"):
             fast_candidates = list(
-                getattr(fast, index_name).candidates(fast_shape)
+                candidates(getattr(fast, index_name), fast_shape)
             )
             walk_candidates = list(
-                getattr(walk, index_name).candidates(walk_shape)
+                candidates(getattr(walk, index_name), walk_shape)
             )
             # Superset on candidate *sets* (rule objects are shared), and
             # exact equality on the ordered walk — the automaton only ever
@@ -396,6 +397,16 @@ class TestAutomatonEquivalence:
         assert fast_result.blocked == walk_result.blocked
         assert fast_result.rule is walk_result.rule
         assert fast_result.exception is walk_result.exception
+
+        # The mapped form scans the same keys (host tier probed in the
+        # map, token tier as a set) and re-parses equal rules.
+        image = ImageMatcher(memoryview(build_image(fast)))
+        image_shape = RequestShape(url, image.automaton)
+        assert (image_shape.host_keys, image_shape.tokens) == (
+            fast_shape.host_keys,
+            fast_shape.tokens,
+        )
+        assert image.match(context) == walk_result
 
     @given(lines=st.lists(_rule_lines, max_size=8), urls=st.lists(_fuzz_urls, max_size=6))
     def test_decide_many_equals_looped_match(self, lines, urls):

@@ -429,8 +429,6 @@ class TestArtifactSnapshots:
             BlockingService(
                 parse_filter_list(self.LIST_TEXT, name="mini"), artifact=path
             )
-        with pytest.raises(ValueError, match="exactly one"):
-            BlockingService(artifact=path, image=path)
 
     def test_reload_artifact_swaps_and_reports_churn(self, tmp_path):
         service = _mini_service("||tracker.example^\n||legacy.example^\n")
@@ -471,6 +469,68 @@ class TestArtifactSnapshots:
         compile_matcher(FilterMatcher.from_text(self.LIST_TEXT, name="mini"), path)
         with pytest.raises(ArtifactError, match="provenance"):
             BlockingService(artifact=path)
+
+    # Unsupported ($popup) rules, duplicate lines, an empty list and a
+    # retired list: every way provenance can differ from the indexed rules.
+    OLD_LISTS = (
+        ("mini", "||tracker.example^\n||legacy.example^\n||pop.example^$popup\n"),
+        ("retired", "||old.example^\n"),
+    )
+    NEW_LISTS = (
+        (
+            "mini",
+            "||tracker.example^\n||tracker.example^\n||pop.example^$popup\n"
+            "||pop2.example^$popup\n/beacon/*\n",
+        ),
+        ("empty", ""),
+    )
+
+    @staticmethod
+    def _parsed(specs):
+        return tuple(parse_filter_list(text, name=name) for name, text in specs)
+
+    @staticmethod
+    def _churn(report):
+        return {key: report[key] for key in ("rule_count", "lists", "churn")}
+
+    def test_reload_artifact_churn_equals_text_reload(self, tmp_path):
+        from repro.filterlists.compile import compile_lists
+
+        old_path, new_path = tmp_path / "old.tsoracle", tmp_path / "new.tsoracle"
+        compile_lists(old_path, *self._parsed(self.OLD_LISTS))
+        compile_lists(new_path, *self._parsed(self.NEW_LISTS))
+        expected = self._churn(
+            BlockingService(*self._parsed(self.OLD_LISTS)).reload(
+                *self._parsed(self.NEW_LISTS)
+            )
+        )
+        assert expected["churn"]["added"] > 0 and expected["churn"]["removed"] > 0
+        # text -> artifact, artifact -> artifact, artifact -> text: the
+        # image's stored rule lines diff exactly like parsed lists.
+        text_booted = BlockingService(*self._parsed(self.OLD_LISTS))
+        assert self._churn(text_booted.reload_artifact(new_path)) == expected
+        assert self._churn(
+            BlockingService(artifact=old_path).reload_artifact(new_path)
+        ) == expected
+        assert self._churn(
+            BlockingService(artifact=old_path).reload(*self._parsed(self.NEW_LISTS))
+        ) == expected
+
+    def test_boot_and_swap_never_decode_provenance(self, tmp_path, monkeypatch):
+        from repro.filterlists.image import ImageMatcher
+
+        path = self._compiled(tmp_path)
+        hotfix = self._compiled(tmp_path, text="||hotfix.example^\n", name="hotfix")
+
+        def forbidden(self):
+            raise AssertionError("provenance decoded outside a reload")
+
+        monkeypatch.setattr(ImageMatcher, "rule_lines", forbidden)
+        service = BlockingService(artifact=path)
+        assert service.snapshot.list_names == ("mini",)
+        report = service.swap_image(hotfix, revision=5)
+        assert report["revision"] == 5
+        assert service.decide("https://hotfix.example/x.js")["blocked"]
 
     def test_snapshot_from_artifact_matches_build(self, tmp_path):
         parsed = parse_filter_list(self.LIST_TEXT, name="mini")
