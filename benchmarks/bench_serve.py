@@ -11,17 +11,12 @@ Gates over real servers on loopback sockets:
   arithmetic (one round trip instead of N), so it holds on any host.
 * **Throughput** (enforced at full scale; under ``BENCH_SMOKE=1`` the
   gate is recorded with its ``skip_reason``, per the shared gate schema
-  in ``scripts/validate_bench.py``): the threaded server must sustain a
-  floor of decisions/second under concurrent client load.
+  in ``scripts/validate_bench.py``): the single-process server must
+  sustain a floor of decisions/second under saturating load.
 * **Reload under load** (always enforced): a hot reload landing in the
   middle of a load test must not drop a single request, and every
   response must match the offline oracle *of the snapshot revision that
   answered it* — the old snapshot keeps serving until the swap completes.
-* **Async vs threaded** (enforced at full scale): a *single*
-  :class:`AsyncBlockingServer` event loop must sustain at least the
-  threaded server's throughput on the identical closed-loop workload —
-  on a GIL-bound host, threads buy only handoff overhead, and the
-  coalescer turns concurrency into oracle batches.
 * **Open-loop tail latency** (enforced at full scale): a fixed
   arrival-rate load (deadline-scheduled, latency measured from the
   *scheduled* send time, so queueing delay counts) must hold its p99
@@ -35,6 +30,11 @@ Gates over real servers on loopback sockets:
   cross-process reload, zero dropped requests and zero decisions that
   disagree with the offline oracle of the revision that answered them —
   checked separately for every worker pid.
+
+Saturation throughput is measured open-loop: requests are offered at
+``SATURATION_RATE_RPS``, far above any server's capacity, over
+``LOAD_CONNECTIONS`` keep-alive connections, so each connection sends as
+soon as its previous answer lands and ``achieved_rps`` is the throughput.
 
 Artifacts: ``benchmarks/output/BENCH_serve.json``.
 """
@@ -50,9 +50,6 @@ from repro.filterlists.parser import parse_filter_list
 from repro.serve import (
     AsyncServerThread,
     BlockingClient,
-    BlockingServer,
-    BlockingService,
-    LoadGenerator,
     OpenLoopLoadGenerator,
     ServeSupervisor,
 )
@@ -68,8 +65,9 @@ HOTFIX_TEXT = "||hotfix-tracker.example^\n/late-beacon*\n"
 IDENTITY_URLS = 400 if BENCH_SMOKE else 2_000
 SINGLE_CALLS = 300 if BENCH_SMOKE else 1_500
 BATCH_SIZE = 250
-LOAD_THREADS = 4
+LOAD_CONNECTIONS = 4
 LOAD_ROUNDS = 2 if BENCH_SMOKE else 6
+SATURATION_RATE_RPS = 1_000_000.0
 THROUGHPUT_FLOOR_RPS = 300.0
 OPEN_LOOP_RATE_RPS = 400.0 if BENCH_SMOKE else 800.0
 OPEN_LOOP_SECONDS = 2.0 if BENCH_SMOKE else 5.0
@@ -86,8 +84,20 @@ def urls(study):
 
 @pytest.fixture(scope="module")
 def server():
-    with BlockingServer(BlockingService(), port=0, threads=8) as running:
+    with AsyncServerThread() as running:
         yield running
+
+
+def saturate(host, port, urls, connections=LOAD_CONNECTIONS):
+    """Every URL ``LOAD_ROUNDS`` times, offered faster than any server
+    answers: ``achieved_rps`` of the report is saturation throughput."""
+    return OpenLoopLoadGenerator(
+        host,
+        port,
+        list(urls) * LOAD_ROUNDS,
+        rate_rps=SATURATION_RATE_RPS,
+        connections=connections,
+    ).run()
 
 
 @pytest.fixture(scope="module")
@@ -146,24 +156,22 @@ def test_batch_beats_single(server, urls, results):
 
 
 def test_concurrent_throughput(server, urls, results):
-    """Gate (full scale): sustained decisions/second under threaded load."""
-    report = LoadGenerator(
-        server.host, server.port, urls, threads=LOAD_THREADS, rounds=LOAD_ROUNDS
-    ).run()
+    """Gate (full scale): sustained decisions/second under saturating load."""
+    report = saturate(server.host, server.port, urls)
     assert report.errors == []
     assert report.requests == len(urls) * LOAD_ROUNDS
     results.update(
         {
-            "load_threads": LOAD_THREADS,
+            "load_connections": LOAD_CONNECTIONS,
             "load_requests": report.requests,
-            "throughput_rps": report.throughput_rps,
+            "throughput_rps": report.achieved_rps,
             # Shared gate schema (scripts/validate_bench.py): skipped
             # gates must say why, never a silent enforced:false.
             "gates": {
                 "throughput": {
                     "min_rps": THROUGHPUT_FLOOR_RPS,
                     "enforced": not BENCH_SMOKE,
-                    "achieved": report.throughput_rps,
+                    "achieved": report.achieved_rps,
                     "skip_reason": (
                         "BENCH_SMOKE=1: wall-clock gates are record-only "
                         "in smoke runs"
@@ -175,8 +183,8 @@ def test_concurrent_throughput(server, urls, results):
         }
     )
     if not BENCH_SMOKE:
-        assert report.throughput_rps >= THROUGHPUT_FLOOR_RPS, (
-            f"served only {report.throughput_rps:.0f} rps"
+        assert report.achieved_rps >= THROUGHPUT_FLOOR_RPS, (
+            f"served only {report.achieved_rps:.0f} rps"
         )
 
 
@@ -197,20 +205,18 @@ def test_reload_under_load_never_drops_or_mislabels(server, urls, results):
         "https://cdn.example/late-beacon/7",
     ] * max(1, len(urls) // 40)
 
-    generator = LoadGenerator(
-        server.host, server.port, load_urls, threads=LOAD_THREADS, rounds=LOAD_ROUNDS
-    )
     reload_report = {}
 
     def hot_reload():
-        # land the reload while the generator is mid-flight
-        time.sleep(0.05)
+        # land the reload while the generator is mid-flight: past its
+        # 0.05 s lead-in and the first few hundred decisions
+        time.sleep(0.15)
         with BlockingClient(server.host, server.port) as admin:
             reload_report.update(admin.reload(lists=new_lists))
 
     reloader = threading.Thread(target=hot_reload)
     reloader.start()
-    report = generator.run()
+    report = saturate(server.host, server.port, load_urls)
     reloader.join()
 
     before_revision = reload_report["previous_revision"]
@@ -231,46 +237,6 @@ def test_reload_under_load_never_drops_or_mislabels(server, urls, results):
         "hotfix_rules_added": reload_report["churn"]["added"],
         "reload_seconds": reload_report["reload_seconds"],
     }
-
-
-def test_async_single_worker_beats_threaded(urls, results):
-    """Gate (full scale): one asyncio event loop >= the threaded server
-    on the identical closed-loop workload."""
-    workload = dict(threads=LOAD_THREADS, rounds=LOAD_ROUNDS)
-    # Fresh servers for a fair race: same default lists, cold caches,
-    # measured back to back under the same client harness.
-    with BlockingServer(BlockingService(), port=0, threads=8) as threaded:
-        threaded_report = LoadGenerator(
-            threaded.host, threaded.port, urls, **workload
-        ).run()
-    with AsyncServerThread() as asynchronous:
-        async_report = LoadGenerator(
-            asynchronous.host, asynchronous.port, urls, **workload
-        ).run()
-    assert threaded_report.errors == [] and async_report.errors == []
-    assert async_report.requests == len(urls) * LOAD_ROUNDS
-    speedup = async_report.throughput_rps / threaded_report.throughput_rps
-    results["async_vs_threaded"] = {
-        "threaded_rps": threaded_report.throughput_rps,
-        "async_rps": async_report.throughput_rps,
-        "speedup": speedup,
-    }
-    results.setdefault("gates", {})["async_vs_threaded"] = {
-        "required_speedup": 1.0,
-        "enforced": not BENCH_SMOKE,
-        "achieved": speedup,
-        "skip_reason": (
-            "BENCH_SMOKE=1: wall-clock gates are record-only in smoke runs"
-            if BENCH_SMOKE
-            else None
-        ),
-    }
-    if not BENCH_SMOKE:
-        assert speedup >= 1.0, (
-            f"async server served only {speedup:.2f}x the threaded baseline "
-            f"({async_report.throughput_rps:.0f} vs "
-            f"{threaded_report.throughput_rps:.0f} rps)"
-        )
 
 
 def test_open_loop_tail_latency(urls, results):
@@ -338,12 +304,9 @@ def test_multiworker_scaling_and_per_worker_reload_identity(
     """Scaling gate (auto-armed on multi-core) + per-worker identity gate
     (always enforced) over the 2-worker supervisor."""
     boot, hotfix = image_artifacts
-    workload = dict(threads=LOAD_THREADS, rounds=LOAD_ROUNDS)
 
     with ServeSupervisor(boot, workers=1) as single:
-        single_report = LoadGenerator(
-            single.host, single.port, urls, **workload
-        ).run()
+        single_report = saturate(single.host, single.port, urls)
     assert single_report.errors == []
 
     old_oracle = FilterListOracle()
@@ -357,16 +320,14 @@ def test_multiworker_scaling_and_per_worker_reload_identity(
 
     with ServeSupervisor(boot, workers=2) as pair:
         strategy = pair.strategy
-        pair_report = LoadGenerator(
-            pair.host, pair.port, urls, **workload
-        ).run()
+        pair_report = saturate(pair.host, pair.port, urls)
         assert pair_report.errors == []
 
         # Reload-under-load, identity-checked per worker pid.
         reload_outcome = {}
 
         def hot_reload() -> None:
-            time.sleep(0.05)
+            time.sleep(0.15)
             reload_outcome.update(pair.reload(hotfix))
 
         reloader = threading.Thread(target=hot_reload)
@@ -374,13 +335,9 @@ def test_multiworker_scaling_and_per_worker_reload_identity(
         # More client connections than the throughput run: REUSEPORT
         # balances per connection, and the identity gate wants decisions
         # from as many workers as the kernel will spread them over.
-        identity_report = LoadGenerator(
-            pair.host,
-            pair.port,
-            load_urls,
-            threads=LOAD_THREADS * 2,
-            rounds=LOAD_ROUNDS,
-        ).run()
+        identity_report = saturate(
+            pair.host, pair.port, load_urls, connections=LOAD_CONNECTIONS * 2
+        )
         reloader.join()
 
     assert identity_report.errors == []                   # nothing dropped
@@ -407,7 +364,7 @@ def test_multiworker_scaling_and_per_worker_reload_identity(
     assert {2} <= set().union(*(r["revisions"] for r in per_worker.values()))
 
     cores = os.cpu_count() or 1
-    speedup = pair_report.throughput_rps / single_report.throughput_rps
+    speedup = pair_report.achieved_rps / single_report.achieved_rps
     scaling_armed = (not BENCH_SMOKE) and cores >= 2
     if BENCH_SMOKE:
         scaling_skip = (
@@ -424,8 +381,8 @@ def test_multiworker_scaling_and_per_worker_reload_identity(
     results["multiworker"] = {
         "strategy": strategy,
         "cpu_cores": cores,
-        "single_worker_rps": single_report.throughput_rps,
-        "two_worker_rps": pair_report.throughput_rps,
+        "single_worker_rps": single_report.achieved_rps,
+        "two_worker_rps": pair_report.achieved_rps,
         "two_worker_speedup": speedup,
         "reload_identity": {
             str(pid): {
@@ -463,7 +420,6 @@ def test_write_artifact(server, results, output_dir):
         metrics = client.metrics()
     payload = {
         "bench": "serve",
-        "decide_threads": 8,
         "served_decisions": metrics["decisions"]["served"],
         "cache_hit_rate": metrics["cache"]["hit_rate"],
         "latency_p50_ms": metrics["latency"]["p50_ms"],
@@ -473,10 +429,8 @@ def test_write_artifact(server, results, output_dir):
     payload.update(results)
     write_json_artifact(output_dir, "BENCH_serve.json", payload)
     print(
-        f"\nserve bench: {results['throughput_rps']:.0f} rps threaded over "
-        f"{results['load_threads']} client threads "
-        f"(async 1-worker {results['async_vs_threaded']['async_rps']:.0f} rps, "
-        f"{results['async_vs_threaded']['speedup']:.2f}x), batch speedup "
+        f"\nserve bench: {results['throughput_rps']:.0f} rps over "
+        f"{results['load_connections']} saturating connections, batch speedup "
         f"{results['batch_speedup']:.1f}x, open-loop p99 "
         f"{results['open_loop']['p99_ms']:.1f} ms at "
         f"{results['open_loop']['offered_rps']:.0f} rps, 2-worker scaling "

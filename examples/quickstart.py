@@ -30,8 +30,8 @@ processes, with results identical for every worker count::
 agree — including a parallel run.
 
 The study's oracle also deploys as a long-lived **online service**
-(``trackersift serve --port 8377 --threads 8``): blocking decisions over
-a threaded JSON API, answered from an atomically swappable snapshot that
+(``trackersift serve --port 8377``): blocking decisions over an asyncio
+HTTP/1.1 JSON API, answered from an atomically swappable snapshot that
 hot-reloads new list versions without dropping a request::
 
     curl -s -X POST localhost:8377/v1/decide \
@@ -146,9 +146,9 @@ def main() -> None:
     # The oracle, served online: decide over HTTP, hot-reload a hotfix
     # list, and watch the snapshot revision advance — in-flight requests
     # always finish on the snapshot they started with.
-    from repro.serve import BlockingClient, BlockingServer
+    from repro.serve import AsyncServerThread, BlockingClient
 
-    with BlockingServer(port=0, threads=4) as server:
+    with AsyncServerThread(port=0) as server:
         client = BlockingClient(server.host, server.port)
         decision = client.decide("https://doubleclick.net/pixel/42.gif")
         print(

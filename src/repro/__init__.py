@@ -64,8 +64,9 @@ knobs on the command line.
 long-lived online service: :class:`~repro.serve.BlockingService` answers
 per-request blocking decisions from an atomically swappable snapshot (a
 cache-enabled oracle + its own thread-safe decision cache), and
-:class:`~repro.serve.BlockingServer` exposes it over a threaded JSON API
-with hot reload — ``trackersift serve --port 8377 --threads 8``.  Served
+:class:`~repro.serve.AsyncServerThread` exposes it over an asyncio
+HTTP/1.1 JSON API with hot reload — ``trackersift serve --port 8377``
+(``--workers N`` forks N such servers over one shared oracle image).  Served
 decisions are bit-identical to offline
 :meth:`FilterListOracle.should_block_url` labeling for the same lists
 (the identity gate in ``benchmarks/bench_serve.py`` checks this over
@@ -125,10 +126,10 @@ from .filterlists import FilterListOracle, Label
 from .labeling import AnalyzedRequest, LabeledCrawl, RequestLabeler
 from .scenarios import SCENARIO_PACKS, ScenarioRunner, ScenarioSpec
 from .serve import (
+    AsyncServerThread,
     BlockingClient,
-    BlockingServer,
     BlockingService,
-    LoadGenerator,
+    OpenLoopLoadGenerator,
 )
 from .webmodel import PAPER, SyntheticWeb, SyntheticWebGenerator, generate_web
 
@@ -152,9 +153,9 @@ __all__ = [
     "FaultPlan",
     "FaultSpec",
     "BlockingService",
-    "BlockingServer",
+    "AsyncServerThread",
     "BlockingClient",
-    "LoadGenerator",
+    "OpenLoopLoadGenerator",
     "SCENARIO_PACKS",
     "ScenarioRunner",
     "ScenarioSpec",

@@ -18,11 +18,11 @@ Subcommands mirror the paper's workflow plus the library's extensions:
 * ``bootstrap`` — confidence intervals for the separation factors,
 * ``export``    — dump the crawl database to JSONL or SQLite,
 * ``serve``     — run the online blocking-decision service: the filter
-  oracle behind a threaded JSON API (``--port``, ``--threads``) with
-  hot-reloadable list snapshots; ``--lists`` loads filter-list files in
-  place of the embedded defaults, ``--artifact`` boots from a compiled
-  ``.tsoracle`` without parsing anything, and ``--workers N`` (with
-  ``--artifact``) forks N asyncio serve workers sharing one
+  oracle behind an asyncio HTTP/1.1 JSON API (``--port``, ``--host``)
+  with hot-reloadable list snapshots; ``--lists`` loads filter-list
+  files in place of the embedded defaults, ``--artifact`` boots from a
+  compiled ``.tsoracle`` without parsing anything, and ``--workers N``
+  (with ``--artifact``) forks N asyncio serve workers sharing one
   memory-mapped oracle image (reload all workers with SIGHUP),
 * ``compile``   — compile filter lists (``--lists``, or the embedded
   defaults) into a versioned, checksummed ``.tsoracle`` artifact
@@ -150,12 +150,6 @@ def _build_parser() -> argparse.ArgumentParser:
         type=str,
         default=None,
         help="serve: bind address (default: 127.0.0.1)",
-    )
-    parser.add_argument(
-        "--threads",
-        type=int,
-        default=None,
-        help="serve: max concurrent decide handlers (default: 8)",
     )
     parser.add_argument(
         "--lists",
@@ -300,10 +294,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _cmd_serve(args) -> int:
     from .filterlists.compile import ArtifactError
-    from .serve.server import DEFAULT_PORT, DEFAULT_THREADS, run_server
+    from .serve.protocol import DEFAULT_PORT
 
     if args.artifact and args.lists:
         raise SystemExit("serve: pass --lists or --artifact, not both")
+    host = args.host or "127.0.0.1"
+    port = args.port if args.port is not None else DEFAULT_PORT
     if args.workers is not None:
         # Multi-process mode: N forked asyncio workers over one shared
         # memory-mapped oracle image, coordinated by a supervisor
@@ -316,44 +312,72 @@ def _cmd_serve(args) -> int:
                 "compiled artifact's memory-mapped oracle image (compile "
                 "one with: trackersift compile --out rules.tsoracle)"
             )
-        if args.threads is not None:
-            raise SystemExit(
-                "serve: --threads applies to the single-process threaded "
-                "server; with --workers, concurrency comes from the "
-                "worker processes"
-            )
-        from .serve.supervisor import run_supervisor
-
-        try:
-            return run_supervisor(
-                args.artifact,
-                workers=args.workers,
-                host=args.host or "127.0.0.1",
-                port=args.port if args.port is not None else DEFAULT_PORT,
-            )
-        except (ArtifactError, OSError, RuntimeError) as error:
-            raise SystemExit(f"serve: {error}")
-    threads = args.threads if args.threads is not None else DEFAULT_THREADS
-    if threads < 1:
-        raise SystemExit("serve: --threads must be at least 1")
     try:
-        return run_server(
-            host=args.host or "127.0.0.1",
-            port=args.port if args.port is not None else DEFAULT_PORT,
-            threads=threads,
-            list_paths=args.lists or (),
-            artifact_path=args.artifact,
+        if args.workers is not None:
+            from .serve.supervisor import run_supervisor
+
+            return run_supervisor(
+                args.artifact, workers=args.workers, host=host, port=port
+            )
+        return _serve_single(host, port, args.lists or (), args.artifact)
+    except (ArtifactError, OSError, RuntimeError) as error:
+        raise SystemExit(f"serve: {error}")
+
+
+def _serve_single(host: str, port: int, list_paths, artifact) -> int:
+    """One in-process server on its event-loop thread; the main thread
+    waits for SIGINT/SIGTERM, then drains the server and returns 0.
+
+    ``artifact`` boots from a compiled ``.tsoracle`` and opts in to HTTP
+    artifact reloads confined to that artifact's directory.
+    """
+    import signal
+    import threading
+    from pathlib import Path
+
+    from .filterlists.lists import load_list_files
+    from .obs import console
+    from .serve.protocol import AsyncServerThread
+    from .serve.service import BlockingService
+
+    if artifact is not None:
+        service = BlockingService(artifact=artifact)
+        artifact_dir = Path(artifact).resolve().parent
+    else:
+        service = BlockingService(*load_list_files(list_paths))
+        artifact_dir = None
+    stop = threading.Event()
+    previous = {
+        signum: signal.signal(signum, lambda *_: stop.set())
+        for signum in (signal.SIGINT, signal.SIGTERM)
+    }
+    server = AsyncServerThread(
+        service=service, host=host, port=port, artifact_dir=artifact_dir
+    )
+    try:
+        server.start()
+        snapshot = service.snapshot
+        console.say(
+            f"trackersift serve: listening on {server.url} "
+            f"({snapshot.rule_count} rules from "
+            f"{', '.join(snapshot.list_names) or 'embedded defaults'})"
         )
-    except ArtifactError as error:
-        raise SystemExit(f"serve: {error}")
-    except OSError as error:
-        raise SystemExit(f"serve: {error}")
+        console.say(
+            "endpoints: POST /v1/decide  POST /v1/reload  GET /healthz  "
+            "GET /metrics"
+        )
+        stop.wait()
+        console.say("trackersift serve: shutting down")
+    finally:
+        server.stop()
+        for signum, handler in previous.items():
+            signal.signal(signum, handler)
+    return 0
 
 
 def _cmd_compile(args) -> int:
     from .filterlists.compile import ArtifactError, compile_lists, read_artifact_meta
-    from .filterlists.lists import default_lists
-    from .serve.server import load_list_files
+    from .filterlists.lists import default_lists, load_list_files
 
     if not args.out:
         raise SystemExit("compile requires --out <path.tsoracle>")
@@ -746,12 +770,11 @@ def main(argv: list[str] | None = None) -> int:
     serve_flags = (
         args.port is not None
         or args.host is not None
-        or args.threads is not None
         or args.artifact is not None
     )
     if serve_flags and args.command != "serve":
         raise SystemExit(
-            f"{args.command}: --port/--host/--threads/--artifact apply to "
+            f"{args.command}: --port/--host/--artifact apply to "
             "the serve command only"
         )
     if args.lists is not None and args.command not in ("serve", "compile"):

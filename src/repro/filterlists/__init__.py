@@ -27,6 +27,7 @@ from .lists import (
     default_lists,
     load_easylist,
     load_easyprivacy,
+    load_list_files,
 )
 from .maintenance import ListDiff, diff_lists, find_redundant_rules
 from .matcher import FilterMatcher, MatchResult
@@ -65,6 +66,7 @@ __all__ = [
     "load_easylist",
     "load_easyprivacy",
     "default_lists",
+    "load_list_files",
     "EASYLIST_SNAPSHOT",
     "EASYPRIVACY_SNAPSHOT",
     "TRACKER_DOMAINS",

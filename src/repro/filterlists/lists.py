@@ -20,6 +20,8 @@ the TrackerSift pipeline only ever sees the oracle's labels.
 
 from __future__ import annotations
 
+from pathlib import Path
+
 from .parser import ParsedList, parse_filter_list
 
 __all__ = [
@@ -32,6 +34,7 @@ __all__ = [
     "load_easylist",
     "load_easyprivacy",
     "default_lists",
+    "load_list_files",
 ]
 
 #: Domains whose every request is advertising (EasyList-style coverage).
@@ -173,3 +176,16 @@ def load_easyprivacy() -> ParsedList:
 def default_lists() -> tuple[ParsedList, ParsedList]:
     """The (EasyList, EasyPrivacy) pair used by the paper's oracle."""
     return load_easylist(), load_easyprivacy()
+
+
+def load_list_files(paths) -> tuple[ParsedList, ...]:
+    """Parse filter-list text files into :class:`ParsedList` objects.
+
+    The list name is the file stem, which is what reload churn reports
+    key on.  Raises :class:`OSError` for unreadable paths.
+    """
+    parsed = []
+    for raw in paths:
+        path = Path(raw)
+        parsed.append(parse_filter_list(path.read_text(encoding="utf-8"), name=path.stem))
+    return tuple(parsed)

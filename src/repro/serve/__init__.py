@@ -8,63 +8,53 @@ offline oracle into that deployment:
   swappable oracle snapshots, hot :meth:`~BlockingService.reload` with a
   ``diff_lists`` churn report, metrics (cache counters, latency
   p50/p99, revision, uptime);
-* :mod:`repro.serve.server` — :class:`BlockingServer`: the service
-  behind a stdlib threaded JSON API (``POST /v1/decide``,
-  ``POST /v1/reload``, ``GET /healthz``, ``GET /metrics``);
-* :mod:`repro.serve.protocol` — :class:`AsyncBlockingServer`: the same
-  API on one asyncio event loop, with HTTP/1.1 pipelining and
-  cross-connection decide coalescing (plus :class:`AsyncServerThread`
-  for embedding);
+* :mod:`repro.serve.protocol` — :class:`AsyncBlockingServer`: the
+  service behind a JSON API (``POST /v1/decide``, ``POST /v1/reload``,
+  ``GET /healthz``, ``GET /metrics``) on one asyncio event loop, with
+  HTTP/1.1 pipelining and cross-connection decide coalescing (plus
+  :class:`AsyncServerThread` for embedding, which the single-process
+  ``trackersift serve`` also runs);
 * :mod:`repro.serve.supervisor` — :class:`ServeSupervisor`: N forked
   asyncio workers on one port (``SO_REUSEPORT`` where available) over
   one shared memory-mapped oracle image, with coordinated reloads,
   merged ``/metrics``, and graceful drain;
-* :mod:`repro.serve.client` — :class:`BlockingClient`, the closed-loop
-  :class:`LoadGenerator`, and the fixed-arrival-rate
-  :class:`OpenLoopLoadGenerator` driving ``benchmarks/bench_serve.py``.
+* :mod:`repro.serve.client` — :class:`BlockingClient` and the
+  fixed-arrival-rate :class:`OpenLoopLoadGenerator` driving
+  ``benchmarks/bench_serve.py``.
 
 Quick embedded use::
 
-    from repro.serve import BlockingClient, BlockingServer
+    from repro.serve import AsyncServerThread, BlockingClient
 
-    with BlockingServer(port=0) as server:          # ephemeral port
+    with AsyncServerThread(port=0) as server:       # ephemeral port
         client = BlockingClient(server.host, server.port)
         print(client.decide("https://doubleclick.net/pixel/1.gif"))
         client.reload()                              # back to defaults
         client.close()
 
-Or on the command line: ``trackersift serve --port 8377 --threads 8``,
+Or on the command line: ``trackersift serve --port 8377``,
 or multi-process over a compiled artifact:
 ``trackersift serve --workers 4 --artifact rules.tsoracle``.
 """
 
 from .client import (
     BlockingClient,
-    LoadGenerator,
-    LoadReport,
     OpenLoopLoadGenerator,
     OpenLoopReport,
     ServeError,
 )
 from .protocol import AsyncBlockingServer, AsyncServerThread
-from .server import BlockingServer, build_server, load_list_files, run_server
 from .service import BlockingService, Snapshot
 from .supervisor import ServeSupervisor, run_supervisor
 
 __all__ = [
     "BlockingService",
     "Snapshot",
-    "BlockingServer",
     "AsyncBlockingServer",
     "AsyncServerThread",
     "ServeSupervisor",
     "run_supervisor",
-    "build_server",
-    "load_list_files",
-    "run_server",
     "BlockingClient",
-    "LoadGenerator",
-    "LoadReport",
     "OpenLoopLoadGenerator",
     "OpenLoopReport",
     "ServeError",

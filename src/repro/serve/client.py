@@ -1,16 +1,17 @@
-"""Client for the blocking-decision API, plus a threaded load generator.
+"""Client for the blocking-decision API, plus an open-loop load generator.
 
 :class:`BlockingClient` speaks the four-endpoint JSON protocol of
-:mod:`repro.serve.server` over a persistent keep-alive connection.  One
+:mod:`repro.serve.protocol` over a persistent keep-alive connection.  One
 client instance is bound to one connection and is **not** shared across
-threads — :class:`LoadGenerator` gives each worker thread its own, which
-is also how a real multi-threaded consumer should hold them.
+threads; a multi-threaded consumer holds one per thread.
 
-:class:`LoadGenerator` is the measurement half: it drives N worker
-threads of single or batched decide calls against a server and collects
+:class:`OpenLoopLoadGenerator` is the measurement half: it offers decide
+requests at a fixed arrival rate over pooled connections and collects
 every decision (with the snapshot revision each was answered under), so
-``benchmarks/bench_serve.py`` can check throughput *and* prove that a
-hot reload mid-load never dropped or mislabeled a request.
+``benchmarks/bench_serve.py`` can check throughput and tail latency
+*and* prove that a hot reload mid-load never dropped or mislabeled a
+request.  Offered above the server's capacity, the same schedule
+measures saturation throughput as ``achieved_rps``.
 """
 
 from __future__ import annotations
@@ -19,17 +20,14 @@ import asyncio
 import http.client
 import json
 import random
-import threading
 import time
 from dataclasses import dataclass, field
 
-from .server import DEFAULT_PORT
+from .protocol import DEFAULT_PORT
 
 __all__ = [
     "ServeError",
     "BlockingClient",
-    "LoadGenerator",
-    "LoadReport",
     "OpenLoopLoadGenerator",
     "OpenLoopReport",
 ]
@@ -170,119 +168,15 @@ class BlockingClient:
 
 
 @dataclass
-class LoadReport:
-    """What a :class:`LoadGenerator` run observed."""
-
-    decisions: list = field(default_factory=list)
-    errors: list = field(default_factory=list)
-    seconds: float = 0.0
-
-    @property
-    def requests(self) -> int:
-        return len(self.decisions)
-
-    @property
-    def throughput_rps(self) -> float:
-        if self.seconds <= 0:
-            return 0.0
-        return len(self.decisions) / self.seconds
-
-    @property
-    def revisions_seen(self) -> tuple:
-        return tuple(sorted({d["revision"] for d in self.decisions}))
-
-
-class LoadGenerator:
-    """Threaded decide() load against one server, decisions collected.
-
-    Workers stripe over ``urls`` (worker *i* takes every ``threads``-th
-    URL) for ``rounds`` passes; with ``batch_size > 1`` each worker sends
-    chunked ``/v1/decide`` batches instead of single calls.  Every
-    decision's reported snapshot revision is kept, which is what lets the
-    reload-under-load gate verify each answer against the offline oracle
-    of the exact rule set that served it.
-    """
-
-    def __init__(
-        self,
-        host: str,
-        port: int,
-        urls: list,
-        threads: int = 4,
-        batch_size: int = 1,
-        rounds: int = 1,
-        timeout: float = 30.0,
-    ) -> None:
-        if threads < 1 or batch_size < 1 or rounds < 1:
-            raise ValueError("threads, batch_size and rounds must be >= 1")
-        self.host = host
-        self.port = port
-        self.urls = list(urls)
-        self.threads = threads
-        self.batch_size = batch_size
-        self.rounds = rounds
-        self.timeout = timeout
-
-    #: Any of these on a call is a *recorded* failure, never a dead worker
-    #: whose collected decisions silently vanish from the report.
-    _CALL_ERRORS = (ServeError, http.client.HTTPException, OSError)
-
-    def _worker(self, index: int, report: LoadReport, lock: threading.Lock) -> None:
-        client = BlockingClient(self.host, self.port, timeout=self.timeout)
-        mine = self.urls[index :: self.threads]
-        decisions: list = []
-        errors: list = []
-        try:
-            for _ in range(self.rounds):
-                if self.batch_size > 1:
-                    for start in range(0, len(mine), self.batch_size):
-                        chunk = mine[start : start + self.batch_size]
-                        try:
-                            decisions.extend(client.decide_batch(chunk)["decisions"])
-                        except self._CALL_ERRORS as error:
-                            errors.append(f"batch@{start}: {error}")
-                else:
-                    for url in mine:
-                        try:
-                            decisions.append(client.decide(url))
-                        except self._CALL_ERRORS as error:
-                            errors.append(f"{url}: {error}")
-        finally:
-            # merge in the finally so even an unexpected worker death
-            # surrenders what it measured instead of undercounting
-            client.close()
-            with lock:
-                report.decisions.extend(decisions)
-                report.errors.extend(errors)
-
-    def run(self) -> LoadReport:
-        report = LoadReport()
-        lock = threading.Lock()
-        workers = [
-            threading.Thread(
-                target=self._worker, args=(index, report, lock), daemon=True
-            )
-            for index in range(self.threads)
-        ]
-        started = time.perf_counter()
-        for worker in workers:
-            worker.start()
-        for worker in workers:
-            worker.join()
-        report.seconds = time.perf_counter() - started
-        return report
-
-
-@dataclass
 class OpenLoopReport:
     """What an :class:`OpenLoopLoadGenerator` run observed.
 
     ``latencies`` are measured from each request's *scheduled* send time,
     not its actual send time — so a server that falls behind the offered
     arrival rate accrues queueing delay in its percentiles instead of
-    quietly slowing the clock down (the closed-loop blind spot of
-    :class:`LoadGenerator`, whose workers only offer the next request
-    after the previous answer lands)."""
+    quietly slowing the clock down (the blind spot of a closed-loop
+    client, which only offers the next request after the previous answer
+    lands)."""
 
     offered_rps: float = 0.0
     decisions: list = field(default_factory=list)
@@ -401,14 +295,29 @@ class OpenLoopLoadGenerator:
         report: OpenLoopReport,
     ) -> None:
         loop = asyncio.get_running_loop()
-        reader, writer = await asyncio.open_connection(self.host, self.port)
+        mine = range(index, len(self.urls), self.connections)
+        writer = None
         try:
-            for i in range(index, len(self.urls), self.connections):
+            for position, i in enumerate(mine):
+                url = self.urls[i]
+                if writer is None:
+                    try:
+                        reader, writer = await asyncio.open_connection(
+                            self.host, self.port
+                        )
+                    except OSError as error:
+                        # The server is gone: what this connection still
+                        # owed is recorded as failed, and the decisions
+                        # already collected stay in the report.
+                        report.errors.extend(
+                            f"{self.urls[j]}: connect failed: {error!r}"
+                            for j in mine[position:]
+                        )
+                        return
                 deadline = start + i / self.rate_rps
                 delay = deadline - loop.time()
                 if delay > 0:
                     await asyncio.sleep(delay)
-                url = self.urls[i]
                 try:
                     writer.write(self._request_bytes(url))
                     await writer.drain()
@@ -425,9 +334,7 @@ class OpenLoopLoadGenerator:
                     # The pipeline on this connection is no longer
                     # trustworthy; reconnect before the next deadline.
                     writer.close()
-                    reader, writer = await asyncio.open_connection(
-                        self.host, self.port
-                    )
+                    writer = None
                     continue
                 latency = loop.time() - deadline
                 payload = json.loads(body) if body else {}
@@ -439,7 +346,8 @@ class OpenLoopLoadGenerator:
                     report.decisions.append(payload)
                     report.latencies.append(latency)
         finally:
-            writer.close()
+            if writer is not None:
+                writer.close()
 
     async def _run(self) -> OpenLoopReport:
         report = OpenLoopReport(offered_rps=self.rate_rps)

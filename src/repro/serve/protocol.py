@@ -1,14 +1,27 @@
-"""Asyncio HTTP/1.1 front end: one thread, pipelining, decide coalescing.
+"""The HTTP/1.1 front end: one event loop, pipelining, decide coalescing.
 
-The threaded server (:mod:`repro.serve.server`) spends most of a request
-on thread handoffs and per-request framing; on a GIL-bound host its
-threads buy concurrency but no parallelism.  This module serves the same
-four-endpoint JSON protocol from a single event loop:
+Every served decision goes through :class:`AsyncBlockingServer`.  It
+speaks a four-endpoint JSON protocol:
+
+* ``POST /v1/decide``   — ``{"url", "resource_type"?, "page_url"?}`` for a
+  single decision, or ``{"requests": [...]}`` for a batch (each item a URL
+  string or a request object); a batch is decided against one snapshot.
+* ``POST /v1/reload``   — ``{"lists": [{"name", "text"}, ...]}`` parses
+  and swaps in a new snapshot and returns the rule-churn report; an empty
+  body reloads the embedded default lists; ``{"artifact": "<name>"}``
+  adopts a compiled ``.tsoracle`` from the boot artifact's directory
+  (see :func:`~repro.serve.service.apply_reload_payload`).
+* ``GET /healthz``      — liveness plus the serving snapshot revision.
+* ``GET /metrics``      — JSON by default, Prometheus text for
+  ``?format=prometheus`` or ``Accept: text/plain``.
+
+How it serves them:
 
 * **Hand-rolled HTTP/1.1 parser.**  Requests are framed straight off the
-  socket buffer (request line, headers, ``Content-Length`` body — chunked
-  bodies are rejected just like the threaded server).  Keep-alive is the
-  default; ``Connection: close`` is honoured.
+  socket buffer (request line, headers, ``Content-Length`` body).  Framing
+  the server cannot trust — chunked bodies, conflicting or non-digit
+  ``Content-Length`` values, malformed lines — gets a 400 and a close.
+  Keep-alive is the default; ``Connection: close`` is honoured.
 * **Pipelined decode.**  Every complete request already buffered is
   parsed in one pass and answered in order, so a client that pipelines N
   decides pays one round trip, not N.
@@ -19,18 +32,22 @@ four-endpoint JSON protocol from a single event loop:
   one snapshot read, one cache lock round, one oracle batch — and splits
   the results back per request.  Validation stays per-request, so one
   malformed request 400s alone without discarding its neighbours' work.
-  Latency accounting stays per-decision (k samples for a k-URL drain),
-  keeping p99 comparable with the threaded path.
+  Latency accounting stays per-decision (k samples for a k-URL drain).
+* **Idle deadline.**  A connection that sends nothing for
+  ``_IDLE_TIMEOUT_S`` while no response is in flight is closed by one
+  server-wide sweep, so a client stalled mid-headers or mid-body cannot
+  hold a connection forever.
 
-:class:`AsyncBlockingServer` runs standalone (the ``--workers 1`` CLI
-path and :class:`AsyncServerThread` for embedding into tests/benchmarks)
-or as one worker of a :class:`~repro.serve.supervisor.ServeSupervisor`
-(``supervised=True``), where ``/v1/reload`` is declined — reloads arrive
-over the supervisor's control pipe so every worker swaps to the same
-revision — and ``/metrics`` can be overridden to report the merged
-cross-worker view.  Graceful drain (:meth:`AsyncBlockingServer.drain`)
-stops accepting, lets every in-flight request finish and flush, then
-closes idle keep-alive connections.
+:class:`AsyncBlockingServer` runs standalone (``trackersift serve``
+without ``--workers``, and :class:`AsyncServerThread` for embedding into
+tests and benchmarks) or as one worker of a
+:class:`~repro.serve.supervisor.ServeSupervisor` (``supervised=True``),
+where ``/v1/reload`` is declined — reloads arrive over the supervisor's
+control pipe so every worker swaps to the same revision — and
+``/metrics`` can be overridden to report the merged cross-worker view.
+Graceful drain (:meth:`AsyncBlockingServer.drain`) stops accepting, lets
+every in-flight request finish and flush, then closes idle keep-alive
+connections.
 """
 
 from __future__ import annotations
@@ -47,8 +64,12 @@ from ..obs.metrics import (
 )
 from .service import BlockingService, apply_reload_payload
 
-__all__ = ["AsyncBlockingServer", "AsyncServerThread"]
+__all__ = ["DEFAULT_PORT", "AsyncBlockingServer", "AsyncServerThread"]
 
+DEFAULT_PORT = 8377
+
+#: A connection idle this long with no response in flight is closed.
+_IDLE_TIMEOUT_S = 30.0
 _READ_SIZE = 256 * 1024
 _MAX_HEADER_BYTES = 64 * 1024
 _MAX_BODY_BYTES = 64 * 1024 * 1024
@@ -109,20 +130,26 @@ def _parse_requests(buffer: bytes) -> tuple[list[_Request], bytes]:
             name, sep, value = line.partition(":")
             if not sep:
                 raise _ProtocolError(400, f"malformed header line: {line!r}")
-            headers[name.strip().lower()] = value.strip()
+            name = name.strip().lower()
+            value = value.strip()
+            if name == "content-length" and headers.get(name, value) != value:
+                # Which copy frames the body is exactly what a smuggling
+                # peer wants the server and a proxy to disagree on.
+                raise _ProtocolError(400, "conflicting Content-Length headers")
+            headers[name] = value
         if "transfer-encoding" in headers:
-            # Same contract as the threaded server: silently reading a
-            # chunked body as empty could turn a reload into a reset.
+            # Silently reading a chunked body as empty could turn a
+            # reload into a reset-to-defaults.
             raise _ProtocolError(
                 400, "chunked request bodies are not supported; "
                 "send Content-Length"
             )
-        raw_length = headers.get("content-length") or "0"
-        try:
-            length = int(raw_length)
-        except ValueError:
+        raw_length = headers.get("content-length", "0")
+        # ASCII digits only: int() would also take "+2", "1_0" or " 2".
+        if not (raw_length.isascii() and raw_length.isdigit()):
             raise _ProtocolError(400, f"bad Content-Length: {raw_length!r}")
-        if length < 0 or length > _MAX_BODY_BYTES:
+        length = int(raw_length)
+        if length > _MAX_BODY_BYTES:
             raise _ProtocolError(400, f"unreasonable Content-Length: {length}")
         total = head_end + 4 + length
         if len(buffer) < total:
@@ -230,11 +257,12 @@ class _PendingDecide:
 
 
 class _Connection:
-    __slots__ = ("writer", "busy")
+    __slots__ = ("writer", "busy", "last_read")
 
-    def __init__(self, writer) -> None:
+    def __init__(self, writer, now: float) -> None:
         self.writer = writer
         self.busy = False
+        self.last_read = now
 
 
 class AsyncBlockingServer:
@@ -280,6 +308,7 @@ class AsyncBlockingServer:
         self._coalescer: _Coalescer | None = None
         self._connections: set[_Connection] = set()
         self._draining = False
+        self._sweeper: asyncio.TimerHandle | None = None
 
     # -- lifecycle ---------------------------------------------------------
     async def start(self) -> "AsyncBlockingServer":
@@ -297,7 +326,18 @@ class AsyncBlockingServer:
                 reuse_port=self._reuse_port or None,
                 backlog=512,
             )
+        self._sweeper = loop.call_later(_IDLE_TIMEOUT_S / 4, self._sweep_idle)
         return self
+
+    def _sweep_idle(self) -> None:
+        """Close every connection idle past the deadline with no response
+        in flight; reschedules itself until :meth:`drain`."""
+        loop = asyncio.get_running_loop()
+        expired = loop.time() - _IDLE_TIMEOUT_S
+        for connection in self._connections:
+            if not connection.busy and connection.last_read <= expired:
+                connection.writer.close()
+        self._sweeper = loop.call_later(_IDLE_TIMEOUT_S / 4, self._sweep_idle)
 
     @property
     def sockets(self):
@@ -327,6 +367,8 @@ class AsyncBlockingServer:
         ``timeout``.  Idempotent.
         """
         self._draining = True
+        if self._sweeper is not None:
+            self._sweeper.cancel()
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
@@ -344,7 +386,8 @@ class AsyncBlockingServer:
 
     # -- connection loop ---------------------------------------------------
     async def _handle(self, reader, writer) -> None:
-        connection = _Connection(writer)
+        loop = asyncio.get_running_loop()
+        connection = _Connection(writer, loop.time())
         self._connections.add(connection)
         buffer = b""
         try:
@@ -354,6 +397,7 @@ class AsyncBlockingServer:
                 data = await reader.read(_READ_SIZE)
                 if not data:
                     break
+                connection.last_read = loop.time()
                 buffer += data
                 try:
                     requests, buffer = _parse_requests(buffer)
@@ -500,12 +544,13 @@ class AsyncBlockingServer:
 
 class AsyncServerThread:
     """Runs an :class:`AsyncBlockingServer` on a dedicated event-loop
-    thread so synchronous callers (tests, benchmarks, the threaded
-    :class:`~repro.serve.client.BlockingClient`) can drive it.
+    thread so synchronous callers (the single-process ``trackersift
+    serve``, tests, benchmarks, :class:`~repro.serve.client.BlockingClient`)
+    can drive it.  Keyword arguments go to :class:`AsyncBlockingServer`.
 
-    The worker processes run the loop on their main thread instead; this
-    wrapper exists for embedding.  Use as a context manager, or
-    :meth:`start`/:meth:`stop`.
+    The supervised worker processes run the loop on their main thread
+    instead.  Use as a context manager, or :meth:`start`/:meth:`stop`;
+    :meth:`stop` drains and is safe on a never-started instance.
     """
 
     def __init__(self, **kwargs) -> None:

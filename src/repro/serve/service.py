@@ -168,7 +168,7 @@ class BlockingService:
     reference once and run entirely on it (its oracle's decision cache is
     a thread-safe :class:`~repro.filterlists.cache.DecisionCache`), while
     :meth:`reload` builds a replacement off to the side and publishes it
-    atomically.  This is what :class:`repro.serve.server.BlockingServer`
+    atomically.  This is what :class:`repro.serve.protocol.AsyncBlockingServer`
     exposes over HTTP.
     """
 
@@ -686,9 +686,8 @@ def apply_reload_payload(
 ) -> dict:
     """Apply a ``POST /v1/reload`` JSON payload to a service.
 
-    The one definition of the reload endpoint's semantics, shared by the
-    threaded (:mod:`repro.serve.server`) and asyncio
-    (:mod:`repro.serve.protocol`) front ends so the two cannot drift:
+    The reload endpoint's semantics, kept apart from the HTTP framing of
+    :mod:`repro.serve.protocol` so they can be tested without a socket:
 
     * ``{}``                      — re-parse the embedded default lists;
     * ``{"lists": [{"name","text"}, ...]}`` — parse and swap in new text;
@@ -698,7 +697,7 @@ def apply_reload_payload(
       must have been booted with ``--artifact``, and the name is
       resolved inside that artifact's directory (``artifact_dir``).
 
-    Raises :class:`ValueError` (which both servers map to HTTP 400) for a
+    Raises :class:`ValueError` (which the server maps to HTTP 400) for a
     malformed payload; :class:`~repro.filterlists.compile.ArtifactError`
     is a ValueError, so a bad artifact maps to 400 with the snapshot
     untouched as well.

@@ -1,5 +1,14 @@
 """CLI smoke tests (tiny crawls, captured stdout)."""
 
+import os
+import signal
+import socket
+import subprocess
+import sys
+import time
+from contextlib import contextmanager
+from pathlib import Path
+
 import pytest
 
 from repro.cli import main
@@ -151,59 +160,118 @@ class TestServeCommand:
         with pytest.raises(SystemExit, match="serve command only"):
             main(ARGS + ["--port", "8377", "study"])
         with pytest.raises(SystemExit, match="serve command only"):
-            main(ARGS + ["--threads", "4", "sift"])
+            main(ARGS + ["--host", "127.0.0.1", "sift"])
 
     def test_serve_workers_require_artifact(self):
         # --workers is the multi-process path: N forked processes share
         # one memory-mapped artifact, so a compiled artifact is the one
-        # legal oracle source and --threads belongs to the other server.
+        # legal oracle source.
         with pytest.raises(SystemExit, match="requires --artifact"):
             main(["--workers", "2", "serve"])
         with pytest.raises(SystemExit, match="at least 1"):
             main(["--workers", "0", "serve", "--artifact", "x.tsoracle"])
 
-    def test_serve_workers_reject_threads(self, tmp_path):
-        artifact = tmp_path / "rules.tsoracle"
-        with pytest.raises(SystemExit, match="threaded server"):
-            main(
-                [
-                    "--workers",
-                    "2",
-                    "--threads",
-                    "4",
-                    "serve",
-                    "--artifact",
-                    str(artifact),
-                ]
-            )
-
     def test_serve_rejects_streaming_flags(self):
         with pytest.raises(SystemExit, match="sift command only"):
             main(["--streaming", "serve"])
-
-    def test_serve_threads_must_be_positive(self):
-        with pytest.raises(SystemExit, match="at least 1"):
-            main(["--threads", "0", "serve"])
 
     def test_serve_missing_list_file_fails_cleanly(self, tmp_path):
         with pytest.raises(SystemExit, match="serve"):
             main(["--lists", str(tmp_path / "nope.txt"), "serve"])
 
-    def test_build_server_loads_custom_lists(self, tmp_path):
-        """The CLI construction path: custom list files become the
-        serving snapshot (stopped before serving traffic)."""
-        from repro.serve.server import build_server
-
+    def test_serve_loads_custom_lists(self, tmp_path):
+        """Custom list files become the serving snapshot, named by stem."""
         list_path = tmp_path / "corp-blocklist.txt"
         list_path.write_text("||banned.example^\n/beacon*\n", encoding="utf-8")
-        server = build_server(port=0, threads=2, list_paths=[str(list_path)])
-        try:
-            snapshot = server.service.snapshot
-            assert snapshot.list_names == ("corp-blocklist",)
-            assert snapshot.rule_count == 2
-            assert server.service.decide("https://banned.example/x.js")["blocked"]
-        finally:
-            server.stop()  # never started: must still release the socket
+        with _serving_cli(["--lists", str(list_path), "serve"]) as client:
+            health = client.healthz()
+            assert health["rule_count"] == 2
+            decision = client.decide("https://banned.example/x.js")
+            assert decision["blocked"]
+            assert decision["matched_list"] == "corp-blocklist"
+            assert not client.decide("https://doubleclick.net/x.js")["blocked"]
+
+    def test_serve_boots_from_artifact(self, tmp_path):
+        """``--artifact`` boots without parsing and opts in to HTTP
+        artifact reloads from the artifact's own directory."""
+        from repro.filterlists.compile import compile_lists
+        from repro.filterlists.parser import parse_filter_list
+
+        boot = tmp_path / "boot.tsoracle"
+        compile_lists(boot, parse_filter_list("||tracker.example^\n", name="boot"))
+        with _serving_cli(["serve", "--artifact", str(boot)]) as client:
+            assert client.decide("https://tracker.example/x.js")["blocked"]
+            report = client._request(
+                "POST", "/v1/reload", {"artifact": "boot.tsoracle"}
+            )
+            assert report["revision"] == 2
+
+    def test_serve_decides_then_exits_zero_on_sigterm(self):
+        with _serving_cli(["serve"]) as client:
+            assert client.healthz()["status"] == "ok"
+            assert client.decide("https://doubleclick.net/x.js")["blocked"]
+        # _serving_cli sent SIGTERM and asserted exit 0 with the
+        # shutdown line; SIGINT takes the same path.
+
+    def test_serve_rejects_removed_thread_count_flag(self):
+        # The single-process server is one event loop: there is no
+        # thread-count flag any more, and argparse refuses it (exit 2).
+        removed = "--" + "threads=4"
+        result = subprocess.run(
+            [sys.executable, "-m", "repro", "serve", removed],
+            env=_cli_env(),
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert result.returncode == 2
+        assert f"unrecognized arguments: {removed}" in result.stderr
+
+
+def _cli_env() -> dict:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parent.parent / "src")
+    return env
+
+
+@contextmanager
+def _serving_cli(argv):
+    """Run ``python -m repro <argv> --port <free>`` as a real process,
+    yield a client once ``/healthz`` answers, then SIGTERM it and require
+    a clean exit 0."""
+    from repro.serve.client import BlockingClient
+
+    with socket.socket() as probe:
+        probe.bind(("127.0.0.1", 0))
+        port = probe.getsockname()[1]
+    process = subprocess.Popen(
+        [sys.executable, "-m", "repro", "--port", str(port), *argv],
+        env=_cli_env(),
+        stdout=subprocess.PIPE,
+        stderr=subprocess.STDOUT,
+        text=True,
+    )
+    try:
+        deadline = time.monotonic() + 30
+        while True:
+            assert process.poll() is None, process.communicate()[0]
+            assert time.monotonic() < deadline, "server never came up"
+            try:
+                with BlockingClient("127.0.0.1", port, timeout=2) as client:
+                    client.healthz()
+                break
+            except OSError:
+                time.sleep(0.1)
+        with BlockingClient("127.0.0.1", port, timeout=5) as client:
+            yield client
+        process.send_signal(signal.SIGTERM)
+        out, _ = process.communicate(timeout=30)
+    finally:
+        if process.poll() is None:
+            process.kill()
+            process.communicate()
+    assert process.returncode == 0, out
+    assert "shutting down" in out, out
 
 
 class TestCompileCommand:

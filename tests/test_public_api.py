@@ -78,7 +78,7 @@ class TestDocstrings:
             "repro.analysis.tables",
             "repro.analysis.figures",
             "repro.serve.service",
-            "repro.serve.server",
+            "repro.serve.protocol",
             "repro.serve.client",
             "repro.faults.plan",
             "repro.durable",

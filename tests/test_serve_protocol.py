@@ -13,17 +13,23 @@ Proof obligations for ``repro.serve.protocol``:
 * a supervised worker declines HTTP ``/v1/reload`` (reloads must be
   coordinated), honours ``metrics_provider``, and stamps decisions with
   its ``worker_tag``;
-* graceful drain finishes in-flight requests before the server stops.
+* graceful drain finishes in-flight requests before the server stops;
+* a connection idle past the read deadline — stalled mid-headers or
+  mid-body — is closed, while one with traffic is not;
+* the open-loop load generator keeps what it measured when the server
+  goes away mid-run.
 """
 
 import asyncio
 import json
 import socket
+import threading
 import time
 
 import pytest
 
-from repro.serve.client import BlockingClient, ServeError
+from repro.serve import protocol
+from repro.serve.client import BlockingClient, OpenLoopLoadGenerator, ServeError
 from repro.serve.protocol import (
     AsyncBlockingServer,
     AsyncServerThread,
@@ -89,11 +95,26 @@ class TestParser:
             b"GET /x HTTP/1.1\r\nbroken header line\r\n\r\n",
             b"POST /x HTTP/1.1\r\nContent-Length: nan\r\n\r\n",
             b"POST /x HTTP/1.1\r\nContent-Length: -5\r\n\r\n",
+            # Conflicting duplicates: no "last one wins" framing.
+            b"POST /x HTTP/1.1\r\nContent-Length: 100\r\n"
+            b"Content-Length: 2\r\n\r\nab",
+            # int() leniency: underscores, signs, non-ASCII digits, empty.
+            b"POST /x HTTP/1.1\r\nContent-Length: 1_0\r\n\r\n0123456789",
+            b"POST /x HTTP/1.1\r\nContent-Length: +2\r\n\r\nab",
+            b"POST /x HTTP/1.1\r\nContent-Length: \xb2\r\n\r\nab",
+            b"POST /x HTTP/1.1\r\nContent-Length:\r\n\r\n",
         ],
     )
     def test_malformed_framing_rejected(self, raw):
         with pytest.raises(_ProtocolError):
             _parse_requests(raw)
+
+    def test_identical_duplicate_content_length_accepted(self):
+        requests, rest = _parse_requests(
+            b"POST /x HTTP/1.1\r\nContent-Length: 2\r\n"
+            b"content-length: 2\r\n\r\nab"
+        )
+        assert requests[0].body == b"ab" and rest == b""
 
     def test_oversized_headers_rejected(self):
         with pytest.raises(_ProtocolError, match="headers too large"):
@@ -323,3 +344,84 @@ class TestDrain:
             writer.close()
 
         asyncio.run(scenario())
+
+
+# -- idle read deadline -------------------------------------------------------
+
+
+def _closed_within(sock: socket.socket, seconds: float) -> bool:
+    """True once the server closes ``sock`` (EOF or reset) in time."""
+    sock.settimeout(seconds)
+    try:
+        return sock.recv(65536) == b""
+    except ConnectionResetError:
+        return True
+    except socket.timeout:
+        return False
+
+
+class TestIdleDeadline:
+    @pytest.fixture()
+    def quick_server(self, monkeypatch):
+        monkeypatch.setattr(protocol, "_IDLE_TIMEOUT_S", 0.2)
+        with AsyncServerThread() as thread:
+            yield thread
+
+    def test_partial_request_line_is_closed(self, quick_server):
+        with socket.create_connection(
+            (quick_server.host, quick_server.port), timeout=5
+        ) as sock:
+            sock.sendall(b"POST /v1/dec")
+            assert _closed_within(sock, 5.0)
+
+    def test_stalled_content_length_body_is_closed(self, quick_server):
+        with socket.create_connection(
+            (quick_server.host, quick_server.port), timeout=5
+        ) as sock:
+            sock.sendall(
+                b"POST /v1/decide HTTP/1.1\r\nHost: x\r\n"
+                b"Content-Length: 100\r\n\r\n{\"url\":"
+            )
+            assert _closed_within(sock, 5.0)
+        assert _wait_for(lambda: not quick_server.server._connections)
+
+    def test_active_connection_outlives_the_deadline(self, quick_server):
+        with BlockingClient(quick_server.host, quick_server.port) as client:
+            client.healthz()
+            connection = client._conn
+            for _ in range(8):  # 0.4 s of traffic, twice the deadline
+                time.sleep(0.05)
+                client.healthz()
+            assert client._conn is connection  # never re-dialed
+
+
+def _wait_for(condition, seconds: float = 5.0) -> bool:
+    deadline = time.monotonic() + seconds
+    while time.monotonic() < deadline:
+        if condition():
+            return True
+        time.sleep(0.01)
+    return condition()
+
+
+# -- the open-loop load generator ---------------------------------------------
+
+
+class TestOpenLoopLoadGenerator:
+    def test_server_stopping_mid_run_keeps_the_report(self):
+        urls = [f"https://doubleclick.net/{i}.js" for i in range(300)]
+        server = AsyncServerThread().start()
+        generator = OpenLoopLoadGenerator(
+            server.host, server.port, urls, rate_rps=200.0, connections=4
+        )
+        stopper = threading.Timer(0.5, server.stop)
+        stopper.start()
+        try:
+            report = generator.run()  # must return, not raise
+        finally:
+            stopper.join()
+            server.stop()
+        assert report.decisions, "decisions before the stop were discarded"
+        assert report.errors, "requests after the stop were not recorded"
+        assert report.requests + len(report.errors) == len(urls)
+        assert all(decision["blocked"] for decision in report.decisions)

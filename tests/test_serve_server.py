@@ -1,8 +1,9 @@
 """End-to-end HTTP tests for the blocking-decision server.
 
-Every test runs a real :class:`BlockingServer` on an ephemeral loopback
-port and talks to it with :class:`BlockingClient` (or raw connections for
-the protocol-error cases) — the same path production traffic takes.
+Every test runs a real :class:`AsyncServerThread` (the server the
+single-process ``trackersift serve`` runs) on an ephemeral loopback port
+and talks to it with :class:`BlockingClient` (or raw connections for the
+protocol-error cases) — the same path production traffic takes.
 """
 
 import http.client
@@ -15,20 +16,23 @@ from repro.filterlists.lists import EASYLIST_SNAPSHOT, EASYPRIVACY_SNAPSHOT
 from repro.filterlists.oracle import FilterListOracle
 from repro.filterlists.parser import parse_filter_list
 from repro.serve import (
+    AsyncServerThread,
     BlockingClient,
-    BlockingServer,
     BlockingService,
-    LoadGenerator,
+    OpenLoopLoadGenerator,
     ServeError,
 )
 
 MINI_LIST = "||tracker.example^\n/pixel*\n@@||tracker.example/ok.js\n"
 
 
+def _mini_service() -> BlockingService:
+    return BlockingService(parse_filter_list(MINI_LIST, name="mini"))
+
+
 @pytest.fixture()
 def server():
-    service = BlockingService(parse_filter_list(MINI_LIST, name="mini"))
-    with BlockingServer(service, port=0, threads=4) as running:
+    with AsyncServerThread(service=_mini_service(), port=0) as running:
         yield running
 
 
@@ -266,9 +270,9 @@ class TestConcurrentServing:
             "https://late.example/tag.js",
             "https://clean.example/app.js",
             "https://cdn.example/pixel/9.gif",
-        ] * 25
-        generator = LoadGenerator(
-            server.host, server.port, urls, threads=4, rounds=3
+        ] * 75
+        generator = OpenLoopLoadGenerator(
+            server.host, server.port, urls, rate_rps=1000.0, connections=4
         )
         reloaded = {}
 
@@ -283,7 +287,7 @@ class TestConcurrentServing:
 
         assert reloaded["revision"] == 2
         assert report.errors == []
-        assert report.requests == len(urls) * 3  # nothing dropped
+        assert report.requests == len(urls)  # nothing dropped
         oracles = {1: old, 2: new}
         for decision in report.decisions:
             expected = oracles[decision["revision"]].should_block_url(
@@ -293,12 +297,26 @@ class TestConcurrentServing:
 
     def test_batched_load(self, server):
         urls = ["https://tracker.example/spy.js", "https://c.example/a.js"] * 30
-        report = LoadGenerator(
-            server.host, server.port, urls, threads=3, batch_size=8
-        ).run()
-        assert report.errors == []
-        assert report.requests == len(urls)
-        assert report.revisions_seen == (1,)
+        decisions: list = []
+
+        def batches(index: int) -> None:
+            mine = urls[index::3]
+            with BlockingClient(server.host, server.port) as client:
+                for start in range(0, len(mine), 8):
+                    result = client.decide_batch(mine[start : start + 8])
+                    decisions.extend(result["decisions"])
+
+        workers = [
+            threading.Thread(target=batches, args=(index,)) for index in range(3)
+        ]
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join(timeout=30)
+            assert not worker.is_alive()
+        assert len(decisions) == len(urls)
+        assert {decision["revision"] for decision in decisions} == {1}
+        assert sum(decision["blocked"] for decision in decisions) == 30
 
 
 class TestServerLifecycle:
@@ -307,10 +325,9 @@ class TestServerLifecycle:
         assert server.url == f"http://{server.host}:{server.port}"
 
     def test_idle_keepalive_clients_do_not_starve_new_traffic(self):
-        """The --threads slot is per request: connected-but-quiet clients
-        must not hold it across their keep-alive idle time."""
-        service = BlockingService(parse_filter_list(MINI_LIST, name="mini"))
-        with BlockingServer(service, port=0, threads=1) as running:
+        """Connected-but-quiet keep-alive clients hold no decide capacity:
+        a fresh client is answered while they idle."""
+        with AsyncServerThread(service=_mini_service(), port=0) as running:
             idlers = [
                 BlockingClient(running.host, running.port) for _ in range(2)
             ]
@@ -327,10 +344,8 @@ class TestServerLifecycle:
                     idler.close()
 
     def test_stop_without_start_does_not_hang(self):
-        server = BlockingServer(
-            BlockingService(parse_filter_list(MINI_LIST, name="mini")), port=0
-        )
-        server.stop()  # BaseServer.shutdown() would deadlock here
+        server = AsyncServerThread(service=_mini_service(), port=0)
+        server.stop()  # no loop to signal: returns at once
 
     def test_client_retries_decide_but_never_replays_a_reload(self, server):
         """A dead keep-alive socket: decide self-heals on a fresh
@@ -342,7 +357,7 @@ class TestServerLifecycle:
             client._conn.sock.close()  # fault injection: socket dies
             with pytest.raises((ServeError, OSError, http.client.HTTPException)):
                 client.reload(lists=[("mini", MINI_LIST)])
-            assert server.service.snapshot.revision == 1  # reload never ran
+            assert server.server.service.snapshot.revision == 1  # never ran
 
             client.decide("https://tracker.example/spy.js")  # fresh socket
             client._conn.sock.close()  # dies again ...
@@ -351,20 +366,11 @@ class TestServerLifecycle:
         finally:
             client.close()
 
-    def test_rejects_silly_thread_counts(self):
-        with pytest.raises(ValueError, match="threads"):
-            BlockingServer(port=0, threads=0)
-
     def test_stop_releases_the_port(self):
-        first = BlockingServer(
-            BlockingService(parse_filter_list(MINI_LIST, name="mini")), port=0
-        ).start()
+        first = AsyncServerThread(service=_mini_service(), port=0).start()
         port = first.port
         first.stop()
-        second = BlockingServer(
-            BlockingService(parse_filter_list(MINI_LIST, name="mini")),
-            port=port,
-        ).start()
+        second = AsyncServerThread(service=_mini_service(), port=port).start()
         try:
             assert second.port == port
         finally:
@@ -407,8 +413,8 @@ class TestArtifactReloadEndpoint:
             tmp_path, "update.tsoracle", "||fresh.example^\n"
         )
         service = BlockingService(artifact=boot)
-        with BlockingServer(
-            service, port=0, threads=2, artifact_dir=tmp_path
+        with AsyncServerThread(
+            service=service, port=0, artifact_dir=tmp_path
         ) as running:
             status, payload = self._post_reload(
                 running, {"artifact": update.name}
@@ -424,17 +430,3 @@ class TestArtifactReloadEndpoint:
                 status, payload = self._post_reload(running, {"artifact": evil})
                 assert status == 400, evil
                 assert "bare file name" in payload["error"], evil
-
-    def test_build_server_boots_from_artifact(self, tmp_path):
-        from repro.serve.server import build_server
-
-        boot = self._compiled(tmp_path, "boot.tsoracle", MINI_LIST)
-        running = build_server(port=0, threads=2, artifact_path=str(boot))
-        try:
-            assert running.service.decide("https://tracker.example/x.js")["blocked"]
-            status, payload = self._post_reload(
-                running.start(), {"artifact": "boot.tsoracle"}
-            )
-            assert status == 200  # same-dir reload allowed after --artifact boot
-        finally:
-            running.stop()
