@@ -44,6 +44,11 @@ BENCH_SMOKE=1 python -m pytest -q -p no:cacheprovider \
     "benchmarks/bench_matcher.py::test_matcher_core_gates"
 
 echo
+echo "== repo benchmark: its own tests, then a smoke run (pinned 150-site digest, serve identity) =="
+python -m pytest -q -p no:cacheprovider benchmarks/perf
+python3 benchmarks/perf/bench.py --seed 7 --smoke
+
+echo
 echo "== chaos smoke (env-injected faults, quarantine, fleet self-heal) =="
 python scripts/chaos_smoke.py
 

@@ -19,7 +19,12 @@ depends on:
   call-stack analysis, surrogates, guards,
 * :mod:`repro.analysis` — Tables 1-3 and Figures 3-5 builders + rendering,
 * :mod:`repro.serve` — the online blocking-decision service: the oracle
-  behind a threaded JSON API with hot-reloadable list snapshots.
+  behind an asyncio HTTP/1.1 JSON API with hot-reloadable list snapshots.
+
+The serving and scenario names re-exported here (``BlockingService``,
+``AsyncServerThread``, ``BlockingClient``, ``OpenLoopLoadGenerator``,
+``ScenarioRunner``, ``ScenarioSpec``, ``SCENARIO_PACKS``) load on first
+use, so ``import repro`` for a study never imports the server stack.
 
 **The pipeline.**  The crawl → label → sift path runs on one execution
 engine with two front doors.  The classic batch API materializes every
@@ -108,6 +113,8 @@ reproducible through the seed-driven :mod:`repro.faults` plane (the
 kwarg; gated by ``benchmarks/bench_chaos.py``).
 """
 
+import importlib
+
 from .core import (
     HierarchicalSifter,
     PipelineConfig,
@@ -124,14 +131,29 @@ from .core import (
 from .faults import FaultPlan, FaultSpec
 from .filterlists import FilterListOracle, Label
 from .labeling import AnalyzedRequest, LabeledCrawl, RequestLabeler
-from .scenarios import SCENARIO_PACKS, ScenarioRunner, ScenarioSpec
-from .serve import (
-    AsyncServerThread,
-    BlockingClient,
-    BlockingService,
-    OpenLoopLoadGenerator,
-)
 from .webmodel import PAPER, SyntheticWeb, SyntheticWebGenerator, generate_web
+
+# The serving and scenario re-exports import on first use (PEP 562): a
+# study never touches them, and eagerly importing them would pull asyncio,
+# ssl, http.client and concurrent.futures into every ``import repro``.
+_LAZY = {
+    "AsyncServerThread": "serve",
+    "BlockingClient": "serve",
+    "BlockingService": "serve",
+    "OpenLoopLoadGenerator": "serve",
+    "SCENARIO_PACKS": "scenarios",
+    "ScenarioRunner": "scenarios",
+    "ScenarioSpec": "scenarios",
+}
+
+
+def __getattr__(name: str):
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
 
 __version__ = "1.10.0"
 

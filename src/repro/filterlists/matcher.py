@@ -114,6 +114,8 @@ _AUTH_RUN_RE = re.compile(r"[a-z0-9_\-.%]+")
 # Patterns eligible for the host-anchor dict: ``||host^`` with a literal
 # hostname body (no wildcards, anchors or separators beyond the trailing one).
 _PURE_HOST_RULE_RE = re.compile(r"^\|\|([a-z0-9_\-.%]+)\^$")
+# Any digit (what _digit_segment looks for in a rule pattern).
+_DIGIT_RE = re.compile(r"\d")
 
 
 def _trie_pattern(words: Sequence[str]) -> str:
@@ -605,11 +607,11 @@ def _digit_segment(pattern: str) -> str | None:
             if ch in "/?^*":
                 cut = index
                 break
-        if any(c.isdigit() for c in body[cut:]):
+        if _DIGIT_RE.search(body, cut):
             host = body[:cut].lower()
             return host if host else ""
         return None
-    if any(c.isdigit() for c in pattern.lstrip("|")):
+    if _DIGIT_RE.search(pattern.lstrip("|")):
         return ""
     return None
 

@@ -9,6 +9,7 @@ only consumes *network* rules, because its oracle labels network requests.
 from __future__ import annotations
 
 import dataclasses
+import re
 from dataclasses import dataclass, field
 
 from .rules import NetworkRule, ResourceType, RuleOptions, RuleParseError
@@ -24,7 +25,11 @@ _SUPPORTED_FLAGS = {
     "~first-party": ("third_party", True),
 }
 
-_COSMETIC_MARKERS = ("##", "#@#", "#?#", "#$#", "#%#")
+# Any cosmetic-rule separator: ``##``, ``#@#``, ``#?#``, ``#$#``, ``#%#``.
+_COSMETIC_RE = re.compile(r"#[@?$%]?#")
+
+# What one stripped line of list text is (see _classify).
+_BLANK, _COMMENT, _COSMETIC, _NETWORK = "blank", "comment", "cosmetic", "network"
 
 
 @dataclass
@@ -157,18 +162,32 @@ def _build_options(options_text: str) -> RuleOptions:
     )
 
 
+def _classify(line: str) -> tuple[str, str]:
+    """Strip one line of list text and say what kind of line it is."""
+    line = line.strip()
+    if not line:
+        return _BLANK, line
+    if line[0] in "![":
+        return _COMMENT, line
+    if _COSMETIC_RE.search(line):
+        return _COSMETIC, line
+    return _NETWORK, line
+
+
 def parse_rule_line(line: str, list_name: str = "") -> NetworkRule | None:
     """Parse a single line; returns ``None`` for comments/cosmetics/blanks.
 
     Raises :class:`RuleParseError` for lines that are clearly intended as
     network rules but are malformed (e.g. empty pattern after options).
     """
-    line = line.strip()
-    if not line or line.startswith("!") or line.startswith("["):
+    kind, line = _classify(line)
+    if kind is not _NETWORK:
         return None
-    if any(marker in line for marker in _COSMETIC_MARKERS):
-        return None
+    return _parse_network_rule(line, list_name)
 
+
+def _parse_network_rule(line: str, list_name: str) -> NetworkRule:
+    """Parse a stripped line already classified as a network rule."""
     text = line
     is_exception = line.startswith("@@")
     if is_exception:
@@ -206,20 +225,14 @@ def parse_filter_list(data: str, name: str = "") -> ParsedList:
     """
     parsed = ParsedList(name=name)
     for line in data.splitlines():
-        stripped = line.strip()
-        if not stripped:
-            continue
-        if stripped.startswith("!") or stripped.startswith("["):
+        kind, stripped = _classify(line)
+        if kind is _NETWORK:
+            try:
+                parsed.rules.append(_parse_network_rule(stripped, name))
+            except RuleParseError:
+                parsed.error_lines.append(stripped)
+        elif kind is _COMMENT:
             parsed.comment_count += 1
-            continue
-        if any(marker in stripped for marker in _COSMETIC_MARKERS):
+        elif kind is _COSMETIC:
             parsed.cosmetic_count += 1
-            continue
-        try:
-            rule = parse_rule_line(stripped, list_name=name)
-        except RuleParseError:
-            parsed.error_lines.append(stripped)
-            continue
-        if rule is not None:
-            parsed.rules.append(rule)
     return parsed

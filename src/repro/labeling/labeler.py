@@ -114,6 +114,10 @@ class RequestLabeler:
         # addressed by using the line and column number information".
         # This flag turns that fix on.
         self._anonymous_by_position = anonymous_by_position
+        # host -> (host, registrable domain): every request to one host
+        # carries the same two string objects into the sift tallies, and
+        # the public-suffix walk runs once per host, not once per request.
+        self._hosts: dict[str, tuple[str, str | None]] = {}
 
     def _matching_url(self, url: str, host: str) -> str:
         """The URL used for rule matching (uncloaked when configured)."""
@@ -155,7 +159,10 @@ class RequestLabeler:
             host = hostname(event.url)
         except URLError:
             return None
-        domain = registrable_domain(host)
+        keys = self._hosts.get(host)
+        if keys is None:
+            keys = self._hosts[host] = (host, registrable_domain(host))
+        host, domain = keys
         if domain is None:
             # IP literals / bare public suffixes have no eTLD+1; the paper's
             # domain granularity cannot hold them.

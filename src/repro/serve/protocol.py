@@ -33,10 +33,13 @@ How it serves them:
   the results back per request.  Validation stays per-request, so one
   malformed request 400s alone without discarding its neighbours' work.
   Latency accounting stays per-decision (k samples for a k-URL drain).
-* **Idle deadline.**  A connection that sends nothing for
+* **Idle and write deadlines.**  A connection that sends nothing for
   ``_IDLE_TIMEOUT_S`` while no response is in flight is closed by one
   server-wide sweep, so a client stalled mid-headers or mid-body cannot
-  hold a connection forever.
+  hold a connection forever.  The same sweep aborts a connection whose
+  response has been in flight longer than ``_IDLE_TIMEOUT_S``: a client
+  that pipelines requests and never reads the answers would otherwise
+  keep it busy, blocked on a full send buffer, forever.
 
 :class:`AsyncBlockingServer` runs standalone (``trackersift serve``
 without ``--workers``, and :class:`AsyncServerThread` for embedding into
@@ -68,7 +71,8 @@ __all__ = ["DEFAULT_PORT", "AsyncBlockingServer", "AsyncServerThread"]
 
 DEFAULT_PORT = 8377
 
-#: A connection idle this long with no response in flight is closed.
+#: A connection idle this long with no response in flight is closed, and
+#: one whose response has been in flight this long is aborted.
 _IDLE_TIMEOUT_S = 30.0
 _READ_SIZE = 256 * 1024
 _MAX_HEADER_BYTES = 64 * 1024
@@ -257,12 +261,17 @@ class _PendingDecide:
 
 
 class _Connection:
-    __slots__ = ("writer", "busy", "last_read")
+    __slots__ = ("writer", "busy", "busy_since", "last_read")
 
     def __init__(self, writer, now: float) -> None:
         self.writer = writer
         self.busy = False
+        self.busy_since = now
         self.last_read = now
+
+    def mark_busy(self, now: float) -> None:
+        self.busy = True
+        self.busy_since = now
 
 
 class AsyncBlockingServer:
@@ -331,11 +340,18 @@ class AsyncBlockingServer:
 
     def _sweep_idle(self) -> None:
         """Close every connection idle past the deadline with no response
-        in flight; reschedules itself until :meth:`drain`."""
+        in flight, and abort every one whose response has been in flight
+        past it; reschedules itself until :meth:`drain`."""
         loop = asyncio.get_running_loop()
         expired = loop.time() - _IDLE_TIMEOUT_S
         for connection in self._connections:
-            if not connection.busy and connection.last_read <= expired:
+            if connection.busy:
+                if connection.busy_since <= expired:
+                    # abort(), not close(): close() waits for the send
+                    # buffer to flush, which a non-reading peer never lets
+                    # happen.
+                    connection.writer.transport.abort()
+            elif connection.last_read <= expired:
                 connection.writer.close()
         self._sweeper = loop.call_later(_IDLE_TIMEOUT_S / 4, self._sweep_idle)
 
@@ -402,7 +418,7 @@ class AsyncBlockingServer:
                 try:
                     requests, buffer = _parse_requests(buffer)
                 except _ProtocolError as error:
-                    connection.busy = True
+                    connection.mark_busy(loop.time())
                     writer.write(
                         _json_bytes(
                             error.status, {"error": str(error)}, False
@@ -412,7 +428,7 @@ class AsyncBlockingServer:
                     break
                 if not requests:
                     continue
-                connection.busy = True
+                connection.mark_busy(loop.time())
                 keep_alive = await self._respond(writer, requests)
                 await writer.drain()
                 connection.busy = False

@@ -740,6 +740,21 @@ class _HostSlots:
     functional: int
 
 
+class _SharedArgs(dict):
+    """One ``Invocation.args`` dict per distinct ``(event, dest)`` pair.
+
+    A plan holds tens of thousands of invocations but only a few thousand
+    distinct argument contexts, so invocations share their dict (which is
+    why :attr:`Invocation.args` is read-only).  Each build owns its own
+    table: two webs never share a dict.
+    """
+
+    def __missing__(self, key: tuple[str, str]) -> dict[str, str]:
+        event, dest = key
+        args = self[key] = {"event": event, "dest": dest}
+        return args
+
+
 class SyntheticWebGenerator:
     """Builds a :class:`SyntheticWeb` for a given site count and seed."""
 
@@ -778,10 +793,13 @@ class SyntheticWebGenerator:
         )
 
         websites = self._make_websites(names)
+        shared_args = _SharedArgs()
         scripts = self._realise_scripts(
-            planned_scripts, domains, websites, listed, names, rng
+            planned_scripts, domains, websites, listed, names, rng, shared_args
         )
-        scripts += _make_app_scripts(domains, websites, listed, names, rng)
+        scripts += _make_app_scripts(
+            domains, websites, listed, names, rng, shared_args
+        )
         _apply_transforms(
             scripts, websites, rng, self.inline_fraction, self.bundle_fraction
         )
@@ -815,6 +833,7 @@ class SyntheticWebGenerator:
         listed: frozenset[str],
         names: NameFactory,
         rng: random.Random,
+        shared_args: _SharedArgs,
     ) -> list[ScriptSpec]:
         host_slots = [
             _HostSlots(
@@ -889,6 +908,7 @@ class SyntheticWebGenerator:
                     f_slots,
                     names,
                     rng,
+                    shared_args,
                     context_separable=planned_method.context_separable,
                 )
                 script.methods.append(method)
@@ -909,6 +929,7 @@ class SyntheticWebGenerator:
         f_slots: list[tuple[str, bool, int]],
         names: NameFactory,
         rng: random.Random,
+        shared_args: _SharedArgs,
         *,
         context_separable: bool = True,
     ) -> None:
@@ -960,10 +981,7 @@ class SyntheticWebGenerator:
                             requests=requests,
                             caller_chain=chain if not is_async else chain[:1],
                             async_chain=chain[1:] if is_async else (),
-                            args={
-                                "event": rng.choice(event_pool),
-                                "dest": host,
-                            },
+                            args=shared_args[rng.choice(event_pool), host],
                         )
                     )
 
@@ -1036,6 +1054,7 @@ def _append_app_requests(
     count: int,
     names: NameFactory,
     rng: random.Random,
+    shared_args: _SharedArgs,
 ) -> None:
     while count > 0:
         batch = min(count, rng.randint(1, 4))
@@ -1059,7 +1078,7 @@ def _append_app_requests(
                     for _ in range(batch)
                 ],
                 caller_chain=chain,
-                args={"event": "load", "dest": host},
+                args=shared_args["load", host],
             )
         )
 
@@ -1070,6 +1089,7 @@ def _make_app_scripts(
     listed: frozenset[str],
     names: NameFactory,
     rng: random.Random,
+    shared_args: _SharedArgs,
 ) -> list[ScriptSpec]:
     """Emit the pure-domain traffic (and pure hostnames of mixed domains)."""
     pool = _AppScriptPool(websites, names, rng)
@@ -1089,7 +1109,15 @@ def _make_app_scripts(
                     chunk = min(remaining, rng.randint(1, 6))
                     remaining -= chunk
                     _append_app_requests(
-                        pool, site, host.host, host_listed, tracking, chunk, names, rng
+                        pool,
+                        site,
+                        host.host,
+                        host_listed,
+                        tracking,
+                        chunk,
+                        names,
+                        rng,
+                        shared_args,
                     )
     return pool.all_scripts()
 

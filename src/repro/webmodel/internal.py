@@ -95,7 +95,7 @@ def add_internal_pages(
                             requests=list(invocation.requests),
                             caller_chain=invocation.caller_chain,
                             async_chain=invocation.async_chain,
-                            args=dict(invocation.args),
+                            args=invocation.args,
                         )
                         method.invocations.append(clone)
                         replayed = True

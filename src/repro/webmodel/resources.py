@@ -75,6 +75,10 @@ class Invocation:
     preceded an asynchronous hop; per the paper it is *prepended* to the
     stack of the request.  ``args`` model the invocation context used by the
     guard-inference extension (paper §5, "Blocking mixed scripts").
+
+    ``args`` is shared: the generator hands every invocation with the same
+    ``(event, dest)`` context one dict, so treat it as read-only and build
+    a new dict to change it.
     """
 
     site: str

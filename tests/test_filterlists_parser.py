@@ -125,3 +125,56 @@ class TestRegexRulePreservation:
         parsed = parse_filter_list("||a.example^\n@@||b.example^")
         assert parsed.unsupported_counts == {}
         assert parsed.unsupported_rule_count == 0
+
+
+class TestLineClassification:
+    """``parse_rule_line`` and ``parse_filter_list`` classify a line the
+    same way: (rule text/pattern/exception/third-party or None, and the
+    document's (rules, comments, cosmetics, errors) counts)."""
+
+    @pytest.mark.parametrize(
+        "line, rule, counts",
+        [
+            ("example.com#@#.ads", None, (0, 0, 1, 0)),
+            ("example.com#$#abort-on-property-read x", None, (0, 0, 1, 0)),
+            ("example.com#%#//scriptlet('x')", None, (0, 0, 1, 0)),
+            ("foo#bar", ("foo#bar", "foo#bar", False, None), (1, 0, 0, 0)),
+            (
+                "   ||ads.example^  ",
+                ("||ads.example^", "||ads.example^", False, None),
+                (1, 0, 0, 0),
+            ),
+            ("[Adblock Plus 2.0]", None, (0, 1, 0, 0)),
+            ("!", None, (0, 1, 0, 0)),
+            ("", None, (0, 0, 0, 0)),
+            (
+                "@@||cdn.example^$third-party",
+                ("@@||cdn.example^$third-party", "||cdn.example^", True, True),
+                (1, 0, 0, 0),
+            ),
+            ("$third-party", RuleParseError, (0, 0, 0, 1)),
+        ],
+    )
+    def test_edge_lines(self, line, rule, counts):
+        if rule is RuleParseError:
+            with pytest.raises(RuleParseError):
+                parse_rule_line(line)
+        else:
+            parsed_rule = parse_rule_line(line)
+            assert (
+                None
+                if parsed_rule is None
+                else (
+                    parsed_rule.text,
+                    parsed_rule.pattern,
+                    parsed_rule.is_exception,
+                    parsed_rule.options.third_party,
+                )
+            ) == rule
+        parsed = parse_filter_list(line)
+        assert (
+            len(parsed.rules),
+            parsed.comment_count,
+            parsed.cosmetic_count,
+            len(parsed.error_lines),
+        ) == counts

@@ -195,3 +195,24 @@ class TestBatchedLabelLoop:
             cache = labeler.oracle.cache_stats
             stats.append((cache.hits, cache.misses))
         assert len(set(stats)) == 1, stats
+
+
+class TestSharedAttributionKeys:
+    def test_one_host_shares_its_key_strings(self):
+        labeler = RequestLabeler()
+        urls = [
+            "https://i0.wp.com/pixel/1.gif",
+            "https://i0.wp.com/img/logo.png",
+            "https://google-analytics.com/collect?v=1",
+            "https://i0.wp.com/pixel/2.gif",
+        ]
+        analyzed = [labeler.label_event(event(url, STACK)) for url in urls]
+        wp = [a for a in analyzed if a.hostname == "i0.wp.com"]
+        assert len(wp) == 3
+        assert all(a.hostname is wp[0].hostname for a in wp)
+        assert all(a.domain is wp[0].domain for a in wp)
+        fresh = [RequestLabeler().label_event(event(url, STACK)) for url in urls]
+        assert [a.label for a in analyzed] == [a.label for a in fresh]
+        assert [(a.domain, a.hostname) for a in analyzed] == [
+            (a.domain, a.hostname) for a in fresh
+        ]

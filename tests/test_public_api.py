@@ -1,6 +1,11 @@
 """Public API surface: everything advertised in __all__ imports and works."""
 
 import importlib
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
@@ -35,6 +40,44 @@ class TestTopLevel:
         mod = importlib.import_module(module)
         for name in getattr(mod, "__all__", []):
             assert hasattr(mod, name), f"{module}.{name}"
+
+    def test_study_import_leaves_the_server_stack_unloaded(self):
+        script = textwrap.dedent(
+            """
+            import sys
+            import repro
+            repro.StreamingPipeline
+            heavy = ["asyncio", "ssl", "http.client", "repro.serve",
+                     "repro.scenarios"]
+            print([name for name in heavy if name in sys.modules])
+            print(repro.BlockingService.__module__,
+                  repro.ScenarioRunner.__module__)
+            namespace = {}
+            exec("from repro import *", namespace)
+            print(sorted(set(repro.__all__) - set(namespace)))
+            """
+        )
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(Path(repro.__file__).parents[1])]
+            + [p for p in [env.get("PYTHONPATH")] if p]
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", script],
+            env=env,
+            capture_output=True,
+            text=True,
+            check=True,
+        ).stdout.splitlines()
+        assert out == [
+            "[]",
+            "repro.serve.service repro.scenarios.runner",
+            "[]",
+        ]
+
+    def test_unknown_attribute_raises(self):
+        with pytest.raises(AttributeError):
+            repro.NoSuchThing
 
     def test_run_study_facade(self):
         result = repro.run_study(sites=60, seed=3)

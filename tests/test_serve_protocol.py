@@ -15,7 +15,9 @@ Proof obligations for ``repro.serve.protocol``:
   its ``worker_tag``;
 * graceful drain finishes in-flight requests before the server stops;
 * a connection idle past the read deadline — stalled mid-headers or
-  mid-body — is closed, while one with traffic is not;
+  mid-body — is closed, while one with traffic is not, and one whose
+  peer pipelines requests but never reads the answers is aborted once
+  its response has been in flight past the same deadline;
 * the open-loop load generator keeps what it measured when the server
   goes away mid-run.
 """
@@ -393,6 +395,27 @@ class TestIdleDeadline:
                 time.sleep(0.05)
                 client.healthz()
             assert client._conn is connection  # never re-dialed
+
+    def test_pipelining_client_that_never_reads_is_dropped(self, quick_server):
+        urls = [f"https://doubleclick.net/{i}/pixel.js" for i in range(500)]
+        burst = _post(
+            "/v1/decide", json.dumps({"requests": urls}).encode()
+        ) * 8
+        sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+        # A tiny receive window fills after a few answers; the server then
+        # blocks writing with its response in flight.
+        sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+        sock.settimeout(0.5)
+        try:
+            sock.connect((quick_server.host, quick_server.port))
+            while True:
+                try:
+                    sock.sendall(burst)
+                except (socket.timeout, OSError):
+                    break  # the server stopped reading, or dropped us
+            assert _wait_for(lambda: not quick_server.server._connections)
+        finally:
+            sock.close()
 
 
 def _wait_for(condition, seconds: float = 5.0) -> bool:

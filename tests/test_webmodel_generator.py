@@ -165,3 +165,49 @@ class TestScaledTargetsAttached:
     def test_targets_match_scale(self, small_web):
         expected = scale_targets(150)
         assert small_web.targets.domain == expected.domain
+
+
+class TestSharedInvocationArgs:
+    """Invocations with the same ``(event, dest)`` context share one args
+    dict; the dicts belong to one build and nothing downstream writes them."""
+
+    @staticmethod
+    def _args(web):
+        return [
+            invocation.args
+            for script in web.scripts
+            for method in script.methods
+            for invocation in method.invocations
+        ]
+
+    def test_shared_within_a_build_not_across_builds(self):
+        first = self._args(generate_web(sites=60, seed=3))
+        second = self._args(generate_web(sites=60, seed=3))
+        by_context = {}
+        for args in first:
+            assert by_context.setdefault((args["event"], args["dest"]), args) is args
+        assert len(by_context) < len(first)
+        assert second == first
+        assert not {id(a) for a in first} & {id(a) for a in second}
+
+    def test_guards_internal_pages_and_policy_loads_leave_args_unchanged(self):
+        from repro.browser.engine import BlockingPolicy, BrowserEngine
+        from repro.core.guards import mixed_method_guards
+        from repro.webmodel.internal import add_internal_pages
+
+        web = generate_web(sites=60, seed=3)
+        before = [(args, dict(args)) for args in self._args(web)]
+
+        guards = [guard for guard, _ in mixed_method_guards(web)]
+        assert guards
+        add_internal_pages(web)
+        policy = BlockingPolicy(
+            guards=tuple(guard.as_policy_guard() for guard in guards)
+        )
+        engine = BrowserEngine(seed=3)
+        blocked = 0
+        for website in web.websites:
+            blocked += len(engine.load(website, policy).blocked_invocations)
+        assert blocked
+
+        assert all(args == snapshot for args, snapshot in before)
