@@ -6,14 +6,18 @@ revisions, boot a 2-worker :class:`ServeSupervisor` sharing the mapped
 boot image, drive decisions from a client thread while the supervisor
 coordinates a reload *mid-load*, and check every answered decision —
 including the ones that raced the swap — against the offline oracle of
-the revision that answered it.  Finishes with a graceful shutdown that
-must report exit code 0 for every worker.  Pure stdlib + repro, seconds
-to run — the cheap guarantee that N processes serving one image stay
-decision-identical through a coordinated swap.
+the revision that answered it.  After the reload, a worker's Prometheus
+``/metrics`` must be valid exposition with no series name repeated.
+Finishes with a graceful shutdown that must report exit code 0 for
+every worker.  Pure stdlib + repro, seconds to run — the cheap
+guarantee that N processes serving one image stay decision-identical
+through a coordinated swap.
 """
 
 from __future__ import annotations
 
+import http.client
+import re
 import sys
 import tempfile
 import threading
@@ -29,6 +33,7 @@ from repro.serve.service import default_lists  # noqa: E402
 from repro.serve.supervisor import ServeSupervisor  # noqa: E402
 
 HOTFIX_TEXT = "||hotfix-tracker.example^\n"
+METRIC_NAME = re.compile(r"[a-zA-Z_:][a-zA-Z0-9_:]*")
 
 PROBE_URLS = [
     "https://doubleclick.net/pixel.gif",
@@ -37,6 +42,36 @@ PROBE_URLS = [
     "https://functional.example/app.js",
     "https://criteo.com/t.js",
 ]
+
+
+def check_prometheus(host: str, port: int) -> int:
+    """Fetch a worker's Prometheus ``/metrics``; fail on an invalid or
+    repeated series name (a scraper drops the whole scrape for either).
+    Returns the number of series."""
+    conn = http.client.HTTPConnection(host, port, timeout=30)
+    try:
+        conn.request("GET", "/metrics?format=prometheus")
+        response = conn.getresponse()
+        body = response.read().decode("utf-8")
+    finally:
+        conn.close()
+    assert response.status == 200, (response.status, body)
+    assert response.getheader("Content-Type", "").startswith("text/plain")
+    typed: set[str] = set()
+    series: set[str] = set()
+    for line in body.splitlines():
+        if line.startswith("# TYPE "):
+            name = line.split()[2]
+            assert name not in typed, f"repeated TYPE line: {line!r}"
+            typed.add(name)
+        elif line and not line.startswith("#"):
+            name, _, value = line.partition(" ")
+            assert METRIC_NAME.fullmatch(name), f"invalid name: {line!r}"
+            assert name not in series, f"repeated series: {name!r}"
+            float(value)
+            series.add(name)
+    assert "trackersift_decisions_served" in series, sorted(series)
+    return len(series)
 
 
 def main() -> int:
@@ -121,13 +156,15 @@ def main() -> int:
                 assert fresh["revision"] == 2 and fresh["blocked"], fresh
             merged = supervisor.metrics()
             assert merged["revision_consistent"], merged
+            series = check_prometheus(supervisor.host, supervisor.port)
         finally:
             codes = supervisor.shutdown()
         assert codes == [0, 0], codes
         print(
             f"serve_mp_smoke: {len(decided)} decisions across "
             f"{len(pids)} workers, reload mid-load identity-checked "
-            f"(revisions {sorted(revisions_seen)}), clean exit {codes}"
+            f"(revisions {sorted(revisions_seen)}), {series} valid "
+            f"Prometheus series, clean exit {codes}"
         )
     return 0
 

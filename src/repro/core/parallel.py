@@ -97,7 +97,7 @@ import random
 import threading
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from multiprocessing import connection
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable
@@ -117,7 +117,6 @@ __all__ = [
     "WorkerSpec",
     "ShardExecutionError",
     "run_shards_leased",
-    "run_shards_parallel",
 ]
 
 
@@ -949,24 +948,3 @@ def run_shards_leased(
         ]
         raise ShardExecutionError(pairs)
     return report
-
-
-def run_shards_parallel(
-    spec: WorkerSpec,
-    shard_ids: list[int],
-    workers: int,
-    store: Callable[[ShardOutcome], None],
-    policy: LeasePolicy | None = None,
-) -> int:
-    """Strict-mode fan-out; returns how many shards completed.
-
-    Compatibility wrapper around :func:`run_shards_leased` preserving the
-    historical contract: any shard that exhausts its attempts raises
-    :class:`ShardExecutionError` (after the rest finish and are stored)
-    instead of quarantining.  Transient failures still get the lease
-    scheduler's retries — strictness is about the *end state*, not about
-    giving up on the first wobble.
-    """
-    strict = replace(policy or LeasePolicy(), quarantine=False)
-    report = run_shards_leased(spec, shard_ids, workers, store, policy=strict)
-    return report.completed

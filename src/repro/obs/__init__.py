@@ -6,10 +6,11 @@ Three pillars, one shared nervous system for every execution path:
   nested via contextvars (thread- and asyncio-safe), exported as JSONL
   and summarized into per-stage breakdowns and a critical path
   (``trackersift trace summarize``).
-* :mod:`repro.obs.metrics` — a :class:`~repro.obs.metrics.MetricsRegistry`
-  of counters, gauges and fixed-bucket histograms with a per-process
-  local mode and a cross-process shared-``Array`` mode (the supervisor's
-  metrics board), plus Prometheus text exposition.
+* :mod:`repro.obs.metrics` — the serve stack's named numbers: thread-safe
+  counters and a latency window per service, a cross-process
+  shared-``Array`` board (the supervisor's), one builder for the
+  ``/metrics`` blocks, and Prometheus text flattened from any metrics
+  dict by :func:`~repro.obs.metrics.prometheus_from_dict`.
 * :mod:`repro.obs.ledger` — the determinism fingerprint ledger: every
   stage of every execution path records a sha256 fingerprint of its
   canonical-JSON intermediate state into an ordered chain, so two paths
@@ -22,7 +23,7 @@ check per stage, never per request.
 """
 
 from .ledger import Ledger, LedgerEntry, StreamHasher, canonical_json, fingerprint
-from .metrics import MetricsRegistry, prometheus_from_dict
+from .metrics import prometheus_from_dict
 from .trace import Tracer, current_tracer, span, summarize_spans
 
 __all__ = [
@@ -31,7 +32,6 @@ __all__ = [
     "StreamHasher",
     "canonical_json",
     "fingerprint",
-    "MetricsRegistry",
     "prometheus_from_dict",
     "Tracer",
     "current_tracer",

@@ -1,53 +1,38 @@
-"""One metrics registry for every layer, local and cross-process.
+"""Serve telemetry: counters, latency windows, the shared board, exposition.
 
-Before this module each layer kept its own ad-hoc counters: the
-decision cache carried a stats dataclass, the engine stuffed floats
-into ``PipelineResult.notes``, the service held a ``_Counters``
-dataclass plus a bespoke latency window, and the supervisor published
-into a hand-indexed shared ``multiprocessing.Array``.  They all still
-exist as *shapes* (tests pin them), but are now backed by two
-primitives defined here:
+The serving stack's telemetry is named numbers in plain dicts.  A
+:class:`~repro.serve.service.BlockingService` counts with thread-safe
+:class:`Counter`\\ s and a :class:`LatencyWindow`; a supervised worker
+copies those raw counters into its slot of a :class:`SharedBoard`.
+:func:`serving_blocks` turns raw counters plus sorted latency samples
+into the ``decisions``/``cache``/``latency`` blocks of ``/metrics`` —
+for one service and for the merged fleet alike — and
+:func:`prometheus_from_dict` flattens any such payload into Prometheus
+text, so JSON and Prometheus are two renderings of one dict.
 
-* :class:`MetricsRegistry` — per-process, thread-safe, get-or-create
-  counters, gauges, fixed-bucket histograms, and
-  :class:`LatencyWindow`\\ s, with a JSON view (:meth:`~MetricsRegistry.as_dict`)
-  and Prometheus text exposition (:meth:`~MetricsRegistry.prometheus_text`).
-* :class:`SharedBoard` — the cross-process mode: named scalar fields
-  per worker slot (plus a latency-sample ring and a parent-owned fleet
-  region) over a lock-free shared ``Array`` of doubles, single writer
-  per region, torn reads acceptable (monitoring, not ledger).  The
-  supervisor's metrics board is an instance of this with a declared
-  field list instead of hand-maintained ``_F_*`` offsets.
-
-:func:`prometheus_from_dict` flattens *any* metrics JSON payload (the
-service's, or the supervisor's merged cross-worker view) into valid
-Prometheus text exposition, which is how ``/metrics`` serves both
-formats without two bookkeeping paths that could drift.
+:class:`SharedBoard` is the cross-process part: named scalar fields per
+worker slot (plus a latency-sample ring and a parent-owned fleet
+region) over a lock-free shared ``Array`` of doubles, single writer per
+region, torn reads acceptable (monitoring, not ledger).
 """
 
 from __future__ import annotations
 
+import re
 import threading
 from collections import deque
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 __all__ = [
     "Counter",
-    "Gauge",
-    "Histogram",
     "LatencyWindow",
-    "MetricsRegistry",
     "SharedBoard",
+    "serving_blocks",
     "prometheus_from_dict",
     "nearest_rank",
     "wants_prometheus",
     "PROMETHEUS_CONTENT_TYPE",
 ]
-
-DEFAULT_BUCKETS = (
-    0.0001, 0.00025, 0.0005, 0.001, 0.0025, 0.005,
-    0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1.0, float("inf"),
-)
 
 
 def nearest_rank(data: Sequence[float], q: float) -> float:
@@ -65,11 +50,9 @@ def nearest_rank(data: Sequence[float], q: float) -> float:
 class Counter:
     """Monotonic counter; thread-safe."""
 
-    __slots__ = ("name", "description", "_lock", "_value")
+    __slots__ = ("_lock", "_value")
 
-    def __init__(self, name: str, description: str = "") -> None:
-        self.name = name
-        self.description = description
+    def __init__(self) -> None:
         self._lock = threading.Lock()
         self._value = 0
 
@@ -82,101 +65,11 @@ class Counter:
         return self._value
 
 
-class Gauge:
-    """Point-in-time value; settable, or computed by a callback.
-
-    Callback gauges (``Gauge(name, fn=...)``) let the registry expose
-    live state owned elsewhere — the snapshot's cache stats, the fleet's
-    alive-worker count — without mirroring writes onto the hot path.
-    """
-
-    __slots__ = ("name", "description", "_lock", "_value", "_fn")
-
-    def __init__(
-        self,
-        name: str,
-        description: str = "",
-        fn: Callable[[], float] | None = None,
-    ) -> None:
-        self.name = name
-        self.description = description
-        self._lock = threading.Lock()
-        self._value = 0.0
-        self._fn = fn
-
-    def set(self, value: float) -> None:
-        if self._fn is not None:
-            raise RuntimeError(f"gauge {self.name} is callback-backed")
-        with self._lock:
-            self._value = value
-
-    def inc(self, amount: float = 1.0) -> None:
-        if self._fn is not None:
-            raise RuntimeError(f"gauge {self.name} is callback-backed")
-        with self._lock:
-            self._value += amount
-
-    @property
-    def value(self) -> float:
-        if self._fn is not None:
-            return float(self._fn())
-        return self._value
-
-
-class Histogram:
-    """Fixed-bucket cumulative histogram (Prometheus semantics)."""
-
-    __slots__ = ("name", "description", "buckets", "_lock", "_counts",
-                 "_sum", "_count")
-
-    def __init__(
-        self,
-        name: str,
-        description: str = "",
-        buckets: Sequence[float] = DEFAULT_BUCKETS,
-    ) -> None:
-        bounds = sorted(set(float(b) for b in buckets))
-        if not bounds or bounds[-1] != float("inf"):
-            bounds.append(float("inf"))
-        self.name = name
-        self.description = description
-        self.buckets = tuple(bounds)
-        self._lock = threading.Lock()
-        self._counts = [0] * len(bounds)
-        self._sum = 0.0
-        self._count = 0
-
-    def observe(self, value: float, count: int = 1) -> None:
-        if count <= 0:
-            return
-        with self._lock:
-            for index, bound in enumerate(self.buckets):
-                if value <= bound:
-                    self._counts[index] += count
-                    break
-            self._sum += value * count
-            self._count += count
-
-    def snapshot(self) -> dict:
-        with self._lock:
-            counts = list(self._counts)
-            total, count = self._sum, self._count
-        cumulative: dict[str, int] = {}
-        running = 0
-        for bound, bucket_count in zip(self.buckets, counts):
-            running += bucket_count
-            key = "+Inf" if bound == float("inf") else repr(bound)
-            cumulative[key] = running
-        return {"count": count, "sum": total, "buckets": cumulative}
-
-
 class LatencyWindow:
     """Sliding window of recent latencies, for p50/p99 metrics.
 
-    This is the service's original ``_LatencyWindow``, promoted into the
-    registry; the attribute/semantic surface (``count``, ``total``,
-    ``_samples``, :meth:`drain_since`) is pinned by the serve tests and
-    by the supervisor's board publisher.
+    ``count`` and ``total`` cover every observation ever made; the
+    window keeps the most recent ``size`` samples for percentiles.
     """
 
     def __init__(self, size: int = 4096) -> None:
@@ -216,141 +109,44 @@ class LatencyWindow:
             data = list(self._samples)[-take:] if take else []
         return new, data
 
-    def snapshot(self) -> dict:
+    def sorted_samples(self) -> list[float]:
         with self._lock:
-            data = sorted(self._samples)
-            count, total = self.count, self.total
-        return {
-            "observed": count,
-            "window": len(data),
-            "mean_ms": (total / count * 1e3) if count else 0.0,
-            "p50_ms": nearest_rank(data, 50) * 1e3,
-            "p99_ms": nearest_rank(data, 99) * 1e3,
-        }
+            return sorted(self._samples)
 
 
-class MetricsRegistry:
-    """Get-or-create registry of named instruments; thread-safe.
+def serving_blocks(counters: Mapping[str, float], samples: Sequence[float]) -> dict:
+    """The ``decisions``, ``cache`` and ``latency`` blocks of ``/metrics``.
 
-    Instrument names are Prometheus-style (``snake_case``); the
-    registry rejects re-registering a name as a different kind, which
-    is the drift this layer exists to prevent.
+    ``counters`` holds raw totals named like the supervisor board's slot
+    fields (``served``, ``batches``, ``blocked``, ``reloads``, ``hits``,
+    ``misses``, ``entries``, ``observed``, ``total_s``); ``samples`` are
+    recent latencies in seconds, sorted.  A single service and the
+    merged fleet both build their blocks here, so the two views cannot
+    disagree on a name or a formula.
     """
-
-    def __init__(self, prefix: str = "trackersift") -> None:
-        self.prefix = prefix
-        self._lock = threading.Lock()
-        self._counters: dict[str, Counter] = {}
-        self._gauges: dict[str, Gauge] = {}
-        self._histograms: dict[str, Histogram] = {}
-        self._latencies: dict[str, LatencyWindow] = {}
-
-    def _get_or_create(self, table: dict, name: str, factory):
-        for other in (self._counters, self._gauges, self._histograms,
-                      self._latencies):
-            if other is not table and name in other:
-                raise ValueError(
-                    f"metric {name!r} already registered as a different kind"
-                )
-        with self._lock:
-            if name not in table:
-                table[name] = factory()
-            return table[name]
-
-    def counter(self, name: str, description: str = "") -> Counter:
-        return self._get_or_create(
-            self._counters, name, lambda: Counter(name, description)
-        )
-
-    def gauge(
-        self,
-        name: str,
-        description: str = "",
-        fn: Callable[[], float] | None = None,
-    ) -> Gauge:
-        gauge = self._get_or_create(
-            self._gauges, name, lambda: Gauge(name, description, fn=fn)
-        )
-        if fn is not None and gauge._fn is None:
-            gauge._fn = fn
-        return gauge
-
-    def histogram(
-        self,
-        name: str,
-        description: str = "",
-        buckets: Sequence[float] = DEFAULT_BUCKETS,
-    ) -> Histogram:
-        return self._get_or_create(
-            self._histograms, name, lambda: Histogram(name, description, buckets)
-        )
-
-    def latency(self, name: str, size: int = 4096) -> LatencyWindow:
-        return self._get_or_create(
-            self._latencies, name, lambda: LatencyWindow(size)
-        )
-
-    # -- views ---------------------------------------------------------------
-    def as_dict(self) -> dict:
-        """JSON view: one key per instrument kind, values by name."""
-        with self._lock:
-            counters = dict(self._counters)
-            gauges = dict(self._gauges)
-            histograms = dict(self._histograms)
-            latencies = dict(self._latencies)
-        return {
-            "counters": {name: c.value for name, c in counters.items()},
-            "gauges": {name: g.value for name, g in gauges.items()},
-            "histograms": {
-                name: h.snapshot() for name, h in histograms.items()
-            },
-            "latency": {
-                name: window.snapshot() for name, window in latencies.items()
-            },
-        }
-
-    def prometheus_text(self) -> str:
-        """Typed Prometheus text exposition of every instrument."""
-        with self._lock:
-            counters = dict(self._counters)
-            gauges = dict(self._gauges)
-            histograms = dict(self._histograms)
-            latencies = dict(self._latencies)
-        lines: list[str] = []
-        for name in sorted(counters):
-            counter = counters[name]
-            full = f"{self.prefix}_{name}"
-            if counter.description:
-                lines.append(f"# HELP {full} {counter.description}")
-            lines.append(f"# TYPE {full} counter")
-            lines.append(f"{full} {counter.value}")
-        for name in sorted(gauges):
-            gauge = gauges[name]
-            full = f"{self.prefix}_{name}"
-            if gauge.description:
-                lines.append(f"# HELP {full} {gauge.description}")
-            lines.append(f"# TYPE {full} gauge")
-            lines.append(f"{full} {_format_value(gauge.value)}")
-        for name in sorted(histograms):
-            hist = histograms[name]
-            full = f"{self.prefix}_{name}"
-            snap = hist.snapshot()
-            if hist.description:
-                lines.append(f"# HELP {full} {hist.description}")
-            lines.append(f"# TYPE {full} histogram")
-            for le, cumulative in snap["buckets"].items():
-                lines.append(f'{full}_bucket{{le="{le}"}} {cumulative}')
-            lines.append(f"{full}_sum {_format_value(snap['sum'])}")
-            lines.append(f"{full}_count {snap['count']}")
-        for name in sorted(latencies):
-            snap = latencies[name].snapshot()
-            full = f"{self.prefix}_{name}"
-            lines.append(f"# TYPE {full}_observed counter")
-            lines.append(f"{full}_observed {snap['observed']}")
-            for stat in ("mean_ms", "p50_ms", "p99_ms"):
-                lines.append(f"# TYPE {full}_{stat} gauge")
-                lines.append(f"{full}_{stat} {_format_value(snap[stat])}")
-        return "\n".join(lines) + "\n"
+    hits = int(counters["hits"])
+    misses = int(counters["misses"])
+    lookups = hits + misses
+    observed = int(counters["observed"])
+    return {
+        "decisions": {
+            name: int(counters[name])
+            for name in ("served", "batches", "blocked", "reloads")
+        },
+        "cache": {
+            "hits": hits,
+            "misses": misses,
+            "hit_rate": (hits / lookups) if lookups else 0.0,
+            "entries": int(counters["entries"]),
+        },
+        "latency": {
+            "observed": observed,
+            "window": len(samples),
+            "mean_ms": (counters["total_s"] / observed * 1e3) if observed else 0.0,
+            "p50_ms": nearest_rank(samples, 50) * 1e3,
+            "p99_ms": nearest_rank(samples, 99) * 1e3,
+        },
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -471,11 +267,13 @@ class SharedBoard:
 # Prometheus exposition from arbitrary metrics JSON
 # ---------------------------------------------------------------------------
 
-def _sanitize(component: str) -> str:
-    cleaned = "".join(
-        ch if ch.isalnum() or ch == "_" else "_" for ch in str(component)
-    )
-    return cleaned or "_"
+_NOT_NAME_CHAR = re.compile(r"[^A-Za-z0-9_]")
+
+
+def _sanitize(component) -> str:
+    """One path component as ASCII ``[A-Za-z0-9_]``: anything else,
+    non-ASCII letters included, becomes ``_``."""
+    return _NOT_NAME_CHAR.sub("_", str(component)) or "_"
 
 
 def _format_value(value: float) -> str:
@@ -487,9 +285,7 @@ def _format_value(value: float) -> str:
 
 
 def _flatten(value, path: list[str], out: list[tuple[str, str]]) -> None:
-    if isinstance(value, bool):
-        out.append(("_".join(path), "1" if value else "0"))
-    elif isinstance(value, (int, float)):
+    if isinstance(value, (int, float)):
         out.append(("_".join(path), _format_value(value)))
     elif isinstance(value, Mapping):
         for key in value:
@@ -504,7 +300,7 @@ PROMETHEUS_CONTENT_TYPE = "text/plain; version=0.0.4; charset=utf-8"
 
 
 def wants_prometheus(query: str, accept: str) -> bool:
-    """Shared ``/metrics`` content negotiation for both HTTP front ends.
+    """``/metrics`` content negotiation.
 
     Prometheus text is served for ``?format=prometheus`` or an ``Accept``
     header naming ``text/plain``; everything else keeps the JSON default
@@ -516,20 +312,36 @@ def wants_prometheus(query: str, accept: str) -> bool:
     return "text/plain" in (accept or "")
 
 
-def prometheus_from_dict(payload: Mapping, prefix: str = "trackersift") -> str:
+def prometheus_from_dict(payload: Mapping) -> str:
     """Flatten a metrics JSON payload into Prometheus text exposition.
 
     Every numeric leaf becomes a gauge named by its underscore-joined
     path (``{"decisions": {"served": 6}}`` →
     ``trackersift_decisions_served 6``); booleans become 0/1; strings
-    are skipped.  Both ``/metrics`` front ends expose Prometheus through
-    this one function over the *same* dict they serve as JSON, so the
-    two formats cannot disagree.
+    are skipped.  ``/metrics`` serves Prometheus through this one
+    function over the *same* dict it serves as JSON, so the two formats
+    cannot disagree.
+
+    Keys can come from a client (a reloaded list's option names reach
+    ``snapshot.unsupported``), so names are forced valid: characters
+    outside ``[A-Za-z0-9_]`` become ``_``, and a name that is already
+    taken gets the first free ``_2``, ``_3``, … suffix — a scraper
+    rejects a whole scrape that repeats a series.  Payloads whose paths
+    flatten to distinct names keep exactly those names.
     """
     flat: list[tuple[str, str]] = []
-    _flatten(payload, [prefix], flat)
+    _flatten(payload, ["trackersift"], flat)
+    taken = {name for name, _ in flat}
+    emitted: set[str] = set()
     lines: list[str] = []
     for name, value in flat:
+        if name in emitted:
+            suffix = 2
+            while f"{name}_{suffix}" in taken:
+                suffix += 1
+            name = f"{name}_{suffix}"
+            taken.add(name)
+        emitted.add(name)
         lines.append(f"# TYPE {name} gauge")
         lines.append(f"{name} {value}")
     return "\n".join(lines) + "\n"

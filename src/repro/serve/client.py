@@ -198,12 +198,6 @@ class OpenLoopReport:
     def revisions_seen(self) -> tuple:
         return tuple(sorted({d["revision"] for d in self.decisions}))
 
-    @property
-    def worker_pids_seen(self) -> tuple:
-        return tuple(
-            sorted({d["worker"] for d in self.decisions if "worker" in d})
-        )
-
     def percentile_ms(self, q: float) -> float:
         """Nearest-rank percentile of scheduled-send-to-response latency,
         in milliseconds."""

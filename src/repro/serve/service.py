@@ -41,7 +41,7 @@ from ..filterlists.oracle import FilterListOracle
 from ..filterlists.parser import ParsedList, parse_filter_list
 from ..filterlists.rules import ResourceType
 from ..obs.ledger import Ledger, StreamHasher
-from ..obs.metrics import LatencyWindow, MetricsRegistry, prometheus_from_dict
+from ..obs.metrics import Counter, LatencyWindow, serving_blocks
 from ..obs.trace import current_tracer
 
 __all__ = ["Snapshot", "BlockingService", "apply_reload_payload"]
@@ -151,12 +151,6 @@ class Snapshot:
         )
 
 
-# The latency window grew up here and was promoted into the shared
-# metrics layer; the historical name stays importable for callers that
-# predate the move.
-_LatencyWindow = LatencyWindow
-
-
 class BlockingService:
     """Long-lived blocking-decision engine with hot-reloadable snapshots.
 
@@ -184,30 +178,11 @@ class BlockingService:
                 lists = default_lists()
             self._snapshot = Snapshot.build(tuple(lists), revision=1)
         self._reload_lock = threading.Lock()
-        self.registry = MetricsRegistry()
-        self._decisions_served = self.registry.counter(
-            "decisions_served", "blocking decisions answered"
-        )
-        self._decisions_batches = self.registry.counter(
-            "decisions_batches", "client-visible batch calls drained"
-        )
-        self._decisions_blocked = self.registry.counter(
-            "decisions_blocked", "decisions that said block"
-        )
-        self._reloads = self.registry.counter(
-            "reloads", "snapshot reloads published"
-        )
-        self._latency = self.registry.latency("decision_seconds")
-        self.registry.gauge(
-            "snapshot_revision",
-            "current serving snapshot revision",
-            fn=lambda: self._snapshot.revision,
-        )
-        self.registry.gauge(
-            "snapshot_rule_count",
-            "rules in the serving snapshot",
-            fn=lambda: self._snapshot.rule_count,
-        )
+        self._decisions_served = Counter()
+        self._decisions_batches = Counter()  # client-visible batch calls
+        self._decisions_blocked = Counter()
+        self._reloads = Counter()
+        self.latency = LatencyWindow()
         self._ledger: Ledger | None = None
         self._ledger_lock = threading.Lock()
         self._decision_streams: dict[int, StreamHasher] = {}
@@ -315,7 +290,7 @@ class BlockingService:
         labeled = snapshot.oracle.label_request_many(validated)
         elapsed = time.perf_counter() - started
         count = len(labeled)
-        self._latency.observe_many(elapsed / count if count else 0.0, count)
+        self.latency.observe_many(elapsed / count if count else 0.0, count)
         decisions = []
         blocked_count = 0
         for request, result in zip(validated, labeled):
@@ -376,7 +351,7 @@ class BlockingService:
         resource = _coerce_resource_type(resource_type)
         started = time.perf_counter()
         labeled = snapshot.oracle.label_request(url, resource, page_url)
-        self._latency.observe(time.perf_counter() - started)
+        self.latency.observe(time.perf_counter() - started)
         blocked = labeled.label.is_tracking
         self._decisions_served.inc()
         if blocked:
@@ -551,14 +526,28 @@ class BlockingService:
             "uptime_seconds": self.uptime_seconds,
         }
 
-    def metrics(self) -> dict:
-        """Cache counters, latency percentiles, snapshot and uptime."""
+    def counters(self) -> dict:
+        """Raw counters as one flat dict, named like the supervisor
+        board's slot fields — what a worker publishes, and what
+        :func:`~repro.obs.metrics.serving_blocks` reads."""
         snapshot = self._snapshot
         stats = snapshot.oracle.cache_stats
-        decisions = self._decisions_served.value
-        batches = self._decisions_batches.value
-        blocked = self._decisions_blocked.value
-        reloads = self._reloads.value
+        return {
+            "revision": snapshot.revision,
+            "served": self._decisions_served.value,
+            "batches": self._decisions_batches.value,
+            "blocked": self._decisions_blocked.value,
+            "reloads": self._reloads.value,
+            "hits": stats.hits if stats else 0,
+            "misses": stats.misses if stats else 0,
+            "entries": len(snapshot.oracle.matcher),
+            "observed": self.latency.count,
+            "total_s": self.latency.total,
+        }
+
+    def metrics(self) -> dict:
+        """Snapshot, uptime, and the decision/cache/latency blocks."""
+        snapshot = self._snapshot
         return {
             "uptime_seconds": self.uptime_seconds,
             "snapshot": {
@@ -572,29 +561,8 @@ class BlockingService:
                 "unsupported_rules": snapshot.oracle.unsupported_rule_count,
                 "unsupported": snapshot.oracle.unsupported_counts,
             },
-            "decisions": {
-                "served": decisions,
-                "batches": batches,
-                "blocked": blocked,
-                "reloads": reloads,
-            },
-            "cache": {
-                "hits": stats.hits if stats else 0,
-                "misses": stats.misses if stats else 0,
-                "hit_rate": stats.hit_rate if stats else 0.0,
-                "entries": len(snapshot.oracle.matcher),
-            },
-            "latency": self._latency.snapshot(),
+            **serving_blocks(self.counters(), self.latency.sorted_samples()),
         }
-
-    def metrics_text(self) -> str:
-        """:meth:`metrics` as Prometheus text exposition.
-
-        Flattened from the *same* dict the JSON endpoint serves
-        (:func:`repro.obs.metrics.prometheus_from_dict`), so the two
-        formats cannot disagree about a value.
-        """
-        return prometheus_from_dict(self.metrics())
 
     # -- determinism ledger --------------------------------------------------
     def attach_ledger(self, ledger: Ledger) -> Ledger:
@@ -614,14 +582,6 @@ class BlockingService:
             snapshot = self._snapshot
             self._revision_identity = {snapshot.revision: snapshot.rule_count}
         return ledger
-
-    def detach_ledger(self) -> None:
-        """Stop recording without emitting anything (e.g. before a
-        verification-only replay that must not pollute the chain)."""
-        with self._ledger_lock:
-            self._ledger = None
-            self._decision_streams = {}
-            self._revision_identity = {}
 
     def finalize_ledger(self) -> Ledger | None:
         """Flush per-revision stages into the attached ledger; detach.

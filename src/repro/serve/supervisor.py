@@ -59,7 +59,7 @@ from pathlib import Path
 
 from ..filterlists.compile import ArtifactError, read_artifact_meta
 from ..obs import console
-from ..obs.metrics import MetricsRegistry, SharedBoard, nearest_rank
+from ..obs.metrics import SharedBoard, serving_blocks
 
 __all__ = ["ServeSupervisor", "run_supervisor", "merge_board"]
 
@@ -71,6 +71,9 @@ _SLOT_FIELDS = (
     "pid", "revision", "served", "batches", "blocked", "reloads",
     "hits", "misses", "entries", "observed", "total_s", "cursor",
 )
+#: The slot fields merge_board sums across workers: all but pid,
+#: revision and cursor.
+_SUMMED_FIELDS = _SLOT_FIELDS[2:-1]
 _FLEET_FIELDS = ("spawned", "alive", "restarted", "backoff")
 DEFAULT_RING = 512
 
@@ -94,42 +97,33 @@ def merge_board(board, workers: int, ring: int) -> dict:
     """
     view = _as_board(board, workers, ring)
     per_worker = []
-    served = batches = blocked = reloads = hits = misses = entries = 0
-    observed = 0
-    total_s = 0.0
+    totals = dict.fromkeys(_SUMMED_FIELDS, 0.0)
     samples: list[float] = []
     for index in range(workers):
         slot = view.read_slot(index)
         pid = int(slot["pid"])
         if pid == 0:
             continue
-        row = {
-            "worker": index,
-            "pid": pid,
-            "revision": int(slot["revision"]),
-            "served": int(slot["served"]),
-            "batches": int(slot["batches"]),
-            "blocked": int(slot["blocked"]),
-            "reloads": int(slot["reloads"]),
-            "cache_hits": int(slot["hits"]),
-            "cache_misses": int(slot["misses"]),
-        }
-        per_worker.append(row)
-        served += row["served"]
-        batches += row["batches"]
-        blocked += row["blocked"]
-        reloads += row["reloads"]
-        hits += row["cache_hits"]
-        misses += row["cache_misses"]
-        entries += int(slot["entries"])
-        observed += int(slot["observed"])
-        total_s += slot["total_s"]
+        per_worker.append(
+            {
+                "worker": index,
+                "pid": pid,
+                "revision": int(slot["revision"]),
+                "served": int(slot["served"]),
+                "batches": int(slot["batches"]),
+                "blocked": int(slot["blocked"]),
+                "reloads": int(slot["reloads"]),
+                "cache_hits": int(slot["hits"]),
+                "cache_misses": int(slot["misses"]),
+            }
+        )
+        for name in _SUMMED_FIELDS:
+            totals[name] += slot[name]
         samples.extend(view.read_samples(index))
     samples.sort()
 
     fleet = view.read_fleet()
     revisions = sorted({row["revision"] for row in per_worker})
-    lookups = hits + misses
     return {
         "workers": per_worker,
         "worker_pids": [row["pid"] for row in per_worker],
@@ -139,25 +133,7 @@ def merge_board(board, workers: int, ring: int) -> dict:
         "restart_backoff_seconds": float(fleet.get("backoff", 0.0)),
         "revisions": revisions,
         "revision_consistent": len(revisions) <= 1,
-        "decisions": {
-            "served": served,
-            "batches": batches,
-            "blocked": blocked,
-            "reloads": reloads,
-        },
-        "cache": {
-            "hits": hits,
-            "misses": misses,
-            "hit_rate": (hits / lookups) if lookups else 0.0,
-            "entries": entries,
-        },
-        "latency": {
-            "observed": observed,
-            "window": len(samples),
-            "mean_ms": (total_s / observed * 1e3) if observed else 0.0,
-            "p50_ms": nearest_rank(samples, 50) * 1e3,
-            "p99_ms": nearest_rank(samples, 99) * 1e3,
-        },
+        **serving_blocks(totals, samples),
     }
 
 
@@ -166,30 +142,13 @@ def merge_board(board, workers: int, ring: int) -> dict:
 # ---------------------------------------------------------------------------
 
 def _publish_slot(service, board: SharedBoard, index: int, cursor: int) -> int:
-    """Copy this worker's counters + fresh latency samples into its board
-    slot; returns the advanced latency cursor.  Reaches into the
-    service's registry instruments deliberately — the supervisor is the
-    one sanctioned cross-process reader, and ``service.metrics()`` would
-    sort the whole latency window on every publish tick."""
-    snapshot = service.snapshot
-    stats = snapshot.oracle.cache_stats
-    drained, fresh = service._latency.drain_since(cursor)
-    board.write_slot(
-        index,
-        {
-            "pid": os.getpid(),
-            "revision": snapshot.revision,
-            "served": service._decisions_served.value,
-            "batches": service._decisions_batches.value,
-            "blocked": service._decisions_blocked.value,
-            "reloads": service._reloads.value,
-            "hits": stats.hits if stats else 0,
-            "misses": stats.misses if stats else 0,
-            "entries": len(snapshot.oracle.matcher),
-            "observed": service._latency.count,
-            "total_s": service._latency.total,
-        },
-    )
+    """Copy this worker's raw counters (:meth:`BlockingService.counters`,
+    already named like the slot fields) and the latency samples observed
+    since ``cursor`` into its board slot; returns the advanced cursor.
+    Draining only the fresh samples keeps each publish tick from copying
+    or sorting the whole latency window."""
+    drained, fresh = service.latency.drain_since(cursor)
+    board.write_slot(index, {"pid": os.getpid(), **service.counters()})
     board.append_samples(index, fresh)
     return drained
 
@@ -394,43 +353,6 @@ class ServeSupervisor:
         self._board: SharedBoard | None = None
         self._revision = 1
         self._started = False
-        self.registry = MetricsRegistry()
-        self.registry.gauge(
-            "workers_spawned",
-            "serve workers forked at startup",
-            fn=lambda: (
-                self._board.read_fleet().get("spawned", 0.0)
-                if self._board is not None
-                else 0.0
-            ),
-        )
-        self.registry.gauge(
-            "workers_alive",
-            "serve workers currently alive",
-            fn=lambda: (
-                self._board.read_fleet().get("alive", 0.0)
-                if self._board is not None
-                else 0.0
-            ),
-        )
-        self.registry.gauge(
-            "workers_restarted",
-            "serve workers restarted after death",
-            fn=lambda: (
-                self._board.read_fleet().get("restarted", 0.0)
-                if self._board is not None
-                else 0.0
-            ),
-        )
-        self.registry.gauge(
-            "restart_backoff_seconds",
-            "total backoff delay applied before worker restarts",
-            fn=lambda: (
-                self._board.read_fleet().get("backoff", 0.0)
-                if self._board is not None
-                else 0.0
-            ),
-        )
 
     # -- socket strategy ---------------------------------------------------
     @property

@@ -1,9 +1,9 @@
-"""Metrics registry: instruments, Prometheus exposition, shared board.
+"""Serve telemetry: latency window, Prometheus exposition, shared board.
 
 The exposition tests validate against the Prometheus text format rules
-(one sample per line, ``# TYPE`` before samples, ``le`` buckets
-cumulative and ending at ``+Inf``) rather than just substring-matching,
-because a scraper is the real consumer.
+(one sample per line, ``# TYPE`` before samples, valid ASCII metric
+names, no series or ``TYPE`` line repeated) rather than just
+substring-matching, because a scraper is the real consumer.
 """
 
 from __future__ import annotations
@@ -12,24 +12,32 @@ import multiprocessing
 import re
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from repro.filterlists.parser import parse_filter_list
 from repro.obs.metrics import (
     PROMETHEUS_CONTENT_TYPE,
     LatencyWindow,
-    MetricsRegistry,
     SharedBoard,
     nearest_rank,
     prometheus_from_dict,
+    serving_blocks,
     wants_prometheus,
 )
+from repro.serve.service import BlockingService
 
 SAMPLE_LINE = re.compile(
     r"^[a-zA-Z_:][a-zA-Z0-9_:]*(\{[^}]*\})? (-?[0-9.e+-]+|[0-9.]+)$"
 )
+METRIC_NAME = re.compile(r"[a-zA-Z_:][a-zA-Z0-9_:]*")
 
 
 def assert_valid_exposition(text: str) -> dict[str, str]:
-    """Parse Prometheus text exposition; returns {metric line: value}."""
+    """Parse Prometheus text exposition; returns {metric line: value}.
+
+    Rejects what makes a scraper drop the whole scrape: a malformed or
+    non-ASCII name, a repeated ``TYPE`` line, a repeated series."""
     samples: dict[str, str] = {}
     typed: set[str] = set()
     assert text.endswith("\n")
@@ -37,12 +45,17 @@ def assert_valid_exposition(text: str) -> dict[str, str]:
         if line.startswith("# TYPE "):
             parts = line.split()
             assert parts[3] in ("counter", "gauge", "histogram")
+            assert METRIC_NAME.fullmatch(parts[2]), f"bad name: {line!r}"
+            assert parts[2] not in typed, f"repeated TYPE line: {line!r}"
             typed.add(parts[2])
             continue
         if line.startswith("#") or not line:
             continue
-        assert SAMPLE_LINE.match(line), f"bad sample line: {line!r}"
+        assert line.isascii() and SAMPLE_LINE.match(line), (
+            f"bad sample line: {line!r}"
+        )
         name, value = line.rsplit(" ", 1)
+        assert name not in samples, f"repeated series: {name!r}"
         samples[name] = value
         base = name.split("{")[0]
         for suffix in ("_bucket", "_sum", "_count"):
@@ -51,60 +64,17 @@ def assert_valid_exposition(text: str) -> dict[str, str]:
     return samples
 
 
-class TestRegistry:
-    def test_get_or_create_returns_same_instrument(self):
-        registry = MetricsRegistry()
-        assert registry.counter("requests") is registry.counter("requests")
-        registry.counter("requests").inc(3)
-        assert registry.as_dict()["counters"]["requests"] == 3
-
-    def test_name_collisions_across_kinds_rejected(self):
-        registry = MetricsRegistry()
-        registry.counter("x")
-        with pytest.raises(ValueError, match="different kind"):
-            registry.gauge("x")
-
-    def test_callback_gauge_reads_live_state(self):
-        state = {"alive": 3}
-        registry = MetricsRegistry()
-        gauge = registry.gauge("workers_alive", fn=lambda: state["alive"])
-        state["alive"] = 1
-        assert gauge.value == 1.0
-        with pytest.raises(RuntimeError, match="callback-backed"):
-            gauge.set(9)
-
-    def test_histogram_buckets_are_cumulative_to_inf(self):
-        registry = MetricsRegistry()
-        hist = registry.histogram("latency", buckets=(0.01, 0.1, 1.0))
-        for value in (0.005, 0.005, 0.05, 5.0):
-            hist.observe(value)
-        snap = hist.snapshot()
-        assert snap["count"] == 4
-        assert list(snap["buckets"].values()) == [2, 3, 3, 4]
-        assert list(snap["buckets"])[-1] == "+Inf"
-
-    def test_prometheus_text_is_valid_and_complete(self):
-        registry = MetricsRegistry()
-        registry.counter("decisions", "decisions served").inc(6)
-        registry.gauge("revision").set(2)
-        registry.histogram("decide_seconds", buckets=(0.1,)).observe(0.05)
-        registry.latency("decide_latency").observe(0.002)
-        text = registry.prometheus_text()
-        samples = assert_valid_exposition(text)
-        assert samples["trackersift_decisions"] == "6"
-        assert samples["trackersift_revision"] == "2"
-        assert samples['trackersift_decide_seconds_bucket{le="0.1"}'] == "1"
-        assert samples["trackersift_decide_seconds_count"] == "1"
-        assert "trackersift_decide_latency_observed" in samples
-        assert "# HELP trackersift_decisions decisions served" in text
-
-
 class TestLatencyWindow:
     def test_percentiles_and_batch_observe(self):
         window = LatencyWindow(size=100)
         window.observe_many(0.010, 9)
         window.observe(0.100)
-        snap = window.snapshot()
+        counters = {
+            "served": 10, "batches": 0, "blocked": 0, "reloads": 0,
+            "hits": 0, "misses": 0, "entries": 0,
+            "observed": window.count, "total_s": window.total,
+        }
+        snap = serving_blocks(counters, window.sorted_samples())["latency"]
         assert snap["observed"] == 10
         assert snap["p50_ms"] == pytest.approx(10.0)
         assert snap["p99_ms"] == pytest.approx(100.0)
@@ -161,6 +131,108 @@ class TestPrometheusFromDict:
     def test_sanitizes_awkward_keys(self):
         text = prometheus_from_dict({"p99-ms": 1.5})
         assert "trackersift_p99_ms 1.5" in text
+
+    def test_hostile_list_options_give_valid_unique_names(self):
+        """Unsupported-option names reach ``/metrics`` from reloaded list
+        text: non-ASCII letters are replaced, and keys that sanitize to
+        an existing name (including the ``unsupported_rules`` total) get
+        a suffix instead of repeating a series."""
+        service = BlockingService(
+            parse_filter_list(
+                "||a.example^$redirect=noop.js\n"
+                "||b.example^$redirect=noop-js\n"
+                "||c.example^$ünknown\n"
+                "||d.example^$rules\n"
+            )
+        )
+        samples = assert_valid_exposition(prometheus_from_dict(service.metrics()))
+        assert samples["trackersift_snapshot_unsupported_rules"] == "4"
+        unsupported = sorted(
+            name
+            for name in samples
+            if name.startswith("trackersift_snapshot_unsupported_")
+            and name != "trackersift_snapshot_unsupported_rules"
+        )
+        assert unsupported == [
+            "trackersift_snapshot_unsupported__nknown",
+            "trackersift_snapshot_unsupported_redirect_noop_js",
+            "trackersift_snapshot_unsupported_redirect_noop_js_2",
+            "trackersift_snapshot_unsupported_rules_2",
+        ]
+
+    def test_suffix_skips_names_taken_later_in_the_payload(self):
+        samples = assert_valid_exposition(
+            prometheus_from_dict({"a-b": 1, "a_b": 2, "a_b_2": 3})
+        )
+        assert samples == {
+            "trackersift_a_b": "1",
+            "trackersift_a_b_3": "2",
+            "trackersift_a_b_2": "3",
+        }
+
+
+def _numeric_leaves(value) -> int:
+    if isinstance(value, (int, float)):
+        return 1
+    if isinstance(value, dict):
+        return sum(_numeric_leaves(child) for child in value.values())
+    if isinstance(value, list):
+        return sum(_numeric_leaves(child) for child in value)
+    return 0
+
+
+def _payloads(keys):
+    leaves = st.one_of(
+        st.integers(),
+        st.floats(allow_nan=False, allow_infinity=False),
+        st.booleans(),
+        st.text(max_size=5),
+        st.none(),
+    )
+    return st.dictionaries(
+        keys,
+        st.recursive(
+            leaves,
+            lambda children: st.one_of(
+                st.lists(children, max_size=3),
+                st.dictionaries(keys, children, max_size=4),
+            ),
+            max_leaves=20,
+        ),
+        max_size=5,
+    )
+
+
+def _joined_paths(value, path: str, out: list[str]) -> None:
+    if isinstance(value, (int, float)):
+        out.append(path)
+    elif isinstance(value, dict):
+        for key, child in value.items():
+            _joined_paths(child, f"{path}_{key}", out)
+    elif isinstance(value, list):
+        for index, child in enumerate(value):
+            _joined_paths(child, f"{path}_{index}", out)
+
+
+class TestExpositionProperties:
+    @given(_payloads(st.text(max_size=6)))
+    def test_any_payload_gives_valid_unique_series(self, payload):
+        samples = assert_valid_exposition(prometheus_from_dict(payload))
+        assert len(samples) == _numeric_leaves(payload)
+
+    @given(
+        _payloads(
+            st.text(
+                alphabet="abcXYZ019_", min_size=1, max_size=4
+            )
+        )
+    )
+    def test_collision_free_payloads_keep_their_names(self, payload):
+        names: list[str] = []
+        _joined_paths(payload, "trackersift", names)
+        samples = assert_valid_exposition(prometheus_from_dict(payload))
+        if len(set(names)) == len(names):
+            assert list(samples) == names
 
 
 class TestSharedBoard:

@@ -15,7 +15,7 @@ from repro.core.engine import PipelineConfig, StreamingPipeline
 from repro.core.parallel import (
     ShardExecutionError,
     WorkerSpec,
-    run_shards_parallel,
+    run_shards_leased,
 )
 from repro.core.pipeline import TrackerSiftPipeline
 from repro.filterlists.oracle import FilterListOracle, Label, LabeledRequest
@@ -237,13 +237,15 @@ class TestValidation:
             TrackerSiftPipeline(PipelineConfig(sites=10), workers=0)
 
     def test_run_shards_parallel_empty_is_noop(self):
+        """An empty shard list dispatches nothing and completes nothing."""
         spec = WorkerSpec(
             config=PipelineConfig(sites=10),
             shards=2,
             store_dir="",  # never used: no shards dispatched
             oracle_artifact="",
         )
-        assert run_shards_parallel(spec, [], 4, lambda outcome: None) == 0
+        report = run_shards_leased(spec, [], 4, lambda outcome: None)
+        assert report.completed == 0
 
 
 class TestShardSliceFanOut:

@@ -177,7 +177,7 @@ class TestCoalescer:
             )
 
         asyncio.run(scenario())
-        assert service._latency.count == 7
+        assert service.latency.count == 7
 
     def test_next_tick_work_forms_a_new_batch(self):
         service = _RecordingService()

@@ -316,7 +316,7 @@ class TestObservability:
         almost entirely from single calls."""
         service = _mini_service()
         service.decide_batch([f"https://tracker.example/{i}.js" for i in range(11)])
-        window = service._latency
+        window = service.latency
         assert window.count == 11
         assert len(window._samples) == 11
         # Every sample is the amortized per-decision cost: identical.
@@ -334,12 +334,12 @@ class TestObservability:
     def test_latency_window_drain_since_is_incremental(self):
         service = _mini_service()
         service.decide_batch([CLEAN, CLEAN])
-        cursor, fresh = service._latency.drain_since(0)
+        cursor, fresh = service.latency.drain_since(0)
         assert cursor == 2 and len(fresh) == 2
-        cursor, fresh = service._latency.drain_since(cursor)
+        cursor, fresh = service.latency.drain_since(cursor)
         assert cursor == 2 and fresh == []
         service.decide(CLEAN)
-        cursor, fresh = service._latency.drain_since(cursor)
+        cursor, fresh = service.latency.drain_since(cursor)
         assert cursor == 3 and len(fresh) == 1
 
 
