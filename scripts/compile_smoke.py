@@ -6,7 +6,9 @@ End-to-end over the real artifact code path: compile a small list to a
 every decision against a text-built service, hot-reload a *running*
 text-built service from the artifact (its churn report must equal a
 text reload's), recompile the opened image (it must re-emit byte for
-byte, as fan-out does), and confirm corrupt artifacts are rejected
+byte, as fan-out does), compile the same lists in a fresh process under
+another hash seed (the bytes must not change: no set or ``id()`` order
+may leak into the artifact), and confirm corrupt artifacts are rejected
 without touching the serving snapshot.  Pure stdlib + repro,
 seconds to run — the cheap guarantee that the artifact a user compiles is
 the oracle they serve.
@@ -14,11 +16,14 @@ the oracle they serve.
 
 from __future__ import annotations
 
+import os
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+SRC = Path(__file__).resolve().parent.parent / "src"
+sys.path.insert(0, str(SRC))
 
 from repro.filterlists.compile import (  # noqa: E402
     ArtifactError,
@@ -26,6 +31,7 @@ from repro.filterlists.compile import (  # noqa: E402
     compile_matcher,
     open_image,
 )
+from repro.filterlists.lists import default_lists  # noqa: E402
 from repro.filterlists.parser import parse_filter_list  # noqa: E402
 from repro.serve.service import BlockingService  # noqa: E402
 
@@ -36,6 +42,21 @@ LIST_TEXT = """\
 /pixel/*
 -beacon-$image
 @@||cdn.example^$script
+"""
+
+# For the hash-seed check: many host and token keys, digit-bearing hosts
+# (a set in the matcher) and a repeated line (provenance line reuse).
+ORDER_TEXT = LIST_TEXT + "".join(
+    f"||cdn{n}.example/p{n}.js\n||h{n}.example^\n/t{n}x/*\n" for n in range(40)
+) + "||tracker.example^\n"
+
+# Compiles the embedded lists plus argv[2] to argv[1] in a fresh process.
+COMPILE_CHILD = """
+import sys
+from repro.filterlists.compile import compile_lists
+from repro.filterlists.lists import default_lists
+from repro.filterlists.parser import parse_filter_list
+compile_lists(sys.argv[1], *default_lists(), parse_filter_list(sys.argv[2], name="smoke"))
 """
 
 PROBE_URLS = [
@@ -88,6 +109,24 @@ def main() -> int:
                 == from_text.decide(url)["blocked"]
             ), url
 
+        # Determinism: the same lists compile to the same bytes in this
+        # process and in a fresh one with a different hash seed.
+        here = Path(tmp) / "here.tsoracle"
+        there = Path(tmp) / "there.tsoracle"
+        compile_lists(
+            here, *default_lists(), parse_filter_list(ORDER_TEXT, name="smoke")
+        )
+        seed = "2" if os.environ.get("PYTHONHASHSEED") == "1" else "1"
+        subprocess.run(
+            [sys.executable, "-c", COMPILE_CHILD, str(there), ORDER_TEXT],
+            env=dict(os.environ, PYTHONPATH=str(SRC), PYTHONHASHSEED=seed),
+            check=True,
+            timeout=60,
+        )
+        assert here.read_bytes() == there.read_bytes(), (
+            "artifact bytes depend on the hash seed"
+        )
+
         # Corruption must be rejected and must not unseat the snapshot.
         corrupt = Path(tmp) / "corrupt.tsoracle"
         data = bytearray(artifact.read_bytes())
@@ -105,7 +144,8 @@ def main() -> int:
     print(
         "compile smoke: compile → boot → hot-reload identical on "
         f"{len(PROBE_URLS)} probes, churn equals a text reload, recompile "
-        "re-emits the image; corrupt artifact rejected cleanly"
+        "re-emits the image, bytes identical across hash seeds; corrupt "
+        "artifact rejected cleanly"
     )
     return 0
 

@@ -190,9 +190,11 @@ def compile_lists(path: str | Path, *lists: ParsedList) -> dict:
     """Build a matcher from parsed lists and compile it with provenance.
 
     This is the ``trackersift compile`` entry point: the stored lists are
-    what a serving-layer reload diffs churn against.
+    what a serving-layer reload diffs churn against.  Index building runs
+    in an ``artifact.index`` span, encoding in ``artifact.compile``.
     """
-    matcher = FilterMatcher.from_lists(*lists)
+    with span("artifact.index", path=str(path)):
+        matcher = FilterMatcher.from_lists(*lists)
     return compile_matcher(matcher, path, lists=tuple(lists))
 
 

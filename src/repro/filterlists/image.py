@@ -99,6 +99,7 @@ from __future__ import annotations
 
 import json
 import struct
+from itertools import accumulate, chain
 from typing import Iterable
 
 from .matcher import (
@@ -142,8 +143,23 @@ class ArtifactError(ValueError):
     content) or carries the wrong content for the caller."""
 
 
-def _pack(code: str, values: list[int]) -> bytes:
+def _pack(code: str, values: Iterable[int]) -> bytes:
+    values = tuple(values)
     return struct.pack(f">{len(values)}{code}", *values)
+
+
+def _blob(encoded: list[bytes]) -> tuple[bytes, list[int]]:
+    """Concatenated byte strings and their ``len + 1`` boundary offsets."""
+    return b"".join(encoded), [0, *accumulate(map(len, encoded))]
+
+
+def _key_table(spans: dict[str, tuple[int, int]]) -> bytes:
+    # Bytewise-sorted keys: UTF-8 byte order equals code-point order, so
+    # ImageMatcher's encoded-probe bisect is exact.
+    keys = sorted(spans)
+    blob, offsets = _blob([key.encode("utf-8") for key in keys])
+    flat = chain.from_iterable(map(spans.__getitem__, keys))
+    return _U32.pack(len(keys)) + _pack("I", offsets) + _pack("I", flat) + blob
 
 
 def build_image(matcher: FilterMatcher, lists: tuple[ParsedList, ...] = ()) -> bytes:
@@ -159,108 +175,80 @@ def build_image(matcher: FilterMatcher, lists: tuple[ParsedList, ...] = ()) -> b
     re-parse to the same rule are rejected at compile time rather than
     silently drifting at serve time.
     """
-    rules: list[NetworkRule] = []
-    interned: dict[int, int] = {}
-    ids: list[int] = []
+    # Every bucket in directory order — hosts, token buckets, catch-all;
+    # blocking tier, then exceptions — concatenated into one sequence.  A
+    # bucket's span is its offset and length in that sequence.
+    ordered: list[NetworkRule] = []
 
-    def intern(rule: NetworkRule) -> int:
-        index = interned.get(id(rule))
-        if index is None:
-            reparsed = parse_rule_line(rule.text, rule.list_name)
-            if reparsed != rule:
-                raise ArtifactError(
-                    f"rule {rule.text!r} does not round-trip through the "
-                    "parser; oracle images store source lines and cannot "
-                    "carry it — compile from parsed list text"
-                )
-            index = len(rules)
-            rules.append(rule)
-            interned[id(rule)] = index
-        return index
+    def directory(buckets: dict[str, list]) -> dict[str, tuple[int, int]]:
+        counts = list(map(len, buckets.values()))
+        starts = accumulate(counts[:-1], initial=len(ordered))
+        ordered.extend(chain.from_iterable(buckets.values()))
+        return dict(zip(buckets, zip(starts, counts)))
 
-    def span(bucket: Iterable[NetworkRule]) -> list[int]:
-        start = len(ids)
-        ids.extend(intern(rule) for rule in bucket)
-        return [start, len(ids) - start]
+    def tier(index) -> tuple[dict, dict, list[int]]:
+        hosts = directory(index._hosts)
+        buckets = directory(index._buckets)
+        catch_all = [len(ordered), len(index._catch_all)]
+        ordered.extend(index._catch_all)
+        return hosts, buckets, catch_all
 
-    def key_table(spans: dict[str, list[int]]) -> bytes:
-        # Bytewise-sorted keys: UTF-8 byte order equals code-point order,
-        # so ImageMatcher's encoded-probe bisect is exact.
-        keys = sorted(spans)
-        blob = bytearray()
-        offsets = [0]
-        flat: list[int] = []
-        for key in keys:
-            blob += key.encode("utf-8")
-            offsets.append(len(blob))
-            flat.extend(spans[key])
-        return _U32.pack(len(keys)) + _pack("I", offsets) + _pack("I", flat) + bytes(blob)
+    blocking_hosts, blocking_buckets, blocking_catch_all = tier(matcher._blocking)
+    exceptions_hosts, exceptions_buckets, exceptions_catch_all = tier(
+        matcher._exceptions
+    )
 
-    def encode_index(index) -> dict:
-        return {
-            "hosts": {key: span(b) for key, b in index._hosts.items()},
-            "buckets": {key: span(b) for key, b in index._buckets.items()},
-            "catch_all": span(index._catch_all),
-        }
-
-    blocking = encode_index(matcher._blocking)
-    exceptions = encode_index(matcher._exceptions)
-
-    def index_header(encoded: dict) -> dict:
-        host_rules = sum(s[1] for s in encoded["hosts"].values())
-        bucket_rules = sum(s[1] for s in encoded["buckets"].values())
-        return {
-            "catch_all": encoded["catch_all"],
-            "rules": host_rules + bucket_rules + encoded["catch_all"][1],
-            "host_rules": host_rules,
-        }
-
-    list_pool: list[str] = []
-    pool_index: dict[str, int] = {}
-    rule_lists: list[int] = []
+    # Rules are stored once each, in first-seen order; a rule object
+    # indexed twice (the same list added twice) keeps one id.
+    unique = {id(rule): rule for rule in ordered}
+    rules = list(unique.values())
+    if len(rules) == len(ordered):
+        ids: Iterable[int] = range(len(ordered))
+    else:
+        position = {key: index for index, key in enumerate(unique)}
+        ids = [position[id(rule)] for rule in ordered]
     for rule in rules:
-        index = pool_index.get(rule.list_name)
-        if index is None:
-            index = len(list_pool)
-            list_pool.append(rule.list_name)
-            pool_index[rule.list_name] = index
-        rule_lists.append(index)
+        if parse_rule_line(rule.text, rule.list_name) != rule:
+            raise ArtifactError(
+                f"rule {rule.text!r} does not round-trip through the "
+                "parser; oracle images store source lines and cannot "
+                "carry it — compile from parsed list text"
+            )
+
+    names = [rule.list_name for rule in rules]
+    list_pool = list(dict.fromkeys(names))
     if len(list_pool) > 0xFFFF:
         raise ArtifactError("oracle images support at most 65535 list names")
+    pool_index = {name: index for index, name in enumerate(list_pool)}
+    rule_lists = list(map(pool_index.__getitem__, names))
 
-    # Provenance reuses an indexed rule's line whenever the text matches
-    # and appends provenance-only lines after the indexed ones.
+    # Provenance reuses the line of the first indexed rule carrying the
+    # same text (hence the reversed walk) and appends provenance-only
+    # lines after the indexed ones, in first-seen order.
     lines = [rule.text for rule in rules]
-    line_ids: dict[str, int] = {}
-    for index, text in enumerate(lines):
-        line_ids.setdefault(text, index)
+    line_ids = {text: index for index, text in reversed(list(enumerate(lines)))}
     provenance_ids: list[int] = []
     provenance: list[list] = []
     for parsed in lists:
-        start = len(provenance_ids)
-        for rule in parsed.rules:
-            index = line_ids.get(rule.text)
-            if index is None:
-                index = line_ids[rule.text] = len(lines)
-                lines.append(rule.text)
-            provenance_ids.append(index)
-        provenance.append([parsed.name, start, len(provenance_ids) - start])
+        texts = [rule.text for rule in parsed.rules]
+        for text in dict.fromkeys(texts):
+            if text not in line_ids:
+                line_ids[text] = len(lines)
+                lines.append(text)
+        provenance.append([parsed.name, len(provenance_ids), len(texts)])
+        provenance_ids.extend(map(line_ids.__getitem__, texts))
 
-    line_blob = bytearray()
-    line_offsets = [0]
-    for text in lines:
-        line_blob += text.encode("utf-8")
-        line_offsets.append(len(line_blob))
+    line_blob, line_offsets = _blob([text.encode("utf-8") for text in lines])
 
     sections = {
         "rule_ids": _pack("I", ids),
         "line_offsets": _pack("I", line_offsets),
-        "line_blob": bytes(line_blob),
+        "line_blob": line_blob,
         "rule_lists": _pack("H", rule_lists),
-        "blocking_hosts": key_table(blocking["hosts"]),
-        "blocking_buckets": key_table(blocking["buckets"]),
-        "exceptions_hosts": key_table(exceptions["hosts"]),
-        "exceptions_buckets": key_table(exceptions["buckets"]),
+        "blocking_hosts": _key_table(blocking_hosts),
+        "blocking_buckets": _key_table(blocking_buckets),
+        "exceptions_hosts": _key_table(exceptions_hosts),
+        "exceptions_buckets": _key_table(exceptions_buckets),
         "digit_hosts": "\n".join(sorted(matcher._digit_hosts)).encode("utf-8"),
         "provenance": _pack("I", provenance_ids),
     }
@@ -281,8 +269,16 @@ def build_image(matcher: FilterMatcher, lists: tuple[ParsedList, ...] = ()) -> b
         "digit_anywhere": matcher._digit_anywhere,
         "unsupported": matcher.unsupported_counts,
         "unsupported_rules": matcher.unsupported_rule_count,
-        "blocking": index_header(blocking),
-        "exceptions": index_header(exceptions),
+        "blocking": {
+            "catch_all": blocking_catch_all,
+            "rules": len(matcher._blocking),
+            "host_rules": matcher._blocking.host_rule_count,
+        },
+        "exceptions": {
+            "catch_all": exceptions_catch_all,
+            "rules": len(matcher._exceptions),
+            "host_rules": matcher._exceptions.host_rule_count,
+        },
         "provenance": provenance,
         "sections": table,
     }

@@ -116,6 +116,8 @@ _AUTH_RUN_RE = re.compile(r"[a-z0-9_\-.%]+")
 _PURE_HOST_RULE_RE = re.compile(r"^\|\|([a-z0-9_\-.%]+)\^$")
 # Any digit (what _digit_segment looks for in a rule pattern).
 _DIGIT_RE = re.compile(r"\d")
+# First character that ends a ``||`` rule's host segment.
+_HOST_SEGMENT_END_RE = re.compile(r"[/?^*]")
 
 
 def _trie_pattern(words: Sequence[str]) -> str:
@@ -465,15 +467,16 @@ class _RuleIndex:
 
     def add(self, rule: NetworkRule) -> None:
         host = _pure_host_literal(rule)
-        token = rule.token
         if host is not None:
             self._hosts.setdefault(host, []).append(rule)
-        # Short tokens appear in nearly every URL; treating them as
-        # catch-all avoids giant useless buckets.
-        elif len(token) >= 3:
-            self._buckets.setdefault(token, []).append(rule)
         else:
-            self._catch_all.append(rule)
+            token = rule.token
+            # Short tokens appear in nearly every URL; treating them as
+            # catch-all avoids giant useless buckets.
+            if len(token) >= 3:
+                self._buckets.setdefault(token, []).append(rule)
+            else:
+                self._catch_all.append(rule)
         self._count += 1
 
     def __len__(self) -> int:
@@ -601,19 +604,11 @@ def _digit_segment(pattern: str) -> str | None:
     path-digit normalizer leaves untouched.
     """
     if pattern.startswith("||"):
-        body = pattern[2:]
-        cut = len(body)
-        for index, ch in enumerate(body):
-            if ch in "/?^*":
-                cut = index
-                break
-        if _DIGIT_RE.search(body, cut):
-            host = body[:cut].lower()
-            return host if host else ""
-        return None
-    if _DIGIT_RE.search(pattern.lstrip("|")):
-        return ""
-    return None
+        end = _HOST_SEGMENT_END_RE.search(pattern, 2)
+        if end is None or _DIGIT_RE.search(pattern, end.start()) is None:
+            return None
+        return pattern[2 : end.start()].lower()
+    return "" if _DIGIT_RE.search(pattern) else None
 
 
 class FilterMatcher(_DecisionLoop):
@@ -647,16 +642,25 @@ class FilterMatcher(_DecisionLoop):
     @classmethod
     def from_lists(cls, *lists: ParsedList) -> "FilterMatcher":
         matcher = cls()
-        for parsed in lists:
-            matcher.add_list(parsed)
+        matcher._add_lists(lists)
         return matcher
 
     def add_list(self, parsed: ParsedList) -> None:
-        if parsed.name:
-            self._lists.append(parsed.name)
-        self.add_rules(parsed.rules)
+        self._add_lists((parsed,))
 
     def add_rules(self, rules: Iterable[NetworkRule]) -> None:
+        self._index(rules)
+        self._automaton = self._build_automaton()
+
+    def _add_lists(self, lists: Iterable[ParsedList]) -> None:
+        """Index each list as one revision, then build the automaton once."""
+        for parsed in lists:
+            if parsed.name:
+                self._lists.append(parsed.name)
+            self._index(parsed.rules)
+        self._automaton = self._build_automaton()
+
+    def _index(self, rules: Iterable[NetworkRule]) -> None:
         self._revision += 1
         unsupported = self._unsupported_counts
         for rule in rules:
@@ -679,9 +683,11 @@ class FilterMatcher(_DecisionLoop):
                 self._exceptions.add(rule)
             else:
                 self._blocking.add(rule)
-        self._automaton = TokenAutomaton(
-            hosts=list(self._blocking._hosts) + list(self._exceptions._hosts),
-            tokens=list(self._blocking._buckets) + list(self._exceptions._buckets),
+
+    def _build_automaton(self) -> TokenAutomaton:
+        return TokenAutomaton(
+            hosts=[*self._blocking._hosts, *self._exceptions._hosts],
+            tokens=[*self._blocking._buckets, *self._exceptions._buckets],
         )
 
     # -- introspection ----------------------------------------------------

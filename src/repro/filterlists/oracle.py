@@ -248,9 +248,12 @@ class FilterListOracle:
     ) -> list[MatchResult]:
         """Batch :meth:`match` over URLs sharing one request context shape.
 
-        The page context is resolved once for the batch, and the decision
-        layer underneath (cached or raw) amortizes its per-call overhead —
-        one lock round for a cached oracle instead of two per URL.
+        Each URL still gets its own context, built exactly as :meth:`match`
+        builds it: the page host and the third-party check are resolved
+        once per URL, not once per batch.  The saving is in the decision
+        layer underneath (cached or raw), which amortizes its per-call
+        overhead — one lock round for a cached oracle instead of two per
+        URL.
         Decision-identical to looping :meth:`match`, including cache
         hit/miss accounting (see :meth:`CachedMatcher.match_many`).
         Subclasses that override :meth:`match` keep their semantics: the

@@ -12,7 +12,13 @@ import dataclasses
 import re
 from dataclasses import dataclass, field
 
-from .rules import NetworkRule, ResourceType, RuleOptions, RuleParseError
+from .rules import (
+    _DEFAULT_OPTIONS,
+    NetworkRule,
+    ResourceType,
+    RuleOptions,
+    RuleParseError,
+)
 
 __all__ = ["ParsedList", "parse_filter_list", "parse_rule_line"]
 
@@ -99,7 +105,6 @@ def _split_options(line: str) -> tuple[str, str | None]:
 # blob makes a pickled matcher (an oracle subclass shipped to fan-out
 # workers inside its WorkerSpec) store each options object once instead of
 # once per rule.  Value-equal and immutable, so sharing is unobservable.
-_DEFAULT_OPTIONS = RuleOptions()
 _OPTIONS_CACHE: dict[str, RuleOptions] = {}
 _OPTIONS_CACHE_MAX = 4096
 
@@ -169,7 +174,7 @@ def _classify(line: str) -> tuple[str, str]:
         return _BLANK, line
     if line[0] in "![":
         return _COMMENT, line
-    if _COSMETIC_RE.search(line):
+    if "#" in line and _COSMETIC_RE.search(line):
         return _COSMETIC, line
     return _NETWORK, line
 
@@ -193,8 +198,11 @@ def _parse_network_rule(line: str, list_name: str) -> NetworkRule:
     if is_exception:
         line = line[2:]
 
-    pattern, options_text = _split_options(line)
-    options = _parse_options(options_text) if options_text else _DEFAULT_OPTIONS
+    if "$" in line:
+        pattern, options_text = _split_options(line)
+        options = _parse_options(options_text) if options_text else _DEFAULT_OPTIONS
+    else:
+        pattern, options = line, _DEFAULT_OPTIONS
 
     if pattern.startswith("/") and pattern.endswith("/") and len(pattern) > 2:
         # Raw-regex rules exist in EasyList; we record them as unsupported
@@ -208,13 +216,7 @@ def _parse_network_rule(line: str, list_name: str) -> NetworkRule:
 
     if not pattern:
         raise RuleParseError(f"empty pattern in rule: {text!r}")
-    return NetworkRule(
-        text=text,
-        pattern=pattern,
-        is_exception=is_exception,
-        options=options,
-        list_name=list_name,
-    )
+    return NetworkRule(text, pattern, is_exception, options, list_name)
 
 
 def parse_filter_list(data: str, name: str = "") -> ParsedList:

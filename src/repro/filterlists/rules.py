@@ -31,7 +31,7 @@ for options they do not implement).
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 from ..urlkit import host_matches_domain
@@ -133,12 +133,20 @@ class RuleOptions:
         return True
 
 
+#: The options of a rule without ``$`` options; immutable, so shared.
+_DEFAULT_OPTIONS = RuleOptions()
+_SETATTR = object.__setattr__
+
 # ``^`` in ABP matches a "separator": anything that is not a letter, digit or
 # one of ``_ - . %`` — or the end of the URL.
 _SEPARATOR = r"(?:[^a-zA-Z0-9_\-.%]|$)"
 # ``||`` anchors at a hostname-label boundary under any scheme.
 _HOST_ANCHOR = r"^[a-z][a-z0-9.+-]*://(?:[^/?#]*\.)?"
-_TOKEN_RE = re.compile(r"[a-z0-9]+")
+# A maximal ``[a-z0-9]+`` run with a delimiter on both sides: a real
+# character that is neither alphanumeric nor ``*``.  Applied to the whole
+# lowered pattern, anchors are such characters (``|``), so an anchored
+# edge counts as delimited and a bare pattern edge does not.
+_DELIMITED_RUN_RE = re.compile(r"(?<=[^a-z0-9*])[a-z0-9]+(?=[^a-z0-9*])")
 
 
 def _compile_pattern(pattern: str, match_case: bool) -> re.Pattern[str]:
@@ -184,31 +192,8 @@ def _extract_token(pattern: str) -> str:
     rules without any delimited run go to the catch-all bucket.  The
     candidate-completeness property test pins this.
     """
-    body = pattern
-    host_anchor = start_anchor = end_anchor = False
-    if body.startswith("||"):
-        host_anchor = True
-        body = body[2:]
-    elif body.startswith("|"):
-        start_anchor = True
-        body = body[1:]
-    if body.endswith("|") and body:
-        end_anchor = True
-        body = body[:-1]
-    body = body.lower()
-    best = ""
-    for match in _TOKEN_RE.finditer(body):
-        start, end = match.span()
-        # Adjacent characters of a maximal run are non-alphanumeric by
-        # construction; only ``*`` (which can match alphanumerics) breaks
-        # the delimiter guarantee.
-        left_ok = (
-            host_anchor or start_anchor if start == 0 else body[start - 1] != "*"
-        )
-        right_ok = end_anchor if end == len(body) else body[end] != "*"
-        if left_ok and right_ok and end - start > len(best):
-            best = match.group()
-    return best
+    runs = _DELIMITED_RUN_RE.findall(pattern.lower())
+    return max(runs, key=len) if runs else ""
 
 
 @dataclass(frozen=True)
@@ -218,8 +203,28 @@ class NetworkRule:
     text: str
     pattern: str
     is_exception: bool = False
-    options: RuleOptions = field(default_factory=RuleOptions)
+    options: RuleOptions = _DEFAULT_OPTIONS
     list_name: str = ""
+
+    def __init__(
+        self,
+        text: str,
+        pattern: str,
+        is_exception: bool = False,
+        options: RuleOptions = _DEFAULT_OPTIONS,
+        list_name: str = "",
+    ) -> None:
+        # Same assignments as the generated frozen __init__, through a
+        # module-level alias of object.__setattr__ instead of a lookup per
+        # field: a third less time per rule, and every parsed line and
+        # every compile-time re-parse builds one.  (A __dict__.update
+        # would be faster still but gives each rule its own dict object,
+        # about 128 more bytes per rule.)
+        _SETATTR(self, "text", text)
+        _SETATTR(self, "pattern", pattern)
+        _SETATTR(self, "is_exception", is_exception)
+        _SETATTR(self, "options", options)
+        _SETATTR(self, "list_name", list_name)
 
     # Class-level defaults for the two lazily derived attributes: instances
     # only gain ``_regex`` / ``_token`` entries in their __dict__ on first
@@ -251,8 +256,10 @@ class NetworkRule:
     @property
     def token(self) -> str:
         """Indexing token (may be empty for token-free patterns like ``^``),
-        extracted on first access and then cached — the matcher reads it
-        while bucketing, so fresh rules pay it at index construction and
+        extracted on first access and then cached.  The matcher reads it
+        while bucketing a fresh rule that is not a pure ``||host^`` literal
+        (those go to the host dict by their literal), so only such rules
+        pay it at index construction; host-literal rules and
         artifact-loaded rules (whose buckets already exist) never do."""
         token: str | None = self._token
         if token is None:

@@ -29,12 +29,65 @@ __all__ = [
     "ReferenceMatcher",
     "WALK",
     "candidates",
+    "digit_segment",
+    "extract_token",
     "host_anchor_keys",
     "url_tokens",
 ]
 
 # The scheme prefix ``||`` anchors under (lowercased form of _HOST_ANCHOR).
 _SCHEME_RE = re.compile(r"^[a-z][a-z0-9.+-]*://")
+_TOKEN_RE = re.compile(r"[a-z0-9]+")
+_DIGIT_RE = re.compile(r"\d")
+
+
+def extract_token(pattern: str) -> str:
+    """Reference for :func:`repro.filterlists.rules._extract_token`: strip
+    the anchors, then walk every maximal run of the lowered body and keep
+    the first longest one whose two ends are delimited (an anchor, or a
+    neighbour that is not ``*``)."""
+    body = pattern
+    host_anchor = start_anchor = end_anchor = False
+    if body.startswith("||"):
+        host_anchor = True
+        body = body[2:]
+    elif body.startswith("|"):
+        start_anchor = True
+        body = body[1:]
+    if body.endswith("|") and body:
+        end_anchor = True
+        body = body[:-1]
+    body = body.lower()
+    best = ""
+    for match in _TOKEN_RE.finditer(body):
+        start, end = match.span()
+        left_ok = (
+            host_anchor or start_anchor if start == 0 else body[start - 1] != "*"
+        )
+        right_ok = end_anchor if end == len(body) else body[end] != "*"
+        if left_ok and right_ok and end - start > len(best):
+            best = match.group()
+    return best
+
+
+def digit_segment(pattern: str) -> str | None:
+    """Reference for :func:`repro.filterlists.matcher._digit_segment`:
+    scan a ``||`` pattern one character at a time for the end of its host
+    segment, then look for digits past it."""
+    if pattern.startswith("||"):
+        body = pattern[2:]
+        cut = len(body)
+        for index, ch in enumerate(body):
+            if ch in "/?^*":
+                cut = index
+                break
+        if _DIGIT_RE.search(body, cut):
+            host = body[:cut].lower()
+            return host if host else ""
+        return None
+    if _DIGIT_RE.search(pattern.lstrip("|")):
+        return ""
+    return None
 
 
 def url_tokens(lowered_url: str) -> tuple[str, ...]:
@@ -109,9 +162,8 @@ WALK = _WalkScan()
 class ReferenceMatcher(FilterMatcher):
     """A :class:`FilterMatcher` whose candidates come from the walk."""
 
-    def add_rules(self, rules) -> None:
-        super().add_rules(rules)
-        self._automaton = WALK
+    def _build_automaton(self) -> _WalkScan:
+        return WALK
 
 
 def candidates(index, shape: RequestShape) -> Iterator:

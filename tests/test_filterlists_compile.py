@@ -15,6 +15,7 @@ The proof obligations for ``repro.filterlists.compile``:
 
 import hashlib
 import json
+import random
 import struct
 import tempfile
 from pathlib import Path
@@ -35,10 +36,12 @@ from repro.filterlists.compile import (
     read_artifact_meta,
 )
 from repro.filterlists.image import ImageMatcher
+from repro.filterlists.lists import default_lists
 from repro.filterlists.matcher import FilterMatcher
 from repro.filterlists.oracle import FilterListOracle
 from repro.filterlists.parser import parse_filter_list
-from repro.filterlists.rules import RequestContext
+from repro.filterlists.rules import NetworkRule, RequestContext, RuleOptions
+from repro.obs.trace import Tracer
 
 LIST_TEXT = """\
 ||tracker.example^
@@ -222,6 +225,30 @@ class TestRejection:
         with pytest.raises(ArtifactError, match="image header"):
             _opened(data)
 
+    @pytest.mark.parametrize(
+        "rule",
+        [
+            NetworkRule(text="||a.example^", pattern="||b.example^"),
+            NetworkRule(text="/ads/*", pattern="/ads/*", is_exception=True),
+            NetworkRule(
+                text="||a.example^$script",
+                pattern="||a.example^",
+                options=RuleOptions(third_party=True),
+            ),
+        ],
+        ids=["pattern", "exception", "options"],
+    )
+    def test_rule_that_does_not_reparse_rejected(self, rule, tmp_path):
+        """The image stores source lines, so a rule whose ``text`` would
+        re-parse to a different rule cannot be compiled."""
+        matcher = FilterMatcher([rule])
+        with pytest.raises(ArtifactError, match="does not round-trip"):
+            dumps_artifact(matcher)
+        path = tmp_path / "drift.tsoracle"
+        with pytest.raises(ArtifactError, match="does not round-trip"):
+            compile_matcher(matcher, path)
+        assert not path.exists()
+
     def test_missing_file_rejected(self, tmp_path):
         with pytest.raises(ArtifactError, match="cannot read"):
             open_image(tmp_path / "absent.tsoracle")
@@ -318,3 +345,90 @@ class TestVersionedFormat:
         assert read_artifact_meta(path)["unsupported"] == {"regex-rule": 2}
         # The counts survive the round trip on the matcher itself, too.
         assert open_image(path).unsupported_counts == {"regex-rule": 2}
+
+
+class TestCompileSpans:
+    def test_index_and_encode_have_sibling_spans(self, tmp_path):
+        """Index building and encoding are each attributed to a span, and
+        neither nests in the other."""
+        tracer = Tracer()
+        with tracer.activate():
+            compile_lists(
+                tmp_path / "traced.tsoracle", parse_filter_list(LIST_TEXT, name="unit")
+            )
+        spans = {record.name: record for record in tracer.records}
+        assert set(spans) == {"artifact.index", "artifact.compile"}
+        assert spans["artifact.index"].parent_id == 0
+        assert spans["artifact.compile"].parent_id == 0
+
+
+# -- golden bytes -------------------------------------------------------------
+
+
+def _seeded_list(seed: str, count: int) -> list[str]:
+    """``count`` seeded rule lines covering every indexing and encoding
+    branch: host anchors (with and without digits past the host), paths,
+    option-carrying rules, ``@@`` exceptions, raw ``/regex/`` rules,
+    ``match-case`` and ``domain=`` options, unsupported options, short
+    and wildcard-bounded tokens, and non-ASCII text whose lowercase
+    changes length."""
+    rng = random.Random(seed)
+    letters = "abcdefghijklmnopqrstuvwxyz"
+    exotic = ("bücher", "straße", "İstanbul", "ÆON", "xn--bcher-kva", "ﬁle")
+
+    def word(low: int = 3, high: int = 8) -> str:
+        return "".join(rng.choice(letters) for _ in range(rng.randint(low, high)))
+
+    def host() -> str:
+        return f"{word()}.{rng.choice(('com', 'net', 'io', 'co.uk'))}"
+
+    shapes = (
+        lambda: f"||{host()}^",
+        lambda: f"||{word().upper()}.{host()}^",
+        lambda: f"||{host()}/{word()}{rng.randint(0, 999)}/*",
+        lambda: f"||ad{rng.randint(0, 99)}.{host()}^",
+        lambda: f"||{host()}^$third-party",
+        lambda: f"||{host()}^$match-case",
+        lambda: f"/{word()}/*",
+        lambda: f"/{word()}{rng.randint(0, 9)}/{word()}.js|",
+        lambda: f"|https://{host()}/{word()}",
+        lambda: f"-{word()}-$image,third-party",
+        lambda: f"{word(1, 2)}*{word()}^$script",
+        lambda: f"*{word()}*",
+        lambda: f"^{word()}^",
+        lambda: f"/{word()}/x$domain={host()}|~{host()}",
+        lambda: f"@@||cdn-{host()}^$script",
+        lambda: f"@@/{word()}/*$xmlhttprequest",
+        lambda: f"/{word()}\\d+/",
+        lambda: f"/{word()}/ad$popup",
+        lambda: f"||{rng.choice(exotic)}{rng.randint(0, 9)}.example^",
+        lambda: f"/{rng.choice(exotic)}/{word()}",
+    )
+    return [rng.choice(shapes)() for _ in range(count)]
+
+
+class TestGoldenArtifact:
+    """The artifact bytes of a fixed build are pinned: a change to how
+    lists are parsed, indexed or encoded must not move a single byte."""
+
+    GOLDEN_SHA256 = (
+        "9450f51f29ebf179e782d2d18a2df67ed3cc14f487fd720403a5bb4d41a14002"
+    )
+
+    def _lists(self):
+        embedded = default_lists()
+        first = _seeded_list("golden-a", 1400)
+        # The second list repeats lines of the first and of the embedded
+        # lists (provenance line reuse) and repeats some of its own.
+        second = _seeded_list("golden-b", 500) + first[::7] + first[:40]
+        second += [rule.text for rule in embedded[0].rules[::3]]
+        seeded_a = parse_filter_list("\n".join(first), name="seeded-a")
+        seeded_b = parse_filter_list("\n".join(second), name="seeded-b")
+        # ``seeded-a`` twice: the same rule objects are indexed twice.
+        return (*embedded, seeded_a, seeded_b, seeded_a)
+
+    def test_embedded_plus_seeded_lists_digest(self):
+        lists = self._lists()
+        assert sum(len(parsed.rules) for parsed in lists) > 2000
+        data = dumps_artifact(FilterMatcher.from_lists(*lists), lists)
+        assert hashlib.sha256(data).hexdigest() == self.GOLDEN_SHA256

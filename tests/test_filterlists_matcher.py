@@ -8,6 +8,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from reference_matcher import (
+    digit_segment,
+    extract_token,
     WALK,
     ReferenceMatcher,
     candidates,
@@ -15,9 +17,9 @@ from reference_matcher import (
     url_tokens,
 )
 from repro.filterlists.image import ImageMatcher, build_image
-from repro.filterlists.matcher import FilterMatcher, RequestShape
+from repro.filterlists.matcher import FilterMatcher, RequestShape, _digit_segment
 from repro.filterlists.parser import parse_filter_list
-from repro.filterlists.rules import RequestContext
+from repro.filterlists.rules import RequestContext, _extract_token
 
 
 class TestBasicMatching:
@@ -414,3 +416,35 @@ class TestAutomatonEquivalence:
         batch = matcher.decide_many(urls)
         singles = [matcher.match(RequestContext(url=url)) for url in urls]
         assert batch == singles
+
+
+# Pattern text over the characters the indexing helpers branch on: both
+# letter cases, digits, every anchor/wildcard/separator/option character
+# (``||`` as one piece, so host anchors are common), and non-ASCII
+# letters: ``İ`` lowercases to two characters, ``ß`` is already lower
+# case, ``Σ`` lowercases by context and the Kelvin sign to ASCII ``k``.
+_HELPER_PATTERNS = st.lists(
+    st.sampled_from(
+        [*"abczXYZ0129|*^/?$~#.", "||", "İ", "ß", "Σ", "\u212a"]
+    ),
+    max_size=24,
+).map("".join)
+
+
+class TestIndexHelpersMatchReference:
+    """The regex forms of the token and digit-segment helpers return what
+    the character loops they replaced return (``tests/reference_matcher``),
+    so rules land in the same buckets and artifacts keep their bytes."""
+
+    @given(_HELPER_PATTERNS)
+    def test_extract_token_equals_reference(self, pattern):
+        assert _extract_token(pattern) == extract_token(pattern)
+
+    @given(_HELPER_PATTERNS)
+    def test_digit_segment_equals_reference(self, pattern):
+        assert _digit_segment(pattern) == digit_segment(pattern)
+
+    def test_examples(self):
+        for pattern in ("||ads.example^", "|x*track^", "||İx9/a1", "ab|", "||/1"):
+            assert _extract_token(pattern) == extract_token(pattern)
+            assert _digit_segment(pattern) == digit_segment(pattern)
