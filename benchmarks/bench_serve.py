@@ -327,25 +327,39 @@ def test_multiworker_scaling_and_per_worker_reload_identity(
         reload_outcome = {}
 
         def hot_reload() -> None:
-            time.sleep(0.15)
+            # past the generator's 0.05 s lead-in, and early enough to
+            # land inside the first half even at smoke size
+            time.sleep(0.08)
             reload_outcome.update(pair.reload(hotfix))
 
+        # The reload races the first half of the load; the second half
+        # starts only once it has returned, so every run carries
+        # revision-2 decisions however quickly the first half drains.
+        # Both halves stripe the hotfix URLs.  More client connections
+        # than the throughput run: REUSEPORT balances per connection, and
+        # the identity gate wants decisions from as many workers as the
+        # kernel will spread them over.
         reloader = threading.Thread(target=hot_reload)
         reloader.start()
-        # More client connections than the throughput run: REUSEPORT
-        # balances per connection, and the identity gate wants decisions
-        # from as many workers as the kernel will spread them over.
-        identity_report = saturate(
-            pair.host, pair.port, load_urls, connections=LOAD_CONNECTIONS * 2
+        racing = saturate(
+            pair.host, pair.port, load_urls[0::2],
+            connections=LOAD_CONNECTIONS * 2,
         )
         reloader.join()
+        reloaded = saturate(
+            pair.host, pair.port, load_urls[1::2],
+            connections=LOAD_CONNECTIONS * 2,
+        )
 
-    assert identity_report.errors == []                   # nothing dropped
-    assert identity_report.requests == len(load_urls) * LOAD_ROUNDS
+    halves = (racing, reloaded)
+    errors = [error for half in halves for error in half.errors]
+    decisions = [decision for half in halves for decision in half.decisions]
+    assert errors == []                                   # nothing dropped
+    assert len(decisions) == len(load_urls) * LOAD_ROUNDS
     assert reload_outcome["revision"] == 2
     oracles = {1: old_oracle, 2: new_oracle}
     per_worker: dict = {}
-    for decision in identity_report.decisions:
+    for decision in decisions:
         row = per_worker.setdefault(
             decision["worker"],
             {"decisions": 0, "mismatches": 0, "revisions": set()},

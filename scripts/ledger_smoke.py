@@ -1,14 +1,18 @@
 #!/usr/bin/env python3
 """Determinism-ledger smoke over the real CLI, run by ``scripts/check.sh``.
 
-Drives ``trackersift`` exactly as a user would: run the batch study and
-the streaming sift with ``--ledger-out``, then ``trackersift ledger
-diff`` the two chains — they must be identical (exit 0).  Then perturb
-the seed and diff again — the chains must diverge (exit 1) and the diff
-must localize the first divergent stage to ``web`` (the earliest stage a
-seed change can reach), not merely report a mismatch.  Pure stdlib +
-repro, seconds to run — the cheap guarantee that the fingerprint ledger
-both certifies equivalence and names the broken stage when it breaks.
+Drives ``trackersift`` exactly as a user would: run the batch study, the
+streaming sift and the streaming sift fanned out over two worker
+processes with ``--ledger-out``, then ``trackersift ledger diff`` each
+streaming chain against the batch one — they must be identical (exit 0).
+The fan-out run pickles slices of the web plan, shared values included,
+for its workers, so this also checks that they survive the trip.  Then
+perturb the seed and diff again — the chains must diverge (exit 1) and
+the diff must localize the first divergent stage to ``web`` (the
+earliest stage a seed change can reach), not merely report a mismatch.
+Pure stdlib + repro, seconds to run — the cheap guarantee that the
+fingerprint ledger both certifies equivalence and names the broken stage
+when it breaks.
 """
 
 from __future__ import annotations
@@ -35,6 +39,7 @@ def main_smoke() -> int:
     with tempfile.TemporaryDirectory(prefix="trackersift-ledger-") as tmp:
         batch = str(Path(tmp) / "batch.jsonl")
         stream = str(Path(tmp) / "stream.jsonl")
+        fanout = str(Path(tmp) / "fanout.jsonl")
         perturbed = str(Path(tmp) / "perturbed.jsonl")
 
         assert _quiet(SCALE + ["--ledger-out", batch, "study"]) == 0
@@ -47,16 +52,27 @@ def main_smoke() -> int:
         )
         assert (
             _quiet(
+                SCALE
+                + [
+                    "--ledger-out", fanout,
+                    "--streaming", "--workers", "2", "sift",
+                ]
+            )
+            == 0
+        )
+        assert (
+            _quiet(
                 ["--sites", "80", "--seed", "6", "--ledger-out", perturbed, "study"]
             )
             == 0
         )
 
-        same = io.StringIO()
-        with contextlib.redirect_stdout(same):
-            identical_exit = main(["ledger", "diff", batch, stream])
-        assert identical_exit == 0, same.getvalue()
-        assert "identical" in same.getvalue(), same.getvalue()
+        for chain in (stream, fanout):
+            same = io.StringIO()
+            with contextlib.redirect_stdout(same):
+                identical_exit = main(["ledger", "diff", batch, chain])
+            assert identical_exit == 0, same.getvalue()
+            assert "identical" in same.getvalue(), same.getvalue()
 
         diverged = io.StringIO()
         with contextlib.redirect_stdout(diverged):
@@ -69,8 +85,8 @@ def main_smoke() -> int:
         )
 
     print(
-        "ledger smoke: batch == stream-4 chains (7 stages); seed "
-        "perturbation localized to stage 'web'"
+        "ledger smoke: batch == stream-4 == 2-worker fan-out chains "
+        "(7 stages); seed perturbation localized to stage 'web'"
     )
     return 0
 

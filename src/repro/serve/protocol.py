@@ -119,9 +119,11 @@ def _parse_requests(buffer: bytes) -> tuple[list[_Request], bytes]:
     requests: list[_Request] = []
     while True:
         head_end = buffer.find(b"\r\n\r\n")
+        # The cap counts the blank line, so a head is refused the same way
+        # whether it arrives in one read or cut anywhere.
+        if (len(buffer) if head_end < 0 else head_end + 4) > _MAX_HEADER_BYTES:
+            raise _ProtocolError(431, "request headers too large")
         if head_end < 0:
-            if len(buffer) > _MAX_HEADER_BYTES:
-                raise _ProtocolError(431, "request headers too large")
             return requests, buffer
         head = buffer[:head_end].decode("latin-1")
         lines = head.split("\r\n")
@@ -152,9 +154,14 @@ def _parse_requests(buffer: bytes) -> tuple[list[_Request], bytes]:
         # ASCII digits only: int() would also take "+2", "1_0" or " 2".
         if not (raw_length.isascii() and raw_length.isdigit()):
             raise _ProtocolError(400, f"bad Content-Length: {raw_length!r}")
-        length = int(raw_length)
-        if length > _MAX_BODY_BYTES:
-            raise _ProtocolError(400, f"unreasonable Content-Length: {length}")
+        # Count digits before int(): it refuses strings longer than
+        # sys.int_max_str_digits, leading zeros included.
+        digits = raw_length.lstrip("0") or "0"
+        if len(digits) > len(str(_MAX_BODY_BYTES)) or int(digits) > _MAX_BODY_BYTES:
+            raise _ProtocolError(
+                400, f"unreasonable Content-Length: {digits[:24]}"
+            )
+        length = int(digits)
         total = head_end + 4 + length
         if len(buffer) < total:
             return requests, buffer

@@ -31,7 +31,9 @@ The generator works in five phases:
 from __future__ import annotations
 
 import random
+from collections.abc import Iterable
 from dataclasses import dataclass, field
+from typing import TypeVar
 
 from .allocation import (
     allocate_volumes,
@@ -62,6 +64,8 @@ from .website import (
 )
 
 __all__ = ["SyntheticWeb", "SyntheticWebGenerator", "generate_web"]
+
+T = TypeVar("T")
 
 _TRACKING_EVENTS = ("imp", "click", "view", "scroll-depth")
 _FUNCTIONAL_EVENTS = ("load", "render", "fetch", "hydrate")
@@ -740,19 +744,50 @@ class _HostSlots:
     functional: int
 
 
-class _SharedArgs(dict):
-    """One ``Invocation.args`` dict per distinct ``(event, dest)`` pair.
+class _SharedValues:
+    """One copy of each repeated plan value, owned by one build.
 
-    A plan holds tens of thousands of invocations but only a few thousand
-    distinct argument contexts, so invocations share their dict (which is
-    why :attr:`Invocation.args` is read-only).  Each build owns its own
-    table: two webs never share a dict.
+    A plan holds tens of thousands of invocations and features but only a
+    few thousand distinct frames, caller chains, argument contexts and
+    dependency sets, so every equal value is one object.  Frames, chains
+    and dependency sets are immutable; :attr:`Invocation.args` is a dict
+    and therefore read-only by contract.  Each build owns its own table:
+    two webs never share an object.
     """
 
-    def __missing__(self, key: tuple[str, str]) -> dict[str, str]:
-        event, dest = key
-        args = self[key] = {"event": event, "dest": dest}
+    __slots__ = ("_args", "_values")
+
+    def __init__(self) -> None:
+        self._args: dict[tuple[str, str], dict[str, str]] = {}
+        self._values: dict[object, object] = {}
+
+    def args(self, event: str, dest: str) -> dict[str, str]:
+        """The invocation context ``{"event": event, "dest": dest}``."""
+        key = (event, dest)
+        args = self._args.get(key)
+        if args is None:
+            args = self._args[key] = {"event": event, "dest": dest}
         return args
+
+    def frame(self, script_url: str, method: str) -> Frame:
+        return self._share(Frame(script_url, method))
+
+    def chain(self, *frames: Frame) -> tuple[Frame, ...]:
+        return self._share(frames)
+
+    def split(
+        self, chain: tuple[Frame, ...]
+    ) -> tuple[tuple[Frame, ...], tuple[Frame, ...]]:
+        """``(chain[:1], chain[1:])``: the caller and async halves of an
+        invocation that hops asynchronously."""
+        return self._share(chain[:1]), self._share(chain[1:])
+
+    def deps(self, values: Iterable[T]) -> frozenset[T]:
+        """A functionality dependency set."""
+        return self._share(frozenset(values))
+
+    def _share(self, value: T) -> T:
+        return self._values.setdefault(value, value)
 
 
 class SyntheticWebGenerator:
@@ -793,17 +828,17 @@ class SyntheticWebGenerator:
         )
 
         websites = self._make_websites(names)
-        shared_args = _SharedArgs()
+        shared = _SharedValues()
         scripts = self._realise_scripts(
-            planned_scripts, domains, websites, listed, names, rng, shared_args
+            planned_scripts, domains, websites, listed, names, rng, shared
         )
         scripts += _make_app_scripts(
-            domains, websites, listed, names, rng, shared_args
+            domains, websites, listed, names, rng, shared
         )
         _apply_transforms(
             scripts, websites, rng, self.inline_fraction, self.bundle_fraction
         )
-        _wire_functionality(websites, rng)
+        _wire_functionality(websites, rng, shared)
 
         web = SyntheticWeb(
             seed=self.seed,
@@ -833,7 +868,7 @@ class SyntheticWebGenerator:
         listed: frozenset[str],
         names: NameFactory,
         rng: random.Random,
-        shared_args: _SharedArgs,
+        shared: _SharedValues,
     ) -> list[ScriptSpec]:
         host_slots = [
             _HostSlots(
@@ -901,14 +936,13 @@ class SyntheticWebGenerator:
                     functional_queue, False, planned_method.budget.functional
                 )
                 self._emit_invocations(
-                    script,
                     method,
                     site.url,
                     t_slots,
                     f_slots,
                     names,
                     rng,
-                    shared_args,
+                    shared,
                     context_separable=planned_method.context_separable,
                 )
                 script.methods.append(method)
@@ -922,14 +956,13 @@ class SyntheticWebGenerator:
 
     def _emit_invocations(
         self,
-        script: ScriptSpec,
         method: MethodSpec,
         site: str,
         t_slots: list[tuple[str, bool, int]],
         f_slots: list[tuple[str, bool, int]],
         names: NameFactory,
         rng: random.Random,
-        shared_args: _SharedArgs,
+        shared: _SharedValues,
         *,
         context_separable: bool = True,
     ) -> None:
@@ -942,7 +975,7 @@ class SyntheticWebGenerator:
         invariant); inseparable ones share both — the residue that even the
         paper's §5 techniques cannot split.
         """
-        tracking_chain, functional_chain = _caller_chains(script, method, site)
+        tracking_chain, functional_chain = _caller_chains(method, site, shared)
         mixed = method.category is Category.MIXED
         for tracking_side, slots in ((True, t_slots), (False, f_slots)):
             for host, listed, count in slots:
@@ -975,13 +1008,16 @@ class SyntheticWebGenerator:
                         event_pool = (
                             _TRACKING_EVENTS if tracking_side else _FUNCTIONAL_EVENTS
                         )
+                    caller_chain, async_chain = (
+                        shared.split(chain) if is_async else (chain, ())
+                    )
                     method.invocations.append(
                         Invocation(
                             site=site,
                             requests=requests,
-                            caller_chain=chain if not is_async else chain[:1],
-                            async_chain=chain[1:] if is_async else (),
-                            args=shared_args[rng.choice(event_pool), host],
+                            caller_chain=caller_chain,
+                            async_chain=async_chain,
+                            args=shared.args(rng.choice(event_pool), host),
                         )
                     )
 
@@ -989,18 +1025,20 @@ class SyntheticWebGenerator:
 # Caller-chain synthesis: mixed methods get *divergent* ancestries so the
 # Figure 5 call-stack analysis has a point of divergence to find.
 def _caller_chains(
-    script: ScriptSpec, method: MethodSpec, site: str
+    method: MethodSpec, site: str, shared: _SharedValues
 ) -> tuple[tuple[Frame, ...], tuple[Frame, ...]]:
-    page_main = Frame(f"{site}#inline-0", "main")
+    page_main = shared.frame(f"{site}#inline-0", "main")
     if method.category is Category.MIXED:
-        tracker_helper = Frame(f"{site}track-helper.js", "t")
-        user_chain = (
-            Frame(f"{site}user.js", "k"),
-            Frame(f"{site}get.js", "a"),
+        return (
+            shared.chain(shared.frame(f"{site}track-helper.js", "t"), page_main),
+            shared.chain(
+                shared.frame(f"{site}user.js", "k"),
+                shared.frame(f"{site}get.js", "a"),
+                page_main,
+            ),
         )
-        return (tracker_helper, page_main), user_chain + (page_main,)
-    shared = (Frame(f"{site}loader.js", "boot"), page_main)
-    return shared, shared
+    chain = shared.chain(shared.frame(f"{site}loader.js", "boot"), page_main)
+    return chain, chain
 
 
 # ---------------------------------------------------------------------------
@@ -1054,14 +1092,14 @@ def _append_app_requests(
     count: int,
     names: NameFactory,
     rng: random.Random,
-    shared_args: _SharedArgs,
+    shared: _SharedValues,
 ) -> None:
     while count > 0:
         batch = min(count, rng.randint(1, 4))
         count -= batch
         script = pool.script_for(site)
         method = script.methods[0]
-        chain = (Frame(f"{site}#inline-0", "onload"),)
+        chain = shared.chain(shared.frame(f"{site}#inline-0", "onload"))
         method.invocations.append(
             Invocation(
                 site=site,
@@ -1078,7 +1116,7 @@ def _append_app_requests(
                     for _ in range(batch)
                 ],
                 caller_chain=chain,
-                args=shared_args["load", host],
+                args=shared.args("load", host),
             )
         )
 
@@ -1089,7 +1127,7 @@ def _make_app_scripts(
     listed: frozenset[str],
     names: NameFactory,
     rng: random.Random,
-    shared_args: _SharedArgs,
+    shared: _SharedValues,
 ) -> list[ScriptSpec]:
     """Emit the pure-domain traffic (and pure hostnames of mixed domains)."""
     pool = _AppScriptPool(websites, names, rng)
@@ -1117,7 +1155,7 @@ def _make_app_scripts(
                         chunk,
                         names,
                         rng,
-                        shared_args,
+                        shared,
                     )
     return pool.all_scripts()
 
@@ -1167,7 +1205,9 @@ def _replace_in_site(site: Website, old: ScriptSpec, new: ScriptSpec) -> None:
     site.scripts.append(new)
 
 
-def _wire_functionality(websites: list[Website], rng: random.Random) -> None:
+def _wire_functionality(
+    websites: list[Website], rng: random.Random, shared: _SharedValues
+) -> None:
     """Attach core/secondary features to each site's scripts.
 
     Mixed scripts carry real functional duties (that is what makes blocking
@@ -1178,6 +1218,7 @@ def _wire_functionality(websites: list[Website], rng: random.Random) -> None:
     method granularity where possible, so surrogate scripts that only drop
     tracking methods keep the page working.
     """
+    no_deps = shared.deps(())
     for site in websites:
         if not site.scripts:
             continue
@@ -1195,7 +1236,8 @@ def _wire_functionality(websites: list[Website], rng: random.Random) -> None:
                 Functionality(
                     name=name,
                     tier=FunctionalityTier.CORE,
-                    required_scripts=frozenset(deps),
+                    required_scripts=shared.deps(deps),
+                    required_methods=no_deps,
                 )
             )
         for name in secondary_names:
@@ -1206,7 +1248,8 @@ def _wire_functionality(websites: list[Website], rng: random.Random) -> None:
                 Functionality(
                     name=name,
                     tier=FunctionalityTier.SECONDARY,
-                    required_scripts=frozenset(deps),
+                    required_scripts=shared.deps(deps),
+                    required_methods=no_deps,
                 )
             )
 
@@ -1221,14 +1264,14 @@ def _wire_functionality(websites: list[Website], rng: random.Random) -> None:
             functional_methods = [
                 m for m in script.methods if m.category is Category.FUNCTIONAL
             ]
-            method_deps: frozenset[tuple[str, str]] = frozenset()
-            script_deps: frozenset[str] = frozenset()
+            method_deps: frozenset[tuple[str, str]] = no_deps
+            script_deps: frozenset[str] = no_deps
             if functional_methods and rng.random() < 0.7:
-                method_deps = frozenset(
+                method_deps = shared.deps(
                     {(script.url, rng.choice(functional_methods).name)}
                 )
             else:
-                script_deps = frozenset({script.url})
+                script_deps = shared.deps({script.url})
             features.append(
                 Functionality(
                     name=rng.choice(pool),

@@ -76,9 +76,11 @@ class Invocation:
     stack of the request.  ``args`` model the invocation context used by the
     guard-inference extension (paper §5, "Blocking mixed scripts").
 
-    ``args`` is shared: the generator hands every invocation with the same
-    ``(event, dest)`` context one dict, so treat it as read-only and build
-    a new dict to change it.
+    ``caller_chain``, ``async_chain`` and ``args`` are shared within one
+    generated web: equal chains (async halves included), equal frames
+    inside them and equal ``(event, dest)`` contexts are each one object.
+    Treat them as read-only: assign a new tuple or a new dict to change
+    one, and never write into ``args``.
     """
 
     site: str

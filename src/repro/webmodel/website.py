@@ -55,6 +55,12 @@ class Functionality:
     empty, blocking the script breaks the feature; if non-empty, the feature
     breaks only when one of those methods is removed (this is what makes
     method-granular surrogates safer than script blocking).
+
+    Both dependency sets are shared within one generated web: features
+    with equal dependencies hold the same frozenset, and most hold the
+    same empty one.  They are read-only; replace the feature (as
+    :func:`~repro.webmodel.anonymize.anonymize_methods` does) to change
+    them.
     """
 
     name: str

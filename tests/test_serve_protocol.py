@@ -6,6 +6,8 @@ Proof obligations for ``repro.serve.protocol``:
   reuse, ``Connection: close``, pipelined bursts answered in order — and
   rejects what it cannot trust (chunked bodies, malformed request lines,
   oversized headers) without wedging the connection loop;
+* however a byte stream is cut into reads, it frames exactly as it does
+  parsed whole, and hostile bytes raise nothing but ``_ProtocolError``;
 * the cross-connection coalescer merges everything submitted in one
   event-loop tick into a *single* ``decide_validated`` call, splits
   results back per submitter, and keeps validation per-request (one bad
@@ -27,8 +29,11 @@ import json
 import socket
 import threading
 import time
+from unittest import mock
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.serve import protocol
 from repro.serve.client import BlockingClient, OpenLoopLoadGenerator, ServeError
@@ -121,6 +126,153 @@ class TestParser:
     def test_oversized_headers_rejected(self):
         with pytest.raises(_ProtocolError, match="headers too large"):
             _parse_requests(b"GET /x HTTP/1.1\r\nA: " + b"b" * 70_000)
+
+
+# -- the parser, under generated byte streams ---------------------------------
+
+_TOKEN = st.text(
+    alphabet="abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789"
+    "!#$%&'*+-.^_`|~",
+    min_size=1,
+    max_size=12,
+)
+#: Framing headers are drawn on purpose, not by chance.
+_FRAMING = {"content-length", "transfer-encoding", "connection"}
+_FIELD = st.tuples(
+    _TOKEN.filter(lambda name: name.lower() not in _FRAMING),
+    # visible ASCII, SP, HTAB and obs-text: everything a field value may hold
+    st.text(
+        alphabet=st.sampled_from(
+            [" ", "\t"] + [chr(c) for c in range(0x21, 0x7F)]
+            + [chr(c) for c in range(0x80, 0x100)]
+        ),
+        max_size=30,
+    ),
+)
+
+
+@st.composite
+def _valid_request(draw):
+    """One well-formed request and the ``(method, target, body,
+    keep_alive)`` it must parse to."""
+    method = draw(st.sampled_from(["GET", "POST", "PUT", "HEAD"]) | _TOKEN)
+    target = draw(
+        st.text(
+            alphabet=st.sampled_from([chr(c) for c in range(0x21, 0x7F)]),
+            min_size=1,
+            max_size=40,
+        )
+    )
+    version = draw(st.sampled_from(["HTTP/1.0", "HTTP/1.1"]))
+    body = draw(st.binary(max_size=80))
+    fields = draw(st.lists(_FIELD, max_size=4))
+    connection = draw(
+        st.none()
+        | st.sampled_from(["close", "keep-alive", "Close", "Keep-Alive", "upgrade"])
+    )
+    if connection is not None:
+        fields.insert(draw(st.integers(0, len(fields))), ("Connection", connection))
+    if body or draw(st.booleans()):
+        name = draw(st.sampled_from(["Content-Length", "content-length"]))
+        fields.insert(draw(st.integers(0, len(fields))), (name, str(len(body))))
+    head = "\r\n".join(
+        [f"{method} {target} {version}"]
+        + [f"{name}:{draw(st.sampled_from(['', ' ']))}{value}" for name, value in fields]
+    )
+    if version == "HTTP/1.1":
+        keep_alive = (connection or "").lower() != "close"
+    else:
+        keep_alive = (connection or "").lower() == "keep-alive"
+    raw = (head + "\r\n\r\n").encode("latin-1") + body
+    return raw, (method, target, body, keep_alive)
+
+
+#: Where a stream is cut into reads (each taken modulo its length + 1).
+_CUTS = st.lists(st.integers(min_value=0, max_value=1 << 16), max_size=12)
+
+
+def _chunks(stream: bytes, cuts: list[int]) -> list[bytes]:
+    bounds = [0, *sorted(cut % (len(stream) + 1) for cut in cuts), len(stream)]
+    return [stream[a:b] for a, b in zip(bounds, bounds[1:])]
+
+
+def _fed(chunks: list[bytes]) -> tuple[list, bytes]:
+    """Parse ``chunks`` as the connection loop reads them: append each to
+    the carried-over remainder and parse again."""
+    parsed: list = []
+    buffer = b""
+    for chunk in chunks:
+        buffer += chunk
+        requests, buffer = _parse_requests(buffer)
+        parsed.extend(requests)
+    return parsed, buffer
+
+
+def _fields(requests) -> list[tuple]:
+    return [(r.method, r.target, r.body, r.keep_alive) for r in requests]
+
+
+#: Byte fragments a hostile stream is spliced from: framing tokens that
+#: make the parser go further than random bytes would.
+_HOSTILE_FRAGMENT = st.sampled_from(
+    [
+        b"GET ", b"POST ", b"/v1/decide", b" HTTP/1.1", b" HTTP/1.0",
+        b"\r\n", b"\r\n\r\n", b"\r", b"\n", b" ", b":", b"\x85", b"\xa0",
+        b"Content-Length: ", b"content-length:", b"Transfer-Encoding: chunked",
+        b"Connection: close", b"Connection: keep-alive", b"0", b"7", b"99999999999",
+    ]
+) | st.binary(max_size=12) | st.text(alphabet="0123456789", max_size=40).map(str.encode)
+
+
+class TestParserProperties:
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(_valid_request(), min_size=1, max_size=5), _CUTS)
+    def test_any_split_of_a_pipelined_stream_parses_like_the_whole(
+        self, drawn, cuts
+    ):
+        stream = b"".join(raw for raw, _ in drawn)
+        whole, rest = _parse_requests(stream)
+        assert rest == b""
+        assert _fields(whole) == [expected for _, expected in drawn]
+
+        parsed, rest = _fed(_chunks(stream, cuts))
+        assert rest == b""
+        assert _fields(parsed) == _fields(whole)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(_HOSTILE_FRAGMENT, max_size=30).map(b"".join),
+        _CUTS,
+        st.sampled_from([protocol._MAX_HEADER_BYTES, 24, 64]),
+    )
+    @example(
+        stream=b"POST /x HTTP/1.1\r\nContent-Length: "
+        + b"1" * 5_000
+        + b"\r\n\r\n",
+        cuts=[],
+        header_cap=protocol._MAX_HEADER_BYTES,
+    ).via("int() refuses digit strings past sys.int_max_str_digits")
+    @example(
+        stream=b"GET /v1/decide HTTP/1.1\r\n\r\n", cuts=[26], header_cap=24
+    ).via("a head whose blank line crosses the cap, cut inside it")
+    def test_hostile_bytes_frame_alike_and_raise_only_protocol_errors(
+        self, stream, cuts, header_cap
+    ):
+        with mock.patch.object(protocol, "_MAX_HEADER_BYTES", header_cap):
+            try:
+                whole = _parse_requests(stream)
+            except _ProtocolError:
+                whole = None
+            try:
+                fed = _fed(_chunks(stream, cuts))
+            except _ProtocolError:
+                fed = None
+        # However the bytes arrive, the stream frames the same way.
+        if whole is None:
+            assert fed is None
+        else:
+            assert fed is not None
+            assert _fields(fed[0]) == _fields(whole[0]) and fed[1] == whole[1]
 
 
 # -- the coalescer, in isolation ----------------------------------------------

@@ -168,8 +168,10 @@ class TestScaledTargetsAttached:
 
 
 class TestSharedInvocationArgs:
-    """Invocations with the same ``(event, dest)`` context share one args
-    dict; the dicts belong to one build and nothing downstream writes them."""
+    """Equal plan values are one object: invocations with the same
+    ``(event, dest)`` context share one args dict, and equal frames,
+    caller chains, async halves and dependency sets are shared too.  The
+    values belong to one build and nothing downstream changes them."""
 
     @staticmethod
     def _args(web):
@@ -211,3 +213,177 @@ class TestSharedInvocationArgs:
         assert blocked
 
         assert all(args == snapshot for args, snapshot in before)
+
+    @staticmethod
+    def _shared_values(web):
+        """``(kind, value)`` for every frame, non-empty chain (async
+        halves included) and dependency set the plan holds."""
+        for script in web.scripts:
+            for method in script.methods:
+                for invocation in method.invocations:
+                    for chain in (invocation.caller_chain, invocation.async_chain):
+                        if chain:
+                            yield "chain", chain
+                        for frame in chain:
+                            yield "frame", frame
+        for site in web.websites:
+            for feature in site.functionalities:
+                yield "deps", feature.required_scripts
+                yield "deps", feature.required_methods
+
+    @staticmethod
+    def _snapshot(kind, value):
+        if kind == "frame":
+            return value.script_url, value.method
+        if kind == "chain":
+            return tuple((frame.script_url, frame.method) for frame in value)
+        return sorted(value)
+
+    def test_frames_chains_and_deps_shared_within_a_build_not_across_builds(self):
+        first_web = generate_web(sites=60, seed=3)
+        second_web = generate_web(sites=60, seed=3)
+        first = list(self._shared_values(first_web))
+        second = list(self._shared_values(second_web))
+        assert [self._snapshot(*item) for item in second] == [
+            self._snapshot(*item) for item in first
+        ]
+
+        by_value = {}
+        for kind, value in first:
+            assert by_value.setdefault((kind, value), value) is value
+        for kind in ("frame", "chain", "deps"):
+            held = sum(1 for k, _ in first if k == kind)
+            distinct = sum(1 for k, _ in by_value if k == kind)
+            assert distinct < held, kind
+        assert any(not deps for kind, deps in first if kind == "deps")
+
+        async_heads = [
+            (inv.caller_chain, inv.async_chain)
+            for script in first_web.scripts
+            for method in script.methods
+            for inv in method.invocations
+            if inv.async_chain
+        ]
+        assert async_heads
+        for head, tail in async_heads:
+            assert by_value["chain", head] is head
+            assert by_value["chain", tail] is tail
+
+        assert not {id(v) for _, v in first} & {id(v) for _, v in second}
+
+    def test_transforms_and_guard_training_leave_shared_values_unchanged(self):
+        from repro.core.guards import mixed_method_guards
+        from repro.webmodel import (
+            add_internal_pages,
+            anonymize_methods,
+            apply_cname_cloaking,
+        )
+
+        web = generate_web(sites=60, seed=3)
+        values = [(v, self._snapshot(k, v), k) for k, v in self._shared_values(web)]
+        args = [(a, dict(a)) for a in self._args(web)]
+
+        assert mixed_method_guards(web)
+        add_internal_pages(web)
+        assert apply_cname_cloaking(web, fraction=0.5).cloaked_requests
+        assert anonymize_methods(web).methods_anonymized
+
+        assert all(self._snapshot(k, v) == snap for v, snap, k in values)
+        assert all(a == snap for a, snap in args)
+
+
+def _plan_digest(web) -> str:
+    """SHA-256 over every planned field of ``web``, in plan order.
+
+    Covers what the pipeline's content fingerprint skips: each
+    invocation's site, requests, caller and async frames, args and
+    sequence; each method's coverage and source position; each site's
+    functionalities with their dependency sets.
+    """
+    import hashlib
+
+    def frames(chain):
+        return [(frame.script_url, frame.method) for frame in chain]
+
+    def script_record(script):
+        return (
+            script.url,
+            script.category.value,
+            script.kind.value,
+            list(script.sites),
+            list(script.bundle_sources),
+            [
+                (
+                    method.name,
+                    method.category.value,
+                    repr(method.coverage),
+                    method.line,
+                    method.column,
+                    [
+                        (
+                            inv.site,
+                            [
+                                (req.url, req.tracking, req.resource_type)
+                                for req in inv.requests
+                            ],
+                            frames(inv.caller_chain),
+                            frames(inv.async_chain),
+                            sorted(inv.args.items()),
+                            inv.sequence,
+                        )
+                        for inv in method.invocations
+                    ],
+                )
+                for method in script.methods
+            ],
+        )
+
+    digest = hashlib.sha256()
+    for site in web.websites:
+        record = (
+            site.url,
+            site.rank,
+            [script.url for script in site.scripts],
+            [
+                (
+                    feature.name,
+                    feature.tier.value,
+                    sorted(feature.required_scripts),
+                    sorted(feature.required_methods),
+                )
+                for feature in site.functionalities
+            ],
+        )
+        digest.update(repr(record).encode())
+    for script in web.scripts:
+        digest.update(repr(script_record(script)).encode())
+    for domain in web.domains:
+        record = (
+            domain.domain,
+            domain.category.value,
+            [
+                (h.host, h.category.value, h.tracking_requests, h.functional_requests)
+                for h in domain.hostnames
+            ],
+        )
+        digest.update(repr(record).encode())
+    digest.update(repr(sorted(web.listed_tracker_domains)).encode())
+    return digest.hexdigest()
+
+
+class TestPlanGolden:
+    """The full planned content of two small seeded webs, pinned.
+
+    Any change to how the generator builds, shares or orders plan values
+    must reproduce these digests exactly.
+    """
+
+    @pytest.mark.parametrize(
+        ("seed", "expected"),
+        [
+            (7, "3a0d7f5d6560e6e735bfe9e90095feac0cc4a894559a43d0abb36a383fab7640"),
+            (31, "4d1a504a394305b14acb5d1533d5d6ce3b6d36ef5894b8f8b6d843f678f947eb"),
+        ],
+    )
+    def test_plan_digest(self, seed, expected):
+        assert _plan_digest(generate_web(sites=60, seed=seed)) == expected
