@@ -21,10 +21,17 @@ depends on:
 * :mod:`repro.serve` — the online blocking-decision service: the oracle
   behind an asyncio HTTP/1.1 JSON API with hot-reloadable list snapshots.
 
-The serving and scenario names re-exported here (``BlockingService``,
+``import repro`` loads the study path only: the web generator, browser
+engine, labeler, oracle, matcher, sifter, engine and ``PipelineConfig``.
+Everything else re-exported here or by a subpackage loads on first use
+(:mod:`repro._lazy`): the serving and scenario names (``BlockingService``,
 ``AsyncServerThread``, ``BlockingClient``, ``OpenLoopLoadGenerator``,
-``ScenarioRunner``, ``ScenarioSpec``, ``SCENARIO_PACKS``) load on first
-use, so ``import repro`` for a study never imports the server stack.
+``ScenarioRunner``, ``ScenarioSpec``, ``SCENARIO_PACKS``), and the
+subpackage names for rule generation, sensitivity, surrogates, guards,
+call-stack analysis, breakage grading, event capture, the web transforms,
+artifact compilation, list maintenance, the ledger, serve metrics, DNS and
+the node crawler.  A study's set-up therefore pays for no module it does
+not run, and its run imports nothing set-up did not.
 
 **The pipeline.**  The crawl → label → sift path runs on one execution
 engine with two front doors.  The classic batch API materializes every
@@ -113,8 +120,7 @@ reproducible through the seed-driven :mod:`repro.faults` plane (the
 kwarg; gated by ``benchmarks/bench_chaos.py``).
 """
 
-import importlib
-
+from . import _lazy
 from .core import (
     HierarchicalSifter,
     PipelineConfig,
@@ -133,27 +139,21 @@ from .filterlists import FilterListOracle, Label
 from .labeling import AnalyzedRequest, LabeledCrawl, RequestLabeler
 from .webmodel import PAPER, SyntheticWeb, SyntheticWebGenerator, generate_web
 
-# The serving and scenario re-exports import on first use (PEP 562): a
-# study never touches them, and eagerly importing them would pull asyncio,
-# ssl, http.client and concurrent.futures into every ``import repro``.
-_LAZY = {
-    "AsyncServerThread": "serve",
-    "BlockingClient": "serve",
-    "BlockingService": "serve",
-    "OpenLoopLoadGenerator": "serve",
-    "SCENARIO_PACKS": "scenarios",
-    "ScenarioRunner": "scenarios",
-    "ScenarioSpec": "scenarios",
-}
-
-
-def __getattr__(name: str):
-    module = _LAZY.get(name)
-    if module is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(importlib.import_module(f".{module}", __name__), name)
-    globals()[name] = value
-    return value
+# The serving and scenario re-exports import on first use: a study never
+# touches them, and eagerly importing them would pull asyncio, ssl,
+# http.client and concurrent.futures into every ``import repro``.
+__getattr__ = _lazy.lazy_exports(
+    __name__,
+    {
+        "serve": (
+            "AsyncServerThread",
+            "BlockingClient",
+            "BlockingService",
+            "OpenLoopLoadGenerator",
+        ),
+        "scenarios": ("SCENARIO_PACKS", "ScenarioRunner", "ScenarioSpec"),
+    },
+)
 
 __version__ = "1.10.0"
 

@@ -9,14 +9,14 @@
 * :mod:`callstack_analysis` — Figure 5 point-of-divergence search,
 * :mod:`surrogate` — automated surrogate scripts for mixed scripts,
 * :mod:`guards` — invariant-inference guards for residual mixed methods.
+
+The study path (classifier, hierarchy, results, engine, pipeline) imports
+with the package; the names re-exported from :mod:`sensitivity`,
+:mod:`callstack_analysis`, :mod:`surrogate`, :mod:`guards` and
+:mod:`rulegen` load their module on first use.
 """
 
-from .callstack_analysis import (
-    CallGraph,
-    DivergenceResult,
-    analyze_mixed_method,
-    build_call_graph,
-)
+from .. import _lazy
 from .classifier import (
     DEFAULT_THRESHOLD,
     RatioClassifier,
@@ -24,38 +24,50 @@ from .classifier import (
     ResourceCounts,
     log_ratio,
 )
-from .guards import (
-    GuardEvaluation,
-    InvocationObservation,
-    MethodGuard,
-    collect_observations,
-    evaluate_guard,
-    infer_guard,
-    mixed_method_guards,
-)
 from .engine import ShardState, SiftAccumulator, StreamingPipeline
 from .hierarchy import HierarchicalSifter, sift_requests
 from .pipeline import PipelineConfig, PipelineResult, TrackerSiftPipeline, run_study
 from .results import LevelReport, ResourceResult, SiftReport
-from .rulegen import (
-    BlockingStrategy,
-    FilterRecommendation,
-    StrategyOutcome,
-    compare_strategies,
-    evaluate_strategy,
-    generate_recommendation,
-)
-from .sensitivity import (
-    SensitivityPoint,
-    SensitivityResult,
-    sweep_level,
-    threshold_sweep,
-)
-from .surrogate import (
-    SurrogateScript,
-    SurrogateValidation,
-    generate_surrogate,
-    validate_surrogate,
+
+__getattr__ = _lazy.lazy_exports(
+    __name__,
+    {
+        "callstack_analysis": (
+            "CallGraph",
+            "DivergenceResult",
+            "analyze_mixed_method",
+            "build_call_graph",
+        ),
+        "guards": (
+            "GuardEvaluation",
+            "InvocationObservation",
+            "MethodGuard",
+            "collect_observations",
+            "evaluate_guard",
+            "infer_guard",
+            "mixed_method_guards",
+        ),
+        "rulegen": (
+            "BlockingStrategy",
+            "FilterRecommendation",
+            "StrategyOutcome",
+            "compare_strategies",
+            "evaluate_strategy",
+            "generate_recommendation",
+        ),
+        "sensitivity": (
+            "SensitivityPoint",
+            "SensitivityResult",
+            "sweep_level",
+            "threshold_sweep",
+        ),
+        "surrogate": (
+            "SurrogateScript",
+            "SurrogateValidation",
+            "generate_surrogate",
+            "validate_surrogate",
+        ),
+    },
 )
 
 __all__ = [

@@ -45,20 +45,20 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Mapping
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (parallel imports us)
+    from ..obs.ledger import Ledger
     from .parallel import LeasePolicy
 
+# Only what every study runs is imported here; event retention, failure
+# injection, checkpoints, the ledger and fan-out import where they are
+# used, so a plain study never loads them.
 from ..browser.engine import BrowserEngine
-from ..browser.extension import CrawlExtension
 from ..crawler.cluster import NODE_ENGINE_SEED, node_failure_seed, round_robin_shards
-from ..crawler.crawler import page_load_fails
 from ..crawler.storage import RequestDatabase
 from ..crawler.tranco import RankedSite
-from ..durable import atomic_write_text, set_aside
 from ..faults import FaultPlan, SimulatedCrash
 from ..filterlists.cache import CachedMatcher
 from ..filterlists.oracle import FilterListOracle
 from ..labeling.labeler import AnalyzedRequest, LabeledCrawl, RequestLabeler
-from ..obs.ledger import Ledger, stream_digest
 from ..obs.trace import current_tracer, span
 from ..stablehash import stable_hash
 from ..webmodel.generator import SyntheticWeb, SyntheticWebGenerator
@@ -401,6 +401,8 @@ class StreamingPipeline:
         """
         if self.config.failure_rate <= 0:
             return set()
+        from ..crawler.crawler import page_load_fails
+
         failed: set[str] = set()
         node_shards = round_robin_shards(sites, self.config.cluster_nodes)
         for node_id, assigned in enumerate(node_shards):
@@ -446,6 +448,8 @@ class StreamingPipeline:
                 # A torn manifest means the shard files cannot be trusted
                 # to belong to this configuration: set everything aside
                 # (preserved for diagnosis) and start the directory fresh.
+                from ..durable import set_aside
+
                 set_aside(manifest_path)
                 for stale in sorted(self._checkpoint_dir.glob("shard-*.json")):
                     set_aside(stale)
@@ -478,6 +482,8 @@ class StreamingPipeline:
                     # A corrupt checkpoint (torn write from a pre-durable
                     # version, bit rot) must not poison resume: set the
                     # bad bytes aside and recompute exactly this shard.
+                    from ..durable import set_aside
+
                     set_aside(path)
                     self._checkpoints_discarded += 1
                     continue
@@ -698,6 +704,8 @@ class StreamingPipeline:
         # A gauge, not a counter: recompute after the merge.
         self._lease_notes["shards_quarantined"] = float(len(self._quarantined))
         if report.quarantined and self._checkpoint_dir is not None:
+            from ..durable import atomic_write_text
+
             policy = self._lease_policy or LeasePolicy()
             atomic_write_text(
                 self._checkpoint_dir / "quarantine.json",
@@ -725,9 +733,13 @@ class StreamingPipeline:
             self._oracle, propagate_ancestry=self.config.propagate_ancestry
         )
         counters = LabeledCrawl(participation=state.participation)
-        extension = (
-            CrawlExtension(self._database) if self._retain else None
-        )
+        extension = None
+        if self._retain:
+            from ..browser.extension import CrawlExtension
+
+            extension = CrawlExtension(self._database)
+        if ledger_on:
+            from ..obs.ledger import stream_digest
         # Crawl vs label time interleaves per site, so the stage spans are
         # accumulated (Tracer.add) rather than contiguous; both the clock
         # reads and the per-site ledger hashing are skipped entirely when
@@ -1018,4 +1030,6 @@ def sifter_for(config: PipelineConfig) -> HierarchicalSifter:
 def _atomic_write(path: Path, text: str) -> None:
     # Kept as the engine's single write seam (tests monkeypatch it);
     # durability itself lives in repro.durable.
+    from ..durable import atomic_write_text
+
     atomic_write_text(path, text)

@@ -18,14 +18,18 @@ methods (:meth:`~TrackerSiftPipeline.generate` /
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 from ..crawler.cluster import CrawlCluster
 from ..crawler.storage import RequestDatabase
 from ..filterlists.oracle import FilterListOracle
 from ..labeling.labeler import LabeledCrawl, RequestLabeler
-from ..obs.ledger import Ledger
 from ..webmodel.generator import SyntheticWeb, SyntheticWebGenerator
 from .engine import PipelineConfig, PipelineResult, StreamingPipeline, sifter_for
 from .results import SiftReport
+
+if TYPE_CHECKING:  # pragma: no cover - the ledger imports with its caller
+    from ..obs.ledger import Ledger
 
 __all__ = ["PipelineConfig", "PipelineResult", "TrackerSiftPipeline", "run_study"]
 

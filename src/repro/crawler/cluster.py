@@ -10,12 +10,17 @@ and shard merging into one database.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 from ..browser.engine import BlockingPolicy, BrowserEngine
 from ..webmodel.generator import SyntheticWeb
-from .crawler import Crawler, CrawlResult
 from .storage import RequestDatabase
 from .tranco import RankedSite
+
+# The node crawler imports where a cluster crawls: the streaming engine
+# uses only round_robin_shards and the node seeds from this module.
+if TYPE_CHECKING:  # pragma: no cover
+    from .crawler import CrawlResult
 
 __all__ = [
     "NodeReport",
@@ -102,11 +107,15 @@ class CrawlCluster:
 
     def shards(self) -> list[list[RankedSite]]:
         """This cluster's shard assignment (see :func:`round_robin_shards`)."""
+        from .crawler import Crawler
+
         crawler = Crawler(self._web)
         return round_robin_shards(list(crawler.site_list()), self._nodes)
 
     def crawl(self) -> ClusterCrawlResult:
         """Run every node's shard and merge the databases."""
+        from .crawler import Crawler
+
         merged = RequestDatabase()
         reports: list[NodeReport] = []
         for node_id, shard in enumerate(self.shards()):

@@ -13,7 +13,6 @@ All three round-trip losslessly, including nested async call stacks.
 from __future__ import annotations
 
 import json
-import sqlite3
 from collections.abc import Iterable, Iterator
 from pathlib import Path
 
@@ -142,6 +141,8 @@ class RequestDatabase:
     # -- SQLite ---------------------------------------------------------------
     def to_sqlite(self, path: str | Path) -> None:
         """Persist to a SQLite database file (created or replaced)."""
+        import sqlite3
+
         with sqlite3.connect(str(path)) as conn:
             conn.executescript(_SCHEMA)
             conn.execute("DELETE FROM requests")
@@ -182,6 +183,8 @@ class RequestDatabase:
 
     @classmethod
     def from_sqlite(cls, path: str | Path) -> "RequestDatabase":
+        import sqlite3
+
         from ..browser.callstack import CallStack
 
         db = cls()

@@ -7,16 +7,14 @@ rule model with options, token-indexed matcher, embedded list snapshots,
 and a compiled-artifact layer (:mod:`repro.filterlists.compile`) that
 writes a built matcher's flat image to disk so consumers map it without
 re-parsing or re-indexing — not a lookup table.
+
+The labeling path (parser, rules, matcher, cache, oracle, embedded lists)
+imports with the package; the artifact layer (:mod:`compile` and the
+:mod:`image` it builds) and :mod:`maintenance` load on first use.
 """
 
+from .. import _lazy
 from .cache import CachedMatcher, CacheStats, DecisionCache
-from .compile import (
-    ArtifactError,
-    compile_lists,
-    compile_matcher,
-    open_image,
-    read_artifact_meta,
-)
 from .lists import (
     AD_PATH_MARKERS,
     ADVERTISING_DOMAINS,
@@ -29,7 +27,6 @@ from .lists import (
     load_easyprivacy,
     load_list_files,
 )
-from .maintenance import ListDiff, diff_lists, find_redundant_rules
 from .matcher import FilterMatcher, MatchResult
 from .oracle import FilterListOracle, Label, LabeledRequest
 from .parser import ParsedList, parse_filter_list, parse_rule_line
@@ -39,6 +36,20 @@ from .rules import (
     ResourceType,
     RuleOptions,
     RuleParseError,
+)
+
+__getattr__ = _lazy.lazy_exports(
+    __name__,
+    {
+        "compile": (
+            "ArtifactError",
+            "compile_lists",
+            "compile_matcher",
+            "open_image",
+            "read_artifact_meta",
+        ),
+        "maintenance": ("ListDiff", "diff_lists", "find_redundant_rules"),
+    },
 )
 
 __all__ = [

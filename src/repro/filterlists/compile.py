@@ -44,6 +44,7 @@ import json
 import struct
 from pathlib import Path
 
+from ..durable import atomic_write_bytes
 from ..obs.trace import span
 from .cache import CachedMatcher
 from .image import ArtifactError, ImageMatcher, build_image
@@ -177,8 +178,6 @@ def compile_matcher(
     """Write a built matcher to ``path`` atomically and durably;
     returns the metadata.  ``lists`` is the provenance to store; an
     :class:`ImageMatcher` carries its own and is re-emitted unchanged."""
-    from ..durable import atomic_write_bytes
-
     with span("artifact.compile", path=str(path)):
         data, meta = _encode(matcher, lists)
         atomic_write_bytes(Path(path), data)

@@ -15,7 +15,7 @@ functional involvement for the call-stack analyses.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from typing import TYPE_CHECKING, Iterable, Iterator
 
 from ..browser.callstack import CallStack
 from ..browser.devtools import RequestWillBeSent
@@ -23,7 +23,9 @@ from ..crawler.storage import RequestDatabase
 from ..filterlists.oracle import FilterListOracle, Label
 from ..filterlists.rules import ResourceType
 from ..urlkit import URLError, hostname, registrable_domain
-from ..urlkit.dns import CnameResolver, DnsError
+
+if TYPE_CHECKING:  # pragma: no cover - whoever builds a resolver imports dns
+    from ..urlkit.dns import CnameResolver
 
 __all__ = ["AnalyzedRequest", "LabeledCrawl", "RequestLabeler"]
 
@@ -123,6 +125,8 @@ class RequestLabeler:
         """The URL used for rule matching (uncloaked when configured)."""
         if self._resolver is None:
             return url
+        from ..urlkit.dns import DnsError
+
         try:
             canonical = self._resolver.canonical_name(host)
         except DnsError:

@@ -19,12 +19,26 @@ Three pillars, one shared nervous system for every execution path:
 
 Everything is stdlib-only, and everything is opt-in on the hot paths:
 an engine or service without a tracer/ledger attached pays one ``None``
-check per stage, never per request.
+check per stage, never per request.  Only :mod:`~repro.obs.trace` imports
+with the package; the ledger and metrics names load on first use.
 """
 
-from .ledger import Ledger, LedgerEntry, StreamHasher, canonical_json, fingerprint
-from .metrics import prometheus_from_dict
+from .. import _lazy
 from .trace import Tracer, current_tracer, span, summarize_spans
+
+__getattr__ = _lazy.lazy_exports(
+    __name__,
+    {
+        "ledger": (
+            "Ledger",
+            "LedgerEntry",
+            "StreamHasher",
+            "canonical_json",
+            "fingerprint",
+        ),
+        "metrics": ("prometheus_from_dict",),
+    },
+)
 
 __all__ = [
     "Ledger",

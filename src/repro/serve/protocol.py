@@ -20,8 +20,10 @@ How it serves them:
 * **Hand-rolled HTTP/1.1 parser.**  Requests are framed straight off the
   socket buffer (request line, headers, ``Content-Length`` body).  Framing
   the server cannot trust — chunked bodies, conflicting or non-digit
-  ``Content-Length`` values, malformed lines — gets a 400 and a close.
-  Keep-alive is the default; ``Connection: close`` is honoured.
+  ``Content-Length`` values, malformed lines, whitespace before a header
+  colon — gets a 400 and a close.  Only SP and HTAB count as whitespace.
+  Keep-alive is the HTTP/1.1 default; a ``close`` option anywhere in the
+  ``Connection`` token list is honoured.
 * **Pipelined decode.**  Every complete request already buffered is
   parsed in one pass and answered in order, so a client that pipelines N
   decides pays one round trip, not N.
@@ -127,21 +129,32 @@ def _parse_requests(buffer: bytes) -> tuple[list[_Request], bytes]:
             return requests, buffer
         head = buffer[:head_end].decode("latin-1")
         lines = head.split("\r\n")
-        parts = lines[0].split()
+        # Only SP separates the request line and only SP/HTAB pad a field
+        # value (RFC 9112): str.split()/strip() would also take \x0b, \x0c,
+        # \x1c-\x1f, \x85 and \xa0, which a proxy in front may not.
+        parts = lines[0].split(" ")
         if len(parts) != 3 or not parts[2].startswith("HTTP/1."):
             raise _ProtocolError(400, f"malformed request line: {lines[0]!r}")
         method, target, version = parts
         headers: dict[str, str] = {}
         for line in lines[1:]:
             name, sep, value = line.partition(":")
-            if not sep:
+            # Whitespace before the colon, a folded line or a control
+            # character in the name is refused, not trimmed (RFC 9112 §5.1).
+            if not (sep and name and name.isprintable()) or " " in name:
                 raise _ProtocolError(400, f"malformed header line: {line!r}")
-            name = name.strip().lower()
-            value = value.strip()
-            if name == "content-length" and headers.get(name, value) != value:
-                # Which copy frames the body is exactly what a smuggling
-                # peer wants the server and a proxy to disagree on.
-                raise _ProtocolError(400, "conflicting Content-Length headers")
+            name = name.lower()
+            value = value.strip(" \t")
+            if name in headers:
+                if name != "content-length":
+                    # Repeated list fields combine (RFC 9110 §5.3), so a
+                    # second Connection line cannot drop a "close".
+                    value = f"{headers[name]}, {value}"
+                elif headers[name] != value:
+                    # Which copy frames the body is exactly what a
+                    # smuggling peer wants the server and a proxy to
+                    # disagree on.
+                    raise _ProtocolError(400, "conflicting Content-Length headers")
             headers[name] = value
         if "transfer-encoding" in headers:
             # Silently reading a chunked body as empty could turn a
@@ -166,11 +179,18 @@ def _parse_requests(buffer: bytes) -> tuple[list[_Request], bytes]:
         if len(buffer) < total:
             return requests, buffer
         body = buffer[head_end + 4 : total]
-        connection = headers.get("connection", "").lower()
-        if version == "HTTP/1.1":
-            keep_alive = connection != "close"
+        connection = headers.get("connection")
+        if connection is None:
+            keep_alive = version == "HTTP/1.1"
         else:
-            keep_alive = connection == "keep-alive"
+            # A comma-separated list of case-insensitive options ("close,
+            # TE"); "close" wins over the version's default.
+            options = {
+                option.strip(" \t") for option in connection.lower().split(",")
+            }
+            keep_alive = "close" not in options and (
+                version == "HTTP/1.1" or "keep-alive" in options
+            )
         requests.append(
             _Request(
                 method, target, body, keep_alive, headers.get("accept", "")

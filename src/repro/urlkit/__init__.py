@@ -3,10 +3,12 @@
 This subpackage is the network-naming substrate for the TrackerSift
 hierarchy: request URLs are parsed with :func:`parse_url`, the *hostname*
 granularity uses :func:`hostname`, and the *domain* granularity uses
-:func:`registrable_domain` backed by an embedded Public Suffix List.
+:func:`registrable_domain` backed by an embedded Public Suffix List.  The
+simulated DNS (:mod:`repro.urlkit.dns`, for CNAME uncloaking) loads on
+first use.
 """
 
-from .dns import CnameResolver, DnsError, DnsZone
+from .. import _lazy
 from .domains import (
     host_matches_domain,
     hostname,
@@ -16,6 +18,10 @@ from .domains import (
 )
 from .psl import DEFAULT_PSL, PublicSuffixList
 from .url import URL, URLError, normalize_host, parse_url
+
+__getattr__ = _lazy.lazy_exports(
+    __name__, {"dns": ("CnameResolver", "DnsError", "DnsZone")}
+)
 
 __all__ = [
     "URL",

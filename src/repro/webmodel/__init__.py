@@ -5,8 +5,13 @@ trackers, CDNs and mixed organisations whose planned traffic reproduces the
 paper's published marginals (Tables 1-2) at any crawl scale.  The
 TrackerSift pipeline never reads these plans; it re-derives everything from
 browser events plus the filter-list oracle.
+
+The generator and its building blocks import with the package; the web
+transforms (:mod:`cloaking`, :mod:`internal`, :mod:`anonymize`) load on
+first use.
 """
 
+from .. import _lazy
 from .allocation import (
     allocate_volumes,
     impurity_for_pure,
@@ -24,10 +29,7 @@ from .calibration import (
     ScaledTargets,
     scale_targets,
 )
-from .anonymize import ANONYMOUS_NAME, AnonymizeManifest, anonymize_methods
-from .cloaking import CloakingManifest, apply_cname_cloaking
 from .generator import SyntheticWeb, SyntheticWebGenerator, generate_web
-from .internal import InternalPagesManifest, add_internal_pages
 from .naming import NameFactory
 from .resources import (
     Category,
@@ -46,6 +48,15 @@ from .website import (
     Functionality,
     FunctionalityTier,
     Website,
+)
+
+__getattr__ = _lazy.lazy_exports(
+    __name__,
+    {
+        "anonymize": ("ANONYMOUS_NAME", "AnonymizeManifest", "anonymize_methods"),
+        "cloaking": ("CloakingManifest", "apply_cname_cloaking"),
+        "internal": ("InternalPagesManifest", "add_internal_pages"),
+    },
 )
 
 __all__ = [

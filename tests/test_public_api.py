@@ -11,6 +11,52 @@ import pytest
 
 import repro
 
+#: Every subpackage of ``repro``, found on disk so a new one is covered.
+_SUBPACKAGES = sorted(
+    f"repro.{init.parent.name}"
+    for init in Path(repro.__file__).parent.glob("*/__init__.py")
+)
+
+#: Modules a study never runs; ``import repro`` must leave them unloaded.
+_NOT_ON_THE_STUDY_PATH = [
+    "repro.core.rulegen",
+    "repro.core.sensitivity",
+    "repro.core.surrogate",
+    "repro.core.guards",
+    "repro.core.callstack_analysis",
+    "repro.browser.breakage",
+    "repro.browser.extension",
+    "repro.webmodel.anonymize",
+    "repro.webmodel.cloaking",
+    "repro.webmodel.internal",
+    "repro.filterlists.compile",
+    "repro.filterlists.image",
+    "repro.filterlists.maintenance",
+    "repro.obs.ledger",
+    "repro.obs.metrics",
+    "repro.urlkit.dns",
+    "repro.durable",
+    "repro.crawler.crawler",
+    "sqlite3",
+]
+
+
+def _run_fresh(script: str) -> list[str]:
+    """Run ``script`` in a new interpreter importing this ``repro``; its
+    stdout lines."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(repro.__file__).parents[1])]
+        + [p for p in [env.get("PYTHONPATH")] if p]
+    )
+    return subprocess.run(
+        [sys.executable, "-c", textwrap.dedent(script)],
+        env=env,
+        capture_output=True,
+        text=True,
+        check=True,
+    ).stdout.splitlines()
+
 
 class TestTopLevel:
     def test_version(self):
@@ -42,7 +88,7 @@ class TestTopLevel:
             assert hasattr(mod, name), f"{module}.{name}"
 
     def test_study_import_leaves_the_server_stack_unloaded(self):
-        script = textwrap.dedent(
+        out = _run_fresh(
             """
             import sys
             import repro
@@ -57,23 +103,61 @@ class TestTopLevel:
             print(sorted(set(repro.__all__) - set(namespace)))
             """
         )
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            [str(Path(repro.__file__).parents[1])]
-            + [p for p in [env.get("PYTHONPATH")] if p]
-        )
-        out = subprocess.run(
-            [sys.executable, "-c", script],
-            env=env,
-            capture_output=True,
-            text=True,
-            check=True,
-        ).stdout.splitlines()
         assert out == [
             "[]",
             "repro.serve.service repro.scenarios.runner",
             "[]",
         ]
+
+    @pytest.mark.tier1
+    def test_study_set_up_leaves_unused_modules_unloaded(self):
+        out = _run_fresh(
+            f"""
+            import sys
+            import repro
+            from repro.filterlists.oracle import FilterListOracle
+            FilterListOracle()
+            print([m for m in {_NOT_ON_THE_STUDY_PATH!r} if m in sys.modules])
+            """
+        )
+        assert out == ["[]"]
+
+    @pytest.mark.tier1
+    def test_a_study_run_imports_nothing_set_up_did_not(self):
+        # Set-up pays every import a study needs; the timed run pays none.
+        out = _run_fresh(
+            """
+            import sys
+            import repro
+            from repro.filterlists.oracle import FilterListOracle
+            oracle = FilterListOracle()
+            loaded = set(sys.modules)
+            repro.StreamingPipeline(
+                repro.PipelineConfig(sites=40, seed=7), oracle=oracle
+            ).run()
+            print(sorted(m for m in set(sys.modules) - loaded
+                         if m.startswith("repro")))
+            """
+        )
+        assert out == ["[]"]
+
+    @pytest.mark.tier1
+    @pytest.mark.parametrize("package", ["repro", *_SUBPACKAGES])
+    def test_every_export_resolves_in_a_fresh_interpreter(self, package):
+        # Lazy re-exports import on first access, so an import cycle shows
+        # only when a name is first resolved with nothing else loaded.
+        out = _run_fresh(
+            f"""
+            import importlib
+            package = importlib.import_module({package!r})
+            for name in getattr(package, "__all__", []):
+                getattr(package, name)
+            namespace = {{}}
+            exec("from {package} import *", namespace)
+            print(sorted(set(getattr(package, "__all__", [])) - set(namespace)))
+            """
+        )
+        assert out == ["[]"]
 
     def test_unknown_attribute_raises(self):
         with pytest.raises(AttributeError):

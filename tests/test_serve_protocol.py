@@ -87,6 +87,26 @@ class TestParser:
         )
         assert requests[0].keep_alive is False
 
+    @pytest.mark.parametrize(
+        "version, connection, keep_alive",
+        [
+            ("HTTP/1.1", b"Connection: close, TE", False),
+            ("HTTP/1.1", b"Connection: TE,Close", False),
+            ("HTTP/1.1", b"Connection: keep-alive\r\nConnection: close", False),
+            ("HTTP/1.1", b"Connection: TE, Upgrade", True),
+            ("HTTP/1.0", b"Connection: keep-alive, Upgrade", True),
+            ("HTTP/1.0", b"Connection: Upgrade ,\tKeep-Alive", True),
+            ("HTTP/1.0", b"Connection: keep-alive, close", False),
+            # \x0b is not whitespace: "close\x0b" is another option.
+            ("HTTP/1.1", b"Connection: close\x0b", True),
+        ],
+    )
+    def test_connection_is_a_token_list(self, version, connection, keep_alive):
+        requests, _ = _parse_requests(
+            b"GET /healthz " + version.encode() + b"\r\n" + connection + b"\r\n\r\n"
+        )
+        assert requests[0].keep_alive is keep_alive
+
     def test_chunked_rejected(self):
         with pytest.raises(_ProtocolError, match="chunked"):
             _parse_requests(
@@ -110,6 +130,19 @@ class TestParser:
             b"POST /x HTTP/1.1\r\nContent-Length: +2\r\n\r\nab",
             b"POST /x HTTP/1.1\r\nContent-Length: \xb2\r\n\r\nab",
             b"POST /x HTTP/1.1\r\nContent-Length:\r\n\r\n",
+            # Whitespace before the colon, or a folded/indented name.
+            b"POST /x HTTP/1.1\r\nContent-Length : 2\r\n\r\nab",
+            b"POST /x HTTP/1.1\r\nContent-Length\t: 2\r\n\r\nab",
+            b"POST /x HTTP/1.1\r\n Content-Length: 2\r\n\r\nab",
+            b"POST /x HTTP/1.1\r\n: 2\r\n\r\nab",
+            b"POST /x HTTP/1.1\r\nContent-Length\x0b: 2\r\n\r\nab",
+            # Only SP and HTAB are whitespace.
+            b"POST /x HTTP/1.1\r\nContent-Length: 2\x0b\r\n\r\nab",
+            b"POST /x HTTP/1.1\r\nContent-Length:\xa02\r\n\r\nab",
+            b"POST /x HTTP/1.1\r\nContent-Length: 2\x1f\r\n\r\nab",
+            b"GET\x0c/x HTTP/1.1\r\n\r\n",
+            b"GET /x\x85HTTP/1.1\r\n\r\n",
+            b"GET  /x HTTP/1.1\r\n\r\n",
         ],
     )
     def test_malformed_framing_rejected(self, raw):
@@ -166,23 +199,35 @@ def _valid_request(draw):
     version = draw(st.sampled_from(["HTTP/1.0", "HTTP/1.1"]))
     body = draw(st.binary(max_size=80))
     fields = draw(st.lists(_FIELD, max_size=4))
-    connection = draw(
-        st.none()
-        | st.sampled_from(["close", "keep-alive", "Close", "Keep-Alive", "upgrade"])
+    # Connection is a token list: "close" anywhere closes, and HTTP/1.0
+    # stays open only with a "keep-alive" option.
+    options = draw(
+        st.lists(
+            st.sampled_from(
+                ["close", "keep-alive", "Close", "Keep-Alive", "upgrade", "TE"]
+            ),
+            max_size=3,
+        )
     )
-    if connection is not None:
+    if options:
+        connection = options[0]
+        for option in options[1:]:
+            connection += draw(st.sampled_from([",", ", ", " ,\t"])) + option
         fields.insert(draw(st.integers(0, len(fields))), ("Connection", connection))
     if body or draw(st.booleans()):
         name = draw(st.sampled_from(["Content-Length", "content-length"]))
         fields.insert(draw(st.integers(0, len(fields))), (name, str(len(body))))
     head = "\r\n".join(
         [f"{method} {target} {version}"]
-        + [f"{name}:{draw(st.sampled_from(['', ' ']))}{value}" for name, value in fields]
+        + [
+            f"{name}:{draw(st.sampled_from(['', ' ', chr(9)]))}{value}"
+            for name, value in fields
+        ]
     )
-    if version == "HTTP/1.1":
-        keep_alive = (connection or "").lower() != "close"
-    else:
-        keep_alive = (connection or "").lower() == "keep-alive"
+    lowered = {option.lower() for option in options}
+    keep_alive = "close" not in lowered and (
+        version == "HTTP/1.1" or "keep-alive" in lowered
+    )
     raw = (head + "\r\n\r\n").encode("latin-1") + body
     return raw, (method, target, body, keep_alive)
 
@@ -218,10 +263,19 @@ _HOSTILE_FRAGMENT = st.sampled_from(
     [
         b"GET ", b"POST ", b"/v1/decide", b" HTTP/1.1", b" HTTP/1.0",
         b"\r\n", b"\r\n\r\n", b"\r", b"\n", b" ", b":", b"\x85", b"\xa0",
-        b"Content-Length: ", b"content-length:", b"Transfer-Encoding: chunked",
-        b"Connection: close", b"Connection: keep-alive", b"0", b"7", b"99999999999",
+        b"\t", b"\x0b", b"\x0c", b"\x1c", b"\x1f",
+        b"Content-Length: ", b"content-length:", b"Content-Length : ",
+        b" Content-Length: ", b"Transfer-Encoding: chunked",
+        b"Connection: close", b"Connection: keep-alive",
+        b"Connection: close, TE", b"Connection: keep-alive, Upgrade",
+        b"0", b"7", b"99999999999",
     ]
 ) | st.binary(max_size=12) | st.text(alphabet="0123456789", max_size=40).map(str.encode)
+
+
+#: Characters str.split()/strip() treat as whitespace in latin-1 text
+#: that HTTP does not.
+_NOT_WHITESPACE = [bytes([c]) for c in (0x0B, 0x0C, 0x1C, 0x1D, 0x1E, 0x1F, 0x85, 0xA0)]
 
 
 class TestParserProperties:
@@ -273,6 +327,41 @@ class TestParserProperties:
         else:
             assert fed is not None
             assert _fields(fed[0]) == _fields(whole[0]) and fed[1] == whole[1]
+
+
+    @settings(max_examples=200, deadline=None)
+    @given(_valid_request(), st.sampled_from([" ", "\t", " \t "]), st.data())
+    def test_whitespace_before_a_header_colon_is_refused(self, drawn, pad, data):
+        head, _, body = drawn[0].partition(b"\r\n\r\n")
+        lines = head.split(b"\r\n") + [b"Host: x"]
+        index = data.draw(st.integers(1, len(lines) - 1))
+        lines[index] = lines[index].replace(b":", pad.encode() + b":", 1)
+        with pytest.raises(_ProtocolError) as refused:
+            _parse_requests(b"\r\n".join(lines) + b"\r\n\r\n" + body)
+        assert refused.value.status == 400
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        _valid_request(),
+        st.sampled_from(_NOT_WHITESPACE),
+        st.sampled_from(["request-line", "before-length", "after-length"]),
+    )
+    def test_only_sp_and_htab_are_whitespace(self, drawn, char, where):
+        head, _, body = drawn[0].partition(b"\r\n\r\n")
+        lines = head.split(b"\r\n")
+        if where == "request-line":
+            lines[0] = lines[0].replace(b" ", char, 1)
+        else:
+            lines = lines[:1] + [
+                line for line in lines[1:]
+                if not line.lower().startswith(b"content-length:")
+            ]
+            length = str(len(body)).encode()
+            padded = char + length if where == "before-length" else length + char
+            lines.append(b"Content-Length: " + padded)
+        with pytest.raises(_ProtocolError) as refused:
+            _parse_requests(b"\r\n".join(lines) + b"\r\n\r\n" + body)
+        assert refused.value.status == 400
 
 
 # -- the coalescer, in isolation ----------------------------------------------
