@@ -13,7 +13,7 @@ mapped oracle image):
   decide the gate; under ``BENCH_SMOKE=1`` the ratio is recorded, not
   enforced, like every wall-clock gate in this suite — with the skip
   reason printed in the JSON and on stdout.
-* **Identity.**  The shard-sliced fan-out store must change *nothing*:
+* **Identity.**  The fork-inherited fan-out must change *nothing*:
   for workers in {1, 2, 4} x shards in {1, 13}, every shard's
   ``ShardState.to_json()`` is byte-identical to the sequential run's.
   This gate is mandatory at every scale — speed that buys divergence is
@@ -179,7 +179,7 @@ def test_compiled_artifact_readiness_speedup(tmp_path, output_dir):
 
 
 def test_fanout_identity_matrix(output_dir):
-    """Mandatory: the shard-sliced store is invisible in the output."""
+    """Mandatory: the fan-out is invisible in the output."""
     config = PipelineConfig(sites=BENCH_SITES, seed=BENCH_SEED)
     web = StreamingPipeline(config).generate()
 

@@ -45,14 +45,11 @@ from conftest import (
 SHARDS = 8
 WORKER_COUNTS = (1, 2, 4)
 SPEEDUP_GATES = {2: 1.3, 4: 1.8}
-# Single-core collapse bound, tightened from the original 3.0: the
-# fan-out store bounds non-compute overhead to one slice-store write
-# (parent) plus one spread-out read (workers) — the breakdown fields in
-# the JSON attribute whatever remains.  Note the trade the store makes
-# explicit: on fork platforms the old ship-everything spec rode
-# copy-on-write for near-free, while the store pays a real
-# serialize-once cost that buys spawn platforms, remote workers and
-# bounded per-worker memory; 2.5x keeps the bound honest for both.
+# Single-core collapse bound, tightened from the original 3.0: workers
+# are forked after the parent indexes the pending shards' sites, so they
+# inherit their slices and the oracle copy-on-write and non-compute
+# overhead is process start-up plus the shipped-back results — the
+# breakdown fields in the JSON attribute whatever remains.
 OVERHEAD_MAX_RATIO = 2.5
 
 
@@ -142,7 +139,7 @@ def test_parallel_workers_speedup(output_dir):
     }
     # Without parallel hardware the only meaningful wall-clock bound is
     # that the pool does not collapse: bounded overhead over sequential.
-    # The shard-sliced fan-out store is what holds this down — the
+    # Fork-inherited slices and oracle are what hold this down — the
     # breakdown below shows where the remaining overhead lives.
     overhead_ratio = runs[4]["wall_seconds"] / runs[1]["wall_seconds"]
     overhead_gate_enforced = not BENCH_SMOKE and not any(

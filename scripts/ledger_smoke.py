@@ -5,8 +5,9 @@ Drives ``trackersift`` exactly as a user would: run the batch study, the
 streaming sift and the streaming sift fanned out over two worker
 processes with ``--ledger-out``, then ``trackersift ledger diff`` each
 streaming chain against the batch one — they must be identical (exit 0).
-The fan-out run pickles slices of the web plan, shared values included,
-for its workers, so this also checks that they survive the trip.  Then
+The fan-out workers read their slices of the web plan, shared values
+included, from the memory they inherit at fork, so this also checks that
+nothing a worker touches leaks into another shard's result.  Then
 perturb the seed and diff again — the chains must diverge (exit 1) and
 the diff must localize the first divergent stage to ``web`` (the
 earliest stage a seed change can reach), not merely report a mismatch.

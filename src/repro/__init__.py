@@ -93,10 +93,10 @@ checksummed artifact, and :meth:`FilterListOracle.from_artifact` /
 ``trackersift serve --artifact`` / ``POST /v1/reload {"artifact": ...}``
 map it read-only with no parsing or index construction (>= 5x faster
 oracle readiness, gated in ``benchmarks/bench_artifacts.py``).  The parallel
-engine uses the same machinery internally: shard workers receive a
-compiled oracle plus per-shard site slices from an on-disk fan-out store
-instead of a pickled copy of the whole study, and ship a
-transfer/startup/compute overhead breakdown back with every shard.
+engine needs none of it: shard workers are forked after the parent
+indexes the pending shards' sites, so they inherit those slices and the
+parent's oracle object as they are, and ship a transfer/startup/compute
+overhead breakdown back with every shard.
 
 **Scenario conformance.**  Every fast path above promises the same
 observable behaviour; :mod:`repro.scenarios` makes that a standing,

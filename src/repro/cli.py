@@ -27,7 +27,7 @@ Subcommands mirror the paper's workflow plus the library's extensions:
 * ``compile``   — compile filter lists (``--lists``, or the embedded
   defaults) into a versioned, checksummed ``.tsoracle`` artifact
   (``--out``) that loads with no parsing or index construction — the
-  fast path ``serve --artifact`` and the parallel shard workers use,
+  fast path ``serve --artifact`` uses,
 * ``scenario``  — the cross-path conformance matrix
   (:mod:`repro.scenarios`): ``scenario list`` names the packs,
   ``scenario run`` drives them through every execution path (batch,
@@ -68,22 +68,11 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .analysis.confidence import bootstrap_separation_factors
-from .analysis.figures import build_figure3, build_figure4
-from .analysis.report import (
-    ascii_table,
-    compare_with_paper,
-    render_comparison,
-    render_histogram,
-    render_table1,
-    render_table2,
-    render_table3,
-)
-from .analysis.tables import build_table1, build_table2, build_table3
+# The analysis, rule-generation and fan-out modules import inside the
+# commands that use them, so ``import repro.cli`` costs no more than the
+# study path ``import repro`` already loads.
 from .core.engine import StreamingPipeline
-from .core.parallel import ShardExecutionError
 from .core.pipeline import PipelineConfig, TrackerSiftPipeline
-from .core.rulegen import compare_strategies, generate_recommendation
 
 __all__ = ["main"]
 
@@ -639,6 +628,9 @@ def _cmd_ledger(args) -> int:
 
 
 def _cmd_study(result) -> None:
+    from .analysis.report import render_table1, render_table2
+    from .analysis.tables import build_table1, build_table2
+
     print(
         f"Crawled {result.pages_crawled} landing pages "
         f"({result.total_script_requests:,} script-initiated requests)"
@@ -654,6 +646,9 @@ def _cmd_study(result) -> None:
 
 
 def _cmd_sift(result, streaming: bool) -> None:
+    from .analysis.report import render_table1
+    from .analysis.tables import build_table1
+
     notes = result.notes
     engine = "streaming" if streaming else "batch"
     print(
@@ -676,6 +671,8 @@ def _cmd_sift(result, streaming: bool) -> None:
 
 
 def _cmd_rules(result, out: str) -> None:
+    from .core.rulegen import generate_recommendation
+
     recommendation = generate_recommendation(result.report)
     text = recommendation.to_filter_list()
     if out:
@@ -690,6 +687,9 @@ def _cmd_rules(result, out: str) -> None:
 
 
 def _cmd_strategies(result) -> None:
+    from .analysis.report import ascii_table
+    from .core.rulegen import compare_strategies
+
     outcomes = compare_strategies(result.labeled.requests, result.report)
     print(
         ascii_table(
@@ -708,6 +708,9 @@ def _cmd_strategies(result) -> None:
 
 
 def _cmd_bootstrap(result, replicates: int) -> None:
+    from .analysis.confidence import bootstrap_separation_factors
+    from .analysis.report import ascii_table
+
     intervals = bootstrap_separation_factors(
         result.labeled.requests, replicates=replicates
     )
@@ -826,6 +829,13 @@ def main(argv: list[str] | None = None) -> int:
         raise SystemExit(
             f"{args.command}: needs the materialized crawl; drop --workers"
         )
+    # Only a fan-out raises ShardExecutionError, and only a fan-out loads
+    # the lease scheduler; a sequential run catches nothing extra.
+    fanout_errors: tuple = ()
+    if workers > 1:
+        from .core.parallel import ShardExecutionError
+
+        fanout_errors = (ShardExecutionError,)
     runid = _runid()
     tracer = None
     ledger = None
@@ -856,14 +866,14 @@ def main(argv: list[str] | None = None) -> int:
                     ledger=ledger,
                 )
                 result = engine.run()
-            except (ValueError, ShardExecutionError) as error:
+            except (ValueError, *fanout_errors) as error:
                 raise SystemExit(f"sift --streaming: {error}")
         else:
             try:
                 result = TrackerSiftPipeline(
                     config, workers=workers, ledger=ledger
                 ).run()
-            except ShardExecutionError as error:
+            except fanout_errors as error:
                 raise SystemExit(f"{args.command}: {error}")
     if profiler is not None:
         profiler.disable()
@@ -892,17 +902,27 @@ def main(argv: list[str] | None = None) -> int:
     elif args.command == "sift":
         _cmd_sift(result, streaming=args.streaming)
     elif args.command == "figure3":
+        from .analysis.figures import build_figure3
+        from .analysis.report import render_histogram
+
         for histogram in build_figure3(report).values():
             print(render_histogram(histogram))
             print()
     elif args.command == "figure4":
+        from .analysis.figures import build_figure4
+
         sweep = build_figure4(result.labeled.requests)
         print("threshold,mixed_share")
         for point in sweep.points:
             print(f"{point.threshold:.1f},{point.mixed_share:.4f}")
     elif args.command == "table3":
+        from .analysis.report import render_table3
+        from .analysis.tables import build_table3
+
         print(render_table3(build_table3(result.web, report)))
     elif args.command == "compare":
+        from .analysis.report import compare_with_paper, render_comparison
+
         print(render_comparison(compare_with_paper(report)))
     elif args.command == "rules":
         _cmd_rules(result, args.out)

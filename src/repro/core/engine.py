@@ -323,11 +323,10 @@ class StreamingPipeline:
         self._worker_hits = 0
         self._worker_misses = 0
         # Fan-out overhead accounting (parallel runs only): parent-side
-        # artifact materialization plus the per-worker breakdown shipped
-        # back with each ShardOutcome — surfaced in PipelineResult.notes
-        # so benches can attribute wall-clock instead of guessing.
+        # slice indexing plus the per-worker breakdown shipped back with
+        # each ShardOutcome — surfaced in PipelineResult.notes so benches
+        # can attribute wall-clock instead of guessing.
         self._fanout_materialize_seconds = 0.0
-        self._fanout_bytes = 0
         self._worker_startup_seconds = 0.0
         self._worker_transfer_seconds = 0.0
         self._worker_compute_seconds = 0.0
@@ -590,17 +589,12 @@ class StreamingPipeline:
     ) -> int:
         """Fan ``pending`` shards out to worker processes.
 
-        The expensive state is materialized exactly once into a temporary
-        fan-out store — per-shard site slices plus one compiled oracle
-        artifact — and workers receive only paths, so per-worker transfer
-        and startup no longer scale with the study (see
-        :mod:`repro.core.parallel` for the design and crash semantics).
-        The store lives for exactly this pool run.
+        The pending shards' sites are indexed once into an in-memory
+        slice store; the workers are forked after it, so each inherits
+        the store and this pipeline's oracle object and nothing is
+        serialized or written for them (see :mod:`repro.core.parallel`
+        for the design and crash semantics).
         """
-        import shutil
-        import tempfile
-
-        from ..filterlists.compile import compile_matcher
         from .parallel import (
             ShardOutcome,
             ShardSliceStore,
@@ -610,89 +604,53 @@ class StreamingPipeline:
 
         tracer = current_tracer()
         started = time.perf_counter()
-        fanout_dir = tempfile.mkdtemp(prefix="trackersift-fanout-")
-        try:
-            with span("fanout.materialize", shards=len(pending)):
-                oracle_artifact = str(Path(fanout_dir) / "oracle.tsoracle")
-                meta = compile_matcher(self._oracle.matcher, oracle_artifact)
-                slice_store = ShardSliceStore(fanout_dir)
-                # Accumulated (not assigned): a resumed run may fan out
-                # more than once, and the notes must account for every
-                # store built.
-                self._fanout_bytes += meta["bytes"] + slice_store.materialize(
-                    pending, shard_sites, by_url, failed_urls
-                )
-            self._fanout_materialize_seconds += time.perf_counter() - started
-            artifact_fault = (
-                self._fault_plan.at("fanout.artifact", None, 1)
-                if self._fault_plan is not None
-                else None
-            )
-            if artifact_fault is not None and artifact_fault.kind in (
-                "corrupt",
-                "truncate",
-            ):
-                # Damage the compiled oracle the workers are about to
-                # load: every boot fails its checksum, the fleet cannot
-                # come up, and the scheduler must fail loudly instead of
-                # serving wrong decisions.
-                artifact_path = Path(oracle_artifact)
-                artifact_path.write_bytes(
-                    FaultPlan.corrupt_bytes(
-                        artifact_path.read_bytes(), artifact_fault
-                    )
-                )
-            spec = WorkerSpec(
-                config=self.config,
-                shards=self._shards,
-                store_dir=fanout_dir,
-                oracle_artifact=oracle_artifact,
-                # An artifact rebuilds the *base* oracle class; a subclass
-                # (overridden labeling) must travel as an object so worker
-                # output stays identical to sequential (see WorkerSpec).
-                oracle=(
-                    None
-                    if type(self._oracle) is FilterListOracle
-                    else self._oracle
-                ),
-                trace=tracer is not None,
-                ledger=self._ledger is not None,
-                fault_plan=self._fault_plan,
-            )
+        with span("fanout.materialize", shards=len(pending)):
+            slice_store = ShardSliceStore()
+            slice_store.materialize(pending, shard_sites, by_url, failed_urls)
+        # Accumulated (not assigned): a resumed run may fan out more than
+        # once, and the notes must account for every store built.
+        self._fanout_materialize_seconds += time.perf_counter() - started
+        spec = WorkerSpec(
+            config=self.config,
+            shards=self._shards,
+            store=slice_store,
+            oracle=self._oracle,
+            trace=tracer is not None,
+            ledger=self._ledger is not None,
+            fault_plan=self._fault_plan,
+        )
 
-            def store(outcome: ShardOutcome) -> None:
-                self._store(ShardState.from_json(outcome.state_json))
-                self._worker_hits += outcome.cache_hits
-                self._worker_misses += outcome.cache_misses
-                # Overhead notes are derived from the worker.* spans each
-                # outcome ships (not hand-counted scalars), so the notes
-                # and an exported trace can never disagree.
-                for record in outcome.spans:
-                    name = record.get("name")
-                    duration = float(record.get("duration", 0.0))
-                    if name == "worker.startup":
-                        self._worker_startup_seconds += duration
-                    elif name == "worker.transfer":
-                        self._worker_transfer_seconds += duration
-                    elif name == "worker.compute":
-                        self._worker_compute_seconds += duration
-                self._crawl_digests.update(outcome.crawl_digests)
-                self._label_digests.update(outcome.label_digests)
-                if tracer is not None:
-                    tracer.adopt(outcome.spans)
+        def store(outcome: ShardOutcome) -> None:
+            self._store(ShardState.from_json(outcome.state_json))
+            self._worker_hits += outcome.cache_hits
+            self._worker_misses += outcome.cache_misses
+            # Overhead notes are derived from the worker.* spans each
+            # outcome ships (not hand-counted scalars), so the notes
+            # and an exported trace can never disagree.
+            for record in outcome.spans:
+                name = record.get("name")
+                duration = float(record.get("duration", 0.0))
+                if name == "worker.startup":
+                    self._worker_startup_seconds += duration
+                elif name == "worker.transfer":
+                    self._worker_transfer_seconds += duration
+                elif name == "worker.compute":
+                    self._worker_compute_seconds += duration
+            self._crawl_digests.update(outcome.crawl_digests)
+            self._label_digests.update(outcome.label_digests)
+            if tracer is not None:
+                tracer.adopt(outcome.spans)
 
-            with span("fanout", workers=self._workers, shards=len(pending)):
-                report = run_shards_leased(
-                    spec,
-                    pending,
-                    self._workers,
-                    store,
-                    policy=self._lease_policy,
-                )
-            self._absorb_lease_report(report)
-            return report.completed
-        finally:
-            shutil.rmtree(fanout_dir, ignore_errors=True)
+        with span("fanout", workers=self._workers, shards=len(pending)):
+            report = run_shards_leased(
+                spec,
+                pending,
+                self._workers,
+                store,
+                policy=self._lease_policy,
+            )
+        self._absorb_lease_report(report)
+        return report.completed
 
     def _absorb_lease_report(self, report) -> None:
         """Fold one fan-out's :class:`LeaseReport` into run-level state."""
@@ -872,14 +830,16 @@ class StreamingPipeline:
                 str(shard_id) for shard_id in sorted(self._quarantined)
             )
         if self._workers > 1:
-            # Fan-out overhead breakdown: parent-side materialization of
-            # the slice store + compiled oracle, and the summed per-worker
-            # startup (artifact load), transfer (slice loads) and compute
-            # seconds shipped back with the shard outcomes.
+            # Fan-out overhead breakdown: parent-side indexing of the
+            # slice store, and the summed per-worker startup (pipeline
+            # construction), transfer (slice lookups) and compute seconds
+            # shipped back with the shard outcomes.  Workers inherit their
+            # work at fork, so no bytes are written for them; the key
+            # stays for the readers of these notes.
             notes["fanout_materialize_seconds"] = (
                 self._fanout_materialize_seconds
             )
-            notes["fanout_bytes"] = float(self._fanout_bytes)
+            notes["fanout_bytes"] = 0.0
             notes["worker_startup_seconds"] = self._worker_startup_seconds
             notes["worker_transfer_seconds"] = self._worker_transfer_seconds
             notes["worker_compute_seconds"] = self._worker_compute_seconds

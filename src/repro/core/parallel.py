@@ -1,4 +1,4 @@
-"""Lease-based, work-stealing shard execution over on-disk fan-out artifacts.
+"""Lease-based, work-stealing shard execution on fork-inherited workers.
 
 :class:`~repro.core.engine.StreamingPipeline` already proved that sharding
 has zero semantic surface: per-site determinism (site-keyed coverage RNG,
@@ -14,15 +14,17 @@ hold), and the parent merges states through the exact same
 uses — so the output is bit-identical for every worker count, every retry
 count, and every race outcome.
 
-**What moves between processes is paths, not objects.**  The parent
-materializes the expensive state exactly once into a
-:class:`ShardSliceStore` (one compiled oracle artifact plus one slice file
-per pending shard) and a :class:`WorkerSpec` carries nothing but the store
-directory, the artifact path and the study config.  A worker's startup
-cost is one artifact open (a read-only map of its oracle image); a
-shard's transfer cost is one slice load —
-both measured and shipped back in the :class:`ShardOutcome` overhead
-fields.
+**Nothing is shipped to a worker; it inherits its work at fork.**  The
+parent indexes the pending shards' sites once into an in-memory
+:class:`ShardSliceStore`, then starts every worker (and every
+replacement) with the ``fork`` start method, so each one is born holding
+the store and the parent's oracle object — whatever its class — through
+the :class:`WorkerSpec` it is handed.  Beyond the small lease messages
+on its pipe, nothing goes to a worker serialized, written to disk or
+compiled.  A worker's startup cost is building its private pipeline
+around the inherited oracle; a shard's transfer cost is one store
+lookup — both measured and shipped back in the :class:`ShardOutcome`
+overhead fields.
 
 **Shards are leased, not assigned.**  The previous fan-out handed a
 ``ProcessPoolExecutor`` a static future per shard; one crashed or hung
@@ -69,7 +71,7 @@ byte, against a fault-free one.
 Design notes carried over from the pool era:
 
 * **The worker unit is a shard, the worker state is a process.**  Each
-  worker process builds one :class:`_ShardWorker` (config, compiled
+  worker process builds one :class:`_ShardWorker` (config, inherited
   oracle) at boot and reuses it for every lease, so the label cache stays
   warm across a worker's shards.
 * **The parent stores outcomes as they complete**, preserving checkpoint
@@ -82,24 +84,19 @@ Design notes carried over from the pool era:
   enforcement point.
 * **Cache counters travel with the outcome.**  Hits + misses always
   equals the number of labeled requests; the hit *rate* may differ from
-  sequential (each worker warms its own cache) and that is the only
-  permitted difference.
+  sequential (each worker warms its own copy of the cache it inherited
+  at fork) and that is the only permitted difference.
 """
 
 from __future__ import annotations
 
-import gc
-import json
 import multiprocessing
 import os
-import pickle
 import random
 import threading
 import time
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from multiprocessing import connection
-from pathlib import Path
 from typing import TYPE_CHECKING, Callable
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (engine imports us)
@@ -120,26 +117,6 @@ __all__ = [
 ]
 
 
-@contextmanager
-def gc_paused():
-    """Pause the generational GC for a mass-unpickle, restore on exit.
-
-    A shard slice unpickles thousands of long-lived objects; letting the
-    GC run mid-load costs ~25% of load time for zero reclaim, since
-    nothing built during a load is garbage.  Only re-enables collection
-    if it was enabled on entry, so nested or caller-disabled GC states
-    are preserved.
-    """
-    was_collecting = gc.isenabled()
-    if was_collecting:
-        gc.disable()
-    try:
-        yield
-    finally:
-        if was_collecting:
-            gc.enable()
-
-
 @dataclass(frozen=True)
 class ShardOutcome:
     """One shard's result as shipped from a worker back to the parent.
@@ -150,11 +127,11 @@ class ShardOutcome:
     parallel run are indistinguishable from sequential ones.
 
     The overhead fields attribute the worker's wall-clock:
-    ``startup_seconds`` is the one-time worker initialization (compiled
-    oracle load + pipeline construction), reported with the worker's
+    ``startup_seconds`` is the one-time worker initialization (pipeline
+    construction around the inherited oracle), reported with the worker's
     *first* outcome only so the parent can sum without double counting;
-    ``transfer_seconds`` is this shard's slice load; ``compute_seconds``
-    is the crawl+label+sift itself.
+    ``transfer_seconds`` is this shard's slice lookup in the inherited
+    store; ``compute_seconds`` is the crawl+label+sift itself.
 
     ``spans`` carries the worker-side trace for this shard as exported
     span dicts — always at least the ``worker.startup`` /
@@ -181,7 +158,7 @@ class ShardOutcome:
 
 @dataclass(frozen=True)
 class ShardSlice:
-    """Everything one shard's crawl needs, loaded from its slice file."""
+    """Everything one shard's crawl needs: its sites, websites, failures."""
 
     shard_id: int
     sites: "list[RankedSite]"
@@ -194,25 +171,16 @@ class ShardSlice:
 
 
 class ShardSliceStore:
-    """Per-shard site slices on disk — the parent's fan-out unit.
+    """Per-shard site slices in memory — the parent's fan-out unit.
 
-    The parent calls :meth:`materialize` once; each worker then loads only
-    the slices of the shards it is actually handed.  Slice files are plain
-    pickles (same trust model as the worker fleet itself: the store lives
-    in a parent-owned temporary directory for exactly one run).
+    The parent calls :meth:`materialize` once, before it starts the
+    fleet; every worker is forked afterwards, so it inherits the whole
+    store and :meth:`load` is a lookup — no slice is serialized, copied
+    or written anywhere.
     """
 
-    MANIFEST = "slices.json"
-
-    def __init__(self, directory: str | Path) -> None:
-        self._directory = Path(directory)
-
-    @property
-    def directory(self) -> Path:
-        return self._directory
-
-    def _slice_path(self, shard_id: int) -> Path:
-        return self._directory / f"slice-{shard_id:04d}.pkl"
+    def __init__(self) -> None:
+        self._slices: dict[int, ShardSlice] = {}
 
     def materialize(
         self,
@@ -220,77 +188,45 @@ class ShardSliceStore:
         shard_sites: "list[list[RankedSite]]",
         by_url: dict,
         failed_urls: set[str],
-    ) -> int:
-        """Write one slice file per pending shard; returns bytes written.
+    ) -> None:
+        """Index one slice per pending shard.
 
         Each slice carries only its shard's sites, websites and failure
-        subset, so per-worker transfer no longer scales with the whole
-        web — a worker handed 2 of 13 shards reads ~2/13ths of it.
+        subset.
         """
-        self._directory.mkdir(parents=True, exist_ok=True)
-        total = 0
         for shard_id in shard_ids:
             sites = shard_sites[shard_id]
-            websites = [
-                by_url[site.url] for site in sites if site.url in by_url
-            ]
-            record = ShardSlice(
+            self._slices[shard_id] = ShardSlice(
                 shard_id=shard_id,
                 sites=sites,
-                websites=websites,
+                websites=[
+                    by_url[site.url] for site in sites if site.url in by_url
+                ],
                 failed_urls={
                     site.url for site in sites if site.url in failed_urls
                 },
             )
-            data = pickle.dumps(record, protocol=pickle.HIGHEST_PROTOCOL)
-            self._slice_path(shard_id).write_bytes(data)
-            total += len(data)
-        manifest = {
-            "format": 1,
-            "shard_ids": sorted(shard_ids),
-            "bytes": total,
-        }
-        (self._directory / self.MANIFEST).write_text(
-            json.dumps(manifest, sort_keys=True), encoding="utf-8"
-        )
-        return total
 
     def load(self, shard_id: int) -> ShardSlice:
-        """Load one shard's slice (worker side)."""
-        path = self._slice_path(shard_id)
+        """One shard's slice; a shard that was never materialized raises."""
         try:
-            data = path.read_bytes()
-        except OSError as error:
-            raise FileNotFoundError(
-                f"shard slice {path} is missing or unreadable: {error}"
-            ) from error
-        with gc_paused():
-            record = pickle.loads(data)
-        if record.shard_id != shard_id:
-            raise ValueError(
-                f"slice file {path} holds shard {record.shard_id}, "
-                f"expected {shard_id}"
-            )
-        return record
+            return self._slices[shard_id]
+        except KeyError:
+            raise KeyError(
+                f"shard {shard_id} was never materialized"
+            ) from None
 
 
 @dataclass(frozen=True)
 class WorkerSpec:
-    """Everything a worker process needs — as *paths*, not objects.
+    """Everything a worker process needs, inherited at fork.
 
-    ``store_dir`` names the parent's :class:`ShardSliceStore`;
-    ``oracle_artifact`` the compiled ``.tsoracle`` the parent wrote from
-    its own matcher (so worker decisions are the sequential run's
-    decisions by construction).  The spec itself pickles in microseconds,
-    which is the whole point: fleet startup no longer re-ships the study.
-
-    ``oracle`` is the compatibility escape hatch for :class:`oracle
-    subclasses <repro.filterlists.oracle.FilterListOracle>`: an artifact
-    reconstructs the *base* class, which would silently drop overridden
-    labeling behavior — so when the engine sees a subclass it ships the
-    object itself (the pre-artifact transfer path) and workers use it
-    verbatim, keeping worker output identical to sequential for any
-    oracle type.
+    ``store`` holds the pending shards' slices; ``oracle`` is the
+    parent's own oracle object, of whatever class, so worker decisions
+    are the sequential run's decisions by construction.  Workers start
+    with the ``fork`` method and receive the spec as a process argument,
+    which a forked process takes as-is, never serialized: both objects
+    reach the worker as the parent's memory, shared copy-on-write.
 
     ``trace`` / ``ledger`` mirror the parent's observability state: with
     ``trace`` the worker activates a local tracer around each shard (so
@@ -306,9 +242,8 @@ class WorkerSpec:
 
     config: "PipelineConfig"
     shards: int
-    store_dir: str
-    oracle_artifact: str
-    oracle: "object | None" = None
+    store: ShardSliceStore
+    oracle: object
     trace: bool = False
     ledger: bool = False
     fault_plan: "FaultPlan | None" = None
@@ -430,33 +365,27 @@ class _ShardWorker:
     """A worker process's resident crawl context.
 
     Wraps a private :class:`StreamingPipeline` (no checkpoint dir — the
-    parent owns persistence) whose oracle comes straight from the compiled
-    artifact, and exposes exactly one operation: load one shard's slice,
-    crawl it, return its serialized state plus the label-cache delta and
-    the overhead breakdown.
+    parent owns persistence) around the inherited oracle, and exposes
+    exactly one operation: look up one shard's slice, crawl it, return
+    its serialized state plus the label-cache delta and the overhead
+    breakdown.
     """
 
     def __init__(self, spec: WorkerSpec) -> None:
-        from ..filterlists.oracle import FilterListOracle
         from ..obs.ledger import Ledger
         from .engine import StreamingPipeline
 
         started = time.perf_counter()
-        oracle = (
-            spec.oracle
-            if spec.oracle is not None
-            else FilterListOracle.from_artifact(spec.oracle_artifact)
-        )
         self._pipeline = StreamingPipeline(
             spec.config,
             shards=spec.shards,
-            oracle=oracle,
+            oracle=spec.oracle,
             # A throwaway ledger switches on per-site digest collection;
             # the digests travel back with each outcome and the *parent's*
             # ledger records the merged chain.
             ledger=Ledger() if spec.ledger else None,
         )
-        self._store = ShardSliceStore(spec.store_dir)
+        self._store = spec.store
         self._trace = spec.trace
         self._startup_seconds = time.perf_counter() - started
         self._startup_reported = False

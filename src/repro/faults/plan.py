@@ -33,8 +33,6 @@ Injection **sites** wired up across the repo:
   (:mod:`repro.core.parallel`); keys are shard ids.
 * ``engine.checkpoint`` — around the parent's checkpoint write
   (:meth:`repro.core.engine.StreamingPipeline._store`); keys are shard ids.
-* ``fanout.artifact`` — the compiled oracle artifact the parent ships to
-  workers, corrupted/truncated after compilation; key ignored.
 * ``serve.worker`` — a supervised serve worker (``crash`` after
   ``seconds``); keys are worker indexes, executions are incarnations.
 * ``client.request`` — reserved for client-side tests (the regression
@@ -74,7 +72,6 @@ FAULT_ENV_VAR = "TRACKERSIFT_FAULTS"
 FAULT_SITES = (
     "worker.shard",
     "engine.checkpoint",
-    "fanout.artifact",
     "serve.worker",
     "client.request",
 )

@@ -115,25 +115,6 @@ class DecisionCache:
     def max_entries(self) -> int:
         return self._max_entries
 
-    def __getstate__(self) -> dict:
-        # Locks cannot cross process boundaries, but warm caches must: an
-        # oracle subclass travels to the parallel shard workers
-        # (core/parallel.py) pickled inside its WorkerSpec, cache
-        # included.  Snapshot the entries under the lock and rebuild a
-        # fresh lock on the other side.
-        with self.lock:
-            return {
-                "stats": CacheStats(self.stats.hits, self.stats.misses),
-                "entries": dict(self._entries),
-                "max_entries": self._max_entries,
-            }
-
-    def __setstate__(self, state: dict) -> None:
-        self.lock = threading.RLock()
-        self.stats = state["stats"]
-        self._entries = state["entries"]
-        self._max_entries = state["max_entries"]
-
     def lookup(self, key: tuple) -> MatchResult | None:
         """The cached decision for ``key`` (counted as a hit), or ``None``."""
         with self.lock:

@@ -198,10 +198,8 @@ class TokenAutomaton:
     identical to the order the tokenize-then-probe walk consulted buckets
     in, so rule attribution is unchanged bit for bit.
 
-    The compiled scan patterns are derived state: they are dropped on
-    pickling (an oracle subclass shipped to fan-out workers inside its
-    ``WorkerSpec`` stays lean) and rebuilt lazily on the first scan in
-    each process, mirroring the lazy per-rule regex invariant.
+    The compiled scan patterns are derived state, built lazily on the
+    first scan, mirroring the lazy per-rule regex invariant.
     """
 
     __slots__ = ("_hosts", "_tokens", "_scanners")
@@ -212,15 +210,6 @@ class TokenAutomaton:
         self._hosts: tuple[str, ...] = tuple(sorted(set(hosts)))
         self._tokens: tuple[str, ...] = tuple(sorted(set(tokens)))
         self._scanners: tuple | None = None
-
-    def __getstate__(self) -> tuple:
-        # Compiled patterns never travel: like per-rule regexes they are
-        # derived state, rebuilt lazily per process.
-        return (self._hosts, self._tokens)
-
-    def __setstate__(self, state: tuple) -> None:
-        self._hosts, self._tokens = state
-        self._scanners = None
 
     # -- introspection -----------------------------------------------------
     @property

@@ -102,9 +102,9 @@ def _split_options(line: str) -> tuple[str, str | None]:
 
 # Interned options: rules overwhelmingly repeat a handful of option blobs
 # (or carry none at all), so sharing one frozen RuleOptions per distinct
-# blob makes a pickled matcher (an oracle subclass shipped to fan-out
-# workers inside its WorkerSpec) store each options object once instead of
-# once per rule.  Value-equal and immutable, so sharing is unobservable.
+# blob keeps each options object in memory once instead of once per rule
+# (and parses each blob once).  Value-equal and immutable, so sharing is
+# unobservable.
 _OPTIONS_CACHE: dict[str, RuleOptions] = {}
 _OPTIONS_CACHE_MAX = 4096
 

@@ -102,18 +102,6 @@ class RuleOptions:
     match_case: bool = False
     unsupported: tuple[str, ...] = ()
 
-    def __getstate__(self) -> tuple:
-        # An oracle subclass travels to fan-out workers pickled inside
-        # its WorkerSpec, rules included.  The generic slots-dataclass
-        # pickle path rebuilds the fields() list per object — measurably
-        # slow at 10K-rule scale; a positional tuple (slot order) keeps
-        # that transfer flat.
-        return tuple(getattr(self, name) for name in self.__slots__)
-
-    def __setstate__(self, state: tuple) -> None:
-        for name, value in zip(self.__slots__, state):
-            object.__setattr__(self, name, value)
-
     def permits(self, context: RequestContext) -> bool:
         """Check the non-pattern constraints against a request."""
         if self.include_types and context.resource_type not in self.include_types:
@@ -228,30 +216,11 @@ class NetworkRule:
 
     # Class-level defaults for the two lazily derived attributes: instances
     # only gain ``_regex`` / ``_token`` entries in their __dict__ on first
-    # use, so a rule unpickled without them simply falls back to "not
-    # derived yet".  (``_token`` uses ``None`` as its sentinel because
-    # ``""`` is a legitimate extracted token for token-free patterns.)
+    # use, so a rule without them simply falls back to "not derived yet".
+    # (``_token`` uses ``None`` as its sentinel because ``""`` is a
+    # legitimate extracted token for token-free patterns.)
     _regex = None
     _token = None
-
-    def __getstate__(self) -> dict:
-        # Derived state never travels: a pickled rule (an oracle subclass
-        # shipped to fan-out workers inside its WorkerSpec) carries only
-        # its defining fields, so the transfer stays small and the worker
-        # pays neither regex compilation nor token extraction — both
-        # re-derive lazily, and the shipped matcher's indexes are already
-        # built so tokens are only ever needed again if more rules are
-        # added.  No ``__setstate__`` on purpose: a plain dict state keeps
-        # unpickling on the C fast path (``inst.__dict__.update``), which
-        # holds worker startup flat at 10K-rule scale.  Always a *copy*,
-        # taken with the atomic C-level ``dict()`` (string keys, no Python
-        # callbacks): a concurrent reader's lazy ``object.__setattr__``
-        # (regex/token materialization) must not blow up a pickle
-        # iterating this dict.
-        state = dict(self.__dict__)
-        state.pop("_regex", None)
-        state.pop("_token", None)
-        return state
 
     @property
     def token(self) -> str:

@@ -110,7 +110,9 @@ class _Request:
         self.accept = accept
 
 
-def _parse_requests(buffer: bytes) -> tuple[list[_Request], bytes]:
+def _parse_requests(
+    buffer: bytes | bytearray,
+) -> tuple[list[_Request], bytes | bytearray]:
     """Split every *complete* request off the front of ``buffer``.
 
     Returns ``(requests, remainder)``; the remainder is a partial request
@@ -178,7 +180,7 @@ def _parse_requests(buffer: bytes) -> tuple[list[_Request], bytes]:
         total = head_end + 4 + length
         if len(buffer) < total:
             return requests, buffer
-        body = buffer[head_end + 4 : total]
+        body = bytes(buffer[head_end + 4 : total])
         connection = headers.get("connection")
         if connection is None:
             keep_alive = version == "HTTP/1.1"
@@ -432,7 +434,10 @@ class AsyncBlockingServer:
         loop = asyncio.get_running_loop()
         connection = _Connection(writer, loop.time())
         self._connections.add(connection)
-        buffer = b""
+        # Appending to a bytearray is amortized O(1) per byte; growing
+        # bytes with += copies the whole buffer on every read, which made
+        # framing a large body quadratic.
+        buffer = bytearray()
         try:
             while True:
                 if self._draining and not buffer:

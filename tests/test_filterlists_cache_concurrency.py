@@ -154,34 +154,6 @@ class TestConcurrentLookups:
         assert cached.stats.lookups == 8 * 50
 
 
-class TestPickling:
-    def test_warm_cache_crosses_process_boundaries(self):
-        """The parallel shard workers pickle cache-enabled oracles; the
-        lock must be dropped and rebuilt, the warm decisions must travel."""
-        import pickle
-
-        from repro.filterlists.oracle import FilterListOracle
-
-        oracle = FilterListOracle(cache=True)
-        assert oracle.should_block_url("https://doubleclick.net/x.js")
-        clone = pickle.loads(pickle.dumps(oracle))
-        # the transferred entry answers as a hit, and the fresh lock works
-        hits_before = clone.cache_stats.hits
-        assert clone.should_block_url("https://doubleclick.net/x.js")
-        assert clone.cache_stats.hits == hits_before + 1
-        clone.matcher.clear()  # exercises the rebuilt lock
-
-    def test_cached_matcher_pickle_roundtrip_decides_identically(self):
-        import pickle
-
-        matcher = FilterMatcher.from_text(RULES, name="stress")
-        cached = CachedMatcher(matcher)
-        contexts = _contexts()
-        expected = [cached.match(context).blocked for context in contexts]
-        clone = pickle.loads(pickle.dumps(cached))
-        assert [clone.match(c).blocked for c in contexts] == expected
-
-
 class TestDecisionCacheUnit:
     def test_lookup_store_and_counters(self):
         cache = DecisionCache()

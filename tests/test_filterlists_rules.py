@@ -192,8 +192,8 @@ class TestLazyCompilation:
         assert isinstance(first, re.Pattern)
 
     def test_lazy_rule_round_trips_through_pickle(self):
-        """Workers receive rules via pickle; laziness must survive both
-        before and after materialization."""
+        """Laziness survives a pickle round trip, both before and after
+        materialization."""
         import pickle
 
         cold = pickle.loads(pickle.dumps(rule("/adserver/bid*")))

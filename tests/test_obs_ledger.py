@@ -17,6 +17,7 @@ from __future__ import annotations
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -32,6 +33,9 @@ from repro.obs.ledger import (
     render_diff,
     stream_digest,
 )
+
+#: The checkout under test, wherever it lives.
+_REPO = Path(__file__).resolve().parents[1]
 
 # -- strategies --------------------------------------------------------------
 
@@ -88,9 +92,13 @@ class TestFingerprint:
         digests = set()
         for seed in ("0", "1", "424242"):
             out = subprocess.run(
-                [sys.executable, "-c", program, "src"],
-                env={"PYTHONHASHSEED": seed, "PATH": "/usr/bin:/bin"},
-                cwd="/root/repo",
+                [sys.executable, "-c", program, str(_REPO / "src")],
+                env={
+                    "PYTHONHASHSEED": seed,
+                    "PYTHONDONTWRITEBYTECODE": "1",
+                    "PATH": "/usr/bin:/bin",
+                },
+                cwd=_REPO,
                 capture_output=True,
                 text=True,
                 check=True,

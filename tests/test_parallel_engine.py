@@ -14,6 +14,7 @@ import pytest
 from repro.core.engine import PipelineConfig, StreamingPipeline
 from repro.core.parallel import (
     ShardExecutionError,
+    ShardSliceStore,
     WorkerSpec,
     run_shards_leased,
 )
@@ -223,6 +224,65 @@ class TestWorkerCrash:
         assert seq_states == par_states
 
 
+@pytest.mark.tier1
+class TestForkInheritance:
+    def test_boot_failures_exhaust_the_restart_budget(
+        self, small_web, monkeypatch
+    ):
+        """Workers that cannot boot are replaced until the restart budget
+        runs out; then the run fails loudly and stores nothing."""
+        from repro.core import parallel
+
+        def refuse(self, spec):
+            raise RuntimeError("injected boot failure")
+
+        # Forked workers inherit the patched class.
+        monkeypatch.setattr(parallel._ShardWorker, "__init__", refuse)
+        policy = parallel.LeasePolicy(
+            max_worker_restarts=2,
+            restart_base_seconds=0.01,
+            restart_cap_seconds=0.02,
+        )
+        engine = StreamingPipeline(
+            PipelineConfig(sites=SITES, seed=SEED),
+            shards=3,
+            workers=2,
+            lease_policy=policy,
+        )
+        with pytest.raises(
+            ShardExecutionError, match="restart budget exhausted"
+        ) as excinfo:
+            engine.process_shards(small_web)
+        assert excinfo.value.failed_shards == (0, 1, 2)
+        assert engine.shard_states() == ()
+
+    def test_fan_out_writes_no_file_and_compiles_nothing(
+        self, small_web, tmp_path, monkeypatch
+    ):
+        """Workers inherit the slices and the oracle: a fan-out leaves no
+        temporary file, never compiles an artifact, and still equals the
+        sequential run."""
+        import tempfile
+
+        from repro.filterlists import compile as compile_module
+
+        scratch = tmp_path / "tmp"
+        scratch.mkdir()
+        monkeypatch.setattr(tempfile, "tempdir", str(scratch))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the fan-out compiled an artifact")
+
+        monkeypatch.setattr(compile_module, "compile_matcher", refuse)
+        config = PipelineConfig(sites=SITES, seed=SEED)
+        sequential, _ = _run(config, small_web, shards=4, workers=1)
+        parallel, _ = _run(config, small_web, shards=4, workers=2)
+        seq_states = [state.to_json() for state in sequential.shard_states()]
+        par_states = [state.to_json() for state in parallel.shard_states()]
+        assert par_states == seq_states
+        assert list(scratch.iterdir()) == []
+
+
 class TestValidation:
     def test_retain_events_rejects_workers(self):
         with pytest.raises(ValueError, match="retain_events"):
@@ -241,8 +301,8 @@ class TestValidation:
         spec = WorkerSpec(
             config=PipelineConfig(sites=10),
             shards=2,
-            store_dir="",  # never used: no shards dispatched
-            oracle_artifact="",
+            store=ShardSliceStore(),  # never used: no shards dispatched
+            oracle=None,
         )
         report = run_shards_leased(spec, [], 4, lambda outcome: None)
         assert report.completed == 0
@@ -265,7 +325,7 @@ class TestShardSliceFanOut:
         assert par_result.report.summary() == seq_result.report.summary()
 
     def test_hand_built_web_fans_out_through_slices(self, small_web):
-        """A web the pipeline did not generate rides the same slice store:
+        """A web the pipeline did not generate fans out the same way:
         mutating provenance may not change the result."""
         config = PipelineConfig(sites=SITES, seed=SEED)
         _, seq_result = _run(config, small_web, shards=4, workers=1)
@@ -290,16 +350,17 @@ class TestShardSliceFanOut:
         ):
             assert key in notes, key
             assert notes[key] >= 0.0
-        # Every field actually measured something.
+        # Every timed field actually measured something; workers inherit
+        # their slices at fork, so no fan-out bytes are written.
         assert notes["fanout_materialize_seconds"] > 0.0
-        assert notes["fanout_bytes"] > 0.0
+        assert notes["fanout_bytes"] == 0.0
         assert notes["worker_startup_seconds"] > 0.0
         assert notes["worker_compute_seconds"] > 0.0
 
     def test_oracle_subclass_ships_as_object(self, small_web):
-        """A compiled artifact reconstructs the *base* oracle class, so a
-        subclass with overridden labeling must travel as an object — and
-        worker output must still match sequential bit for bit."""
+        """Workers use the parent's oracle object, so a subclass with
+        overridden labeling keeps its behaviour — and worker output must
+        still match sequential bit for bit."""
         config = PipelineConfig(sites=SITES, seed=SEED)
         seq_engine = StreamingPipeline(
             config, shards=4, workers=1, oracle=_InvertingOracle()
@@ -318,10 +379,9 @@ class TestShardSliceFanOut:
             seq_result.report.summary() != base_result.report.summary()
         ), "inverting oracle should change the report"
 
-    def test_slice_store_round_trip(self, tmp_path, small_web):
+    def test_slice_store_round_trip(self, small_web):
         """Slices hold exactly their shard's sites/websites/failures, and
-        loading validates shard identity."""
-        from repro.core.parallel import ShardSliceStore
+        a shard that was never materialized is refused."""
         from repro.crawler.cluster import round_robin_shards
         from repro.crawler.tranco import RankedSite
 
@@ -329,9 +389,8 @@ class TestShardSliceFanOut:
         shard_sites = round_robin_shards(sites, 3)
         by_url = {w.url: w for w in small_web.websites}
         failed = {sites[0].url, sites[4].url}
-        store = ShardSliceStore(tmp_path / "fanout")
-        written = store.materialize([0, 2], shard_sites, by_url, failed)
-        assert written > 0
+        store = ShardSliceStore()
+        store.materialize([0, 2], shard_sites, by_url, failed)
         loaded = store.load(0)
         assert loaded.shard_id == 0
         assert [s.url for s in loaded.sites] == [
@@ -340,6 +399,7 @@ class TestShardSliceFanOut:
         assert set(loaded.by_url) == {s.url for s in shard_sites[0]}
         # Only the shard's own failures ride along.
         assert loaded.failed_urls == failed & {s.url for s in shard_sites[0]}
+        assert store.load(2).shard_id == 2
         # Shard 1 was not pending, so it was never materialized.
-        with pytest.raises(FileNotFoundError):
+        with pytest.raises(KeyError, match="never materialized"):
             store.load(1)

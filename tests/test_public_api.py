@@ -40,6 +40,25 @@ _NOT_ON_THE_STUDY_PATH = [
     "sqlite3",
 ]
 
+#: Modules only some CLI commands use; ``import repro.cli`` leaves them
+#: to the commands that need them.
+_NOT_ON_THE_CLI_IMPORT_PATH = [
+    "repro.analysis",
+    "repro.analysis.confidence",
+    "repro.analysis.figures",
+    "repro.analysis.report",
+    "repro.analysis.tables",
+    "repro.core.rulegen",
+    "repro.core.parallel",
+    "repro.core.sensitivity",
+    "repro.core.callstack_analysis",
+    "repro.browser.breakage",
+    "multiprocessing",
+    "socket",
+    "subprocess",
+    "pickle",
+]
+
 
 def _run_fresh(script: str) -> list[str]:
     """Run ``script`` in a new interpreter importing this ``repro``; its
@@ -118,6 +137,18 @@ class TestTopLevel:
             from repro.filterlists.oracle import FilterListOracle
             FilterListOracle()
             print([m for m in {_NOT_ON_THE_STUDY_PATH!r} if m in sys.modules])
+            """
+        )
+        assert out == ["[]"]
+
+    @pytest.mark.tier1
+    def test_cli_import_leaves_command_modules_unloaded(self):
+        out = _run_fresh(
+            f"""
+            import sys
+            import repro.cli
+            print([m for m in {_NOT_ON_THE_CLI_IMPORT_PATH!r}
+                   if m in sys.modules])
             """
         )
         assert out == ["[]"]

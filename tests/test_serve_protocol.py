@@ -603,6 +603,53 @@ def _closed_within(sock: socket.socket, seconds: float) -> bool:
         return False
 
 
+class _ChunkReader:
+    """A stream reader that hands out pre-cut chunks, then EOF."""
+
+    def __init__(self, chunks: list[bytes]) -> None:
+        self._chunks = iter(chunks)
+
+    async def read(self, _size: int) -> bytes:
+        return next(self._chunks, b"")
+
+
+class _RecordingWriter:
+    """A stream writer that timestamps every write."""
+
+    def __init__(self) -> None:
+        self.writes: list[tuple[float, bytes]] = []
+
+    def write(self, data: bytes) -> None:
+        self.writes.append((time.perf_counter(), data))
+
+    async def drain(self) -> None:
+        pass
+
+    def close(self) -> None:
+        pass
+
+    async def wait_closed(self) -> None:
+        pass
+
+
+class TestLargeBody:
+    def test_body_framing_is_linear_in_its_size(self):
+        """A 16 MB body arriving in 16 KiB reads is framed in well under a
+        second; a buffer that copies itself on every read takes seconds."""
+        body = b"x" * (16 * 1024 * 1024)
+        stream = _post("/v1/nowhere", body)
+        step = 16 * 1024
+        chunks = [stream[i : i + step] for i in range(0, len(stream), step)]
+        reader, writer = _ChunkReader(chunks), _RecordingWriter()
+        server = AsyncBlockingServer()
+        started = time.perf_counter()
+        asyncio.run(server._handle(reader, writer))
+        assert writer.writes, "no response was written"
+        answered, response = writer.writes[0]
+        assert response.startswith(b"HTTP/1.1 404 ")
+        assert answered - started < 1.0
+
+
 class TestIdleDeadline:
     @pytest.fixture()
     def quick_server(self, monkeypatch):
