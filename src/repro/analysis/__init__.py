@@ -1,37 +1,49 @@
 """Measurement analysis: table/figure builders, bootstrap confidence
-intervals, and rendering."""
+intervals, and rendering.
 
-from .confidence import (
-    ConfidenceInterval,
-    bootstrap_metric,
-    bootstrap_separation_factors,
-)
-from .figures import (
-    HistogramBin,
-    RatioHistogram,
-    build_figure3,
-    build_figure3_panel,
-    build_figure4,
-    build_figure5,
-)
-from .report import (
-    PaperComparison,
-    ascii_table,
-    compare_with_paper,
-    render_comparison,
-    render_histogram,
-    render_table1,
-    render_table2,
-    render_table3,
-    rows_to_csv,
-)
-from .tables import (
-    Table1Row,
-    Table2Row,
-    Table3Row,
-    build_table1,
-    build_table2,
-    build_table3,
+Every name imports from its submodule on first use (``repro/_lazy.py``):
+rendering Tables 1-2 after a study loads ``tables`` and ``report`` only,
+not the Figure 3-5 analyses, the bootstrap or breakage grading.
+"""
+
+from .. import _lazy
+
+__getattr__ = _lazy.lazy_exports(
+    __name__,
+    {
+        "confidence": (
+            "ConfidenceInterval",
+            "bootstrap_metric",
+            "bootstrap_separation_factors",
+        ),
+        "figures": (
+            "HistogramBin",
+            "RatioHistogram",
+            "build_figure3",
+            "build_figure3_panel",
+            "build_figure4",
+            "build_figure5",
+        ),
+        "report": (
+            "PaperComparison",
+            "ascii_table",
+            "compare_with_paper",
+            "render_comparison",
+            "render_histogram",
+            "render_table1",
+            "render_table2",
+            "render_table3",
+            "rows_to_csv",
+        ),
+        "tables": (
+            "Table1Row",
+            "Table2Row",
+            "Table3Row",
+            "build_table1",
+            "build_table2",
+            "build_table3",
+        ),
+    },
 )
 
 __all__ = [

@@ -10,12 +10,15 @@ from __future__ import annotations
 
 import io
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from ..core.classifier import ResourceClass
 from ..core.results import SiftReport
 from ..webmodel.calibration import PAPER, PaperTargets
-from .figures import RatioHistogram
 from .tables import Table1Row, Table2Row, Table3Row
+
+if TYPE_CHECKING:  # pragma: no cover - figures loads the Figure 3-5 analyses
+    from .figures import RatioHistogram
 
 __all__ = [
     "ascii_table",

@@ -10,12 +10,17 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-from ..browser.breakage import BreakageReport, assess_breakage
 from ..browser.engine import BrowserEngine
 from ..core.classifier import ResourceClass
 from ..core.results import SiftReport
 from ..webmodel.generator import SyntheticWeb
+
+# Breakage grading loads where Table 3 is built: rendering Tables 1-2
+# after a study never needs it.
+if TYPE_CHECKING:  # pragma: no cover
+    from ..browser.breakage import BreakageReport
 
 __all__ = [
     "Table1Row",
@@ -131,6 +136,8 @@ def build_table3(
     conditioned the same way — each row names the site's mixed script).
     """
     import random
+
+    from ..browser.breakage import assess_breakage
 
     engine = engine or BrowserEngine()
     mixed_script_urls = {

@@ -10,21 +10,29 @@ labeler and the call-stack analysis (Figure 5) operate on.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from .._record import FrozenRecord, set_field
 from ..webmodel.resources import Frame
 
 __all__ = ["CallFrame", "CallStack", "Frame"]
 
 
-@dataclass(frozen=True, slots=True)
-class CallFrame:
+class CallFrame(FrozenRecord):
     """One stack frame as DevTools reports it."""
+
+    __slots__ = ("url", "function_name", "line_number", "column_number")
 
     url: str
     function_name: str
-    line_number: int = 0
-    column_number: int = 0
+    line_number: int
+    column_number: int
+
+    def __init__(
+        self, url: str, function_name: str, line_number: int = 0, column_number: int = 0
+    ) -> None:
+        set_field(self, "url", url)
+        set_field(self, "function_name", function_name)
+        set_field(self, "line_number", line_number)
+        set_field(self, "column_number", column_number)
 
     @property
     def script_url(self) -> str:
@@ -41,8 +49,7 @@ class CallFrame:
         return f"{self.url}@{self.function_name}()"
 
 
-@dataclass(frozen=True)
-class CallStack:
+class CallStack(FrozenRecord):
     """A stack trace, optionally chained to the async stack that spawned it.
 
     ``frames[0]`` is the innermost frame — the method that actually issued
@@ -52,13 +59,23 @@ class CallStack:
     ancestry below ours.
     """
 
-    frames: tuple[CallFrame, ...]
-    parent: "CallStack | None" = None
-    description: str = ""
+    __slots__ = ("frames", "parent", "description")
 
-    def __post_init__(self) -> None:
-        if not self.frames and self.parent is None:
+    frames: tuple[CallFrame, ...]
+    parent: CallStack | None
+    description: str
+
+    def __init__(
+        self,
+        frames: tuple[CallFrame, ...],
+        parent: CallStack | None = None,
+        description: str = "",
+    ) -> None:
+        if not frames and parent is None:
             raise ValueError("a call stack needs at least one frame")
+        set_field(self, "frames", frames)
+        set_field(self, "parent", parent)
+        set_field(self, "description", description)
 
     @property
     def initiator(self) -> CallFrame:

@@ -14,8 +14,7 @@ storage round-trip tests.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
+from .._record import FrozenRecord, set_field
 from .callstack import CallStack
 
 __all__ = ["RequestWillBeSent", "ResponseReceived", "next_request_id"]
@@ -30,9 +29,20 @@ def next_request_id() -> str:
     return f"1000.{_REQUEST_COUNTER['value']}"
 
 
-@dataclass(frozen=True)
-class RequestWillBeSent:
+class RequestWillBeSent(FrozenRecord):
     """One captured HTTP request, as the crawling extension stores it."""
+
+    __slots__ = (
+        "request_id",
+        "url",
+        "top_level_url",
+        "frame_url",
+        "resource_type",
+        "timestamp",
+        "call_stack",
+        "headers",
+        "method",
+    )
 
     request_id: str
     url: str
@@ -40,9 +50,31 @@ class RequestWillBeSent:
     frame_url: str
     resource_type: str
     timestamp: float
-    call_stack: CallStack | None = None
-    headers: dict[str, str] = field(default_factory=dict)
-    method: str = "GET"
+    call_stack: CallStack | None
+    headers: dict[str, str]
+    method: str
+
+    def __init__(
+        self,
+        request_id: str,
+        url: str,
+        top_level_url: str,
+        frame_url: str,
+        resource_type: str,
+        timestamp: float,
+        call_stack: CallStack | None = None,
+        headers: dict[str, str] | None = None,
+        method: str = "GET",
+    ) -> None:
+        set_field(self, "request_id", request_id)
+        set_field(self, "url", url)
+        set_field(self, "top_level_url", top_level_url)
+        set_field(self, "frame_url", frame_url)
+        set_field(self, "resource_type", resource_type)
+        set_field(self, "timestamp", timestamp)
+        set_field(self, "call_stack", call_stack)
+        set_field(self, "headers", {} if headers is None else headers)
+        set_field(self, "method", method)
 
     @property
     def script_initiated(self) -> bool:
@@ -90,17 +122,38 @@ class RequestWillBeSent:
         )
 
 
-@dataclass(frozen=True)
-class ResponseReceived:
+class ResponseReceived(FrozenRecord):
     """The paired HTTP response event."""
+
+    __slots__ = (
+        "request_id", "url", "status", "mime_type", "timestamp", "headers", "body_size"
+    )
 
     request_id: str
     url: str
     status: int
     mime_type: str
     timestamp: float
-    headers: dict[str, str] = field(default_factory=dict)
-    body_size: int = 0
+    headers: dict[str, str]
+    body_size: int
+
+    def __init__(
+        self,
+        request_id: str,
+        url: str,
+        status: int,
+        mime_type: str,
+        timestamp: float,
+        headers: dict[str, str] | None = None,
+        body_size: int = 0,
+    ) -> None:
+        set_field(self, "request_id", request_id)
+        set_field(self, "url", url)
+        set_field(self, "status", status)
+        set_field(self, "mime_type", mime_type)
+        set_field(self, "timestamp", timestamp)
+        set_field(self, "headers", {} if headers is None else headers)
+        set_field(self, "body_size", body_size)
 
     def to_dict(self) -> dict:
         return {

@@ -16,9 +16,9 @@ coverage gaps of dynamic analysis the paper warns about.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 from typing import Callable
 
+from .._record import FrozenRecord, Record, set_field
 from ..stablehash import stable_hash
 from ..webmodel.resources import Invocation, MethodSpec, ScriptSpec
 from ..webmodel.website import Website
@@ -34,8 +34,7 @@ _PAGE_LOAD_SECONDS = 10.0  # average page-load time reported in §3
 _POST_LOAD_WAIT_SECONDS = 10.0  # crawler waits 10 extra seconds
 
 
-@dataclass(frozen=True)
-class BlockingPolicy:
+class BlockingPolicy(FrozenRecord):
     """What a content blocker removes during a page load.
 
     ``blocked_scripts`` models script-level filter rules; ``removed_methods``
@@ -44,9 +43,21 @@ class BlockingPolicy:
     of a mixed method (paper §5, "Blocking mixed methods").
     """
 
-    blocked_scripts: frozenset[str] = frozenset()
-    removed_methods: frozenset[tuple[str, str]] = frozenset()
-    guards: tuple[tuple[str, str, GuardPredicate], ...] = ()
+    __slots__ = ("blocked_scripts", "removed_methods", "guards")
+
+    blocked_scripts: frozenset[str]
+    removed_methods: frozenset[tuple[str, str]]
+    guards: tuple[tuple[str, str, GuardPredicate], ...]
+
+    def __init__(
+        self,
+        blocked_scripts: frozenset[str] = frozenset(),
+        removed_methods: frozenset[tuple[str, str]] = frozenset(),
+        guards: tuple[tuple[str, str, GuardPredicate], ...] = (),
+    ) -> None:
+        set_field(self, "blocked_scripts", blocked_scripts)
+        set_field(self, "removed_methods", removed_methods)
+        set_field(self, "guards", guards)
 
     @classmethod
     def none(cls) -> "BlockingPolicy":
@@ -66,18 +77,44 @@ class BlockingPolicy:
         return False
 
 
-@dataclass
-class PageLoad:
+class PageLoad(Record):
     """Everything one crawl of one landing page produced."""
 
+    __slots__ = (
+        "website",
+        "requests",
+        "responses",
+        "blocked_invocations",
+        "functionality",
+        "load_time",
+    )
+
     website: Website
-    requests: list[RequestWillBeSent] = field(default_factory=list)
-    responses: list[ResponseReceived] = field(default_factory=list)
+    requests: list[RequestWillBeSent]
+    responses: list[ResponseReceived]
     #: invocations suppressed by the blocking policy, for experiment audits.
-    blocked_invocations: list[tuple[str, str]] = field(default_factory=list)
+    blocked_invocations: list[tuple[str, str]]
     #: feature name -> works?, under the applied policy.
-    functionality: dict[str, bool] = field(default_factory=dict)
-    load_time: float = _PAGE_LOAD_SECONDS
+    functionality: dict[str, bool]
+    load_time: float
+
+    def __init__(
+        self,
+        website: Website,
+        requests: list[RequestWillBeSent] | None = None,
+        responses: list[ResponseReceived] | None = None,
+        blocked_invocations: list[tuple[str, str]] | None = None,
+        functionality: dict[str, bool] | None = None,
+        load_time: float = _PAGE_LOAD_SECONDS,
+    ) -> None:
+        self.website = website
+        self.requests = [] if requests is None else requests
+        self.responses = [] if responses is None else responses
+        self.blocked_invocations = (
+            [] if blocked_invocations is None else blocked_invocations
+        )
+        self.functionality = {} if functionality is None else functionality
+        self.load_time = load_time
 
     @property
     def script_initiated_requests(self) -> list[RequestWillBeSent]:

@@ -13,9 +13,9 @@ sweeps it, so it is an explicit parameter here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 
+from .._record import FrozenRecord, set_field
 from ..logratio import DEFAULT_THRESHOLD, log_ratio
 
 __all__ = [
@@ -35,12 +35,17 @@ class ResourceClass(str, Enum):
     MIXED = "mixed"
 
 
-@dataclass(frozen=True, slots=True)
-class ResourceCounts:
+class ResourceCounts(FrozenRecord):
     """Per-resource request tallies, the classifier's only input."""
 
-    tracking: int = 0
-    functional: int = 0
+    __slots__ = ("tracking", "functional")
+
+    tracking: int
+    functional: int
+
+    def __init__(self, tracking: int = 0, functional: int = 0) -> None:
+        set_field(self, "tracking", tracking)
+        set_field(self, "functional", functional)
 
     @property
     def total(self) -> int:
@@ -56,19 +61,21 @@ class ResourceCounts:
         return ResourceCounts(self.tracking, self.functional + 1)
 
 
-@dataclass(frozen=True, slots=True)
-class RatioClassifier:
+class RatioClassifier(FrozenRecord):
     """Threshold classifier over request-count ratios.
 
     >>> RatioClassifier().classify_counts(1000, 3)
     <ResourceClass.TRACKING: 'tracking'>
     """
 
-    threshold: float = DEFAULT_THRESHOLD
+    __slots__ = ("threshold",)
 
-    def __post_init__(self) -> None:
-        if self.threshold <= 0:
-            raise ValueError(f"threshold must be positive, got {self.threshold}")
+    threshold: float
+
+    def __init__(self, threshold: float = DEFAULT_THRESHOLD) -> None:
+        if threshold <= 0:
+            raise ValueError(f"threshold must be positive, got {threshold}")
+        set_field(self, "threshold", threshold)
 
     def classify_ratio(self, ratio: float) -> ResourceClass:
         if ratio >= self.threshold:

@@ -40,7 +40,6 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING, Mapping
 
@@ -51,6 +50,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (parallel imports us)
 # Only what every study runs is imported here; event retention, failure
 # injection, checkpoints, the ledger and fan-out import where they are
 # used, so a plain study never loads them.
+from .._record import FrozenRecord, Record, set_field
 from ..browser.engine import BrowserEngine
 from ..crawler.cluster import NODE_ENGINE_SEED, node_failure_seed, round_robin_shards
 from ..crawler.storage import RequestDatabase
@@ -76,8 +76,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class PipelineConfig:
+class PipelineConfig(FrozenRecord):
     """Study parameters (defaults mirror the paper, scaled down).
 
     ``descent_threshold`` optionally decouples which resources *descend*
@@ -90,17 +89,44 @@ class PipelineConfig:
     applies by default.
     """
 
-    sites: int = 2_000
-    seed: int = 7
-    cluster_nodes: int = 13
-    threshold: float = 2.0
-    failure_rate: float = 0.0
-    propagate_ancestry: bool = True
-    descent_threshold: float | None = None
+    __slots__ = (
+        "sites",
+        "seed",
+        "cluster_nodes",
+        "threshold",
+        "failure_rate",
+        "propagate_ancestry",
+        "descent_threshold",
+    )
+
+    sites: int
+    seed: int
+    cluster_nodes: int
+    threshold: float
+    failure_rate: float
+    propagate_ancestry: bool
+    descent_threshold: float | None
+
+    def __init__(
+        self,
+        sites: int = 2_000,
+        seed: int = 7,
+        cluster_nodes: int = 13,
+        threshold: float = 2.0,
+        failure_rate: float = 0.0,
+        propagate_ancestry: bool = True,
+        descent_threshold: float | None = None,
+    ) -> None:
+        set_field(self, "sites", sites)
+        set_field(self, "seed", seed)
+        set_field(self, "cluster_nodes", cluster_nodes)
+        set_field(self, "threshold", threshold)
+        set_field(self, "failure_rate", failure_rate)
+        set_field(self, "propagate_ancestry", propagate_ancestry)
+        set_field(self, "descent_threshold", descent_threshold)
 
 
-@dataclass
-class PipelineResult:
+class PipelineResult(Record):
     """Everything the study produced, stage by stage.
 
     Streaming runs leave ``database`` empty and ``labeled.requests`` empty
@@ -112,14 +138,45 @@ class PipelineResult:
     exported observability artifacts.
     """
 
+    __slots__ = (
+        "config",
+        "web",
+        "database",
+        "labeled",
+        "report",
+        "pages_crawled",
+        "pages_failed",
+        "notes",
+    )
+
     config: PipelineConfig
     web: SyntheticWeb
     database: RequestDatabase
     labeled: LabeledCrawl
     report: SiftReport
-    pages_crawled: int = 0
-    pages_failed: int = 0
-    notes: dict[str, float | str] = field(default_factory=dict)
+    pages_crawled: int
+    pages_failed: int
+    notes: dict[str, float | str]
+
+    def __init__(
+        self,
+        config: PipelineConfig,
+        web: SyntheticWeb,
+        database: RequestDatabase,
+        labeled: LabeledCrawl,
+        report: SiftReport,
+        pages_crawled: int = 0,
+        pages_failed: int = 0,
+        notes: dict[str, float | str] | None = None,
+    ) -> None:
+        self.config = config
+        self.web = web
+        self.database = database
+        self.labeled = labeled
+        self.report = report
+        self.pages_crawled = pages_crawled
+        self.pages_failed = pages_failed
+        self.notes = {} if notes is None else notes
 
     @property
     def total_script_requests(self) -> int:
@@ -169,18 +226,48 @@ class SiftAccumulator:
         return sifter.sift_grouped(self._groups, self.total_requests)
 
 
-@dataclass
-class ShardState:
+class ShardState(Record):
     """One shard's complete, mergeable output — the checkpoint unit."""
 
+    __slots__ = (
+        "shard_id",
+        "pages_crawled",
+        "pages_failed",
+        "excluded_non_script",
+        "excluded_unparseable",
+        "labeled_requests",
+        "tallies",
+        "participation",
+    )
+
     shard_id: int
-    pages_crawled: int = 0
-    pages_failed: int = 0
-    excluded_non_script: int = 0
-    excluded_unparseable: int = 0
-    labeled_requests: int = 0
-    tallies: dict[AttributionKey, list[int]] = field(default_factory=dict)
-    participation: dict[str, list[int]] = field(default_factory=dict)
+    pages_crawled: int
+    pages_failed: int
+    excluded_non_script: int
+    excluded_unparseable: int
+    labeled_requests: int
+    tallies: dict[AttributionKey, list[int]]
+    participation: dict[str, list[int]]
+
+    def __init__(
+        self,
+        shard_id: int,
+        pages_crawled: int = 0,
+        pages_failed: int = 0,
+        excluded_non_script: int = 0,
+        excluded_unparseable: int = 0,
+        labeled_requests: int = 0,
+        tallies: dict[AttributionKey, list[int]] | None = None,
+        participation: dict[str, list[int]] | None = None,
+    ) -> None:
+        self.shard_id = shard_id
+        self.pages_crawled = pages_crawled
+        self.pages_failed = pages_failed
+        self.excluded_non_script = excluded_non_script
+        self.excluded_unparseable = excluded_unparseable
+        self.labeled_requests = labeled_requests
+        self.tallies = {} if tallies is None else tallies
+        self.participation = {} if participation is None else participation
 
     def to_json(self) -> str:
         return json.dumps(

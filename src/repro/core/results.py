@@ -9,8 +9,7 @@ sequence of Table 1).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
+from .._record import FrozenRecord, Record, set_field
 from .classifier import ResourceClass, ResourceCounts
 
 __all__ = ["Granularity", "ResourceResult", "LevelReport", "SiftReport"]
@@ -20,29 +19,44 @@ Granularity = str
 GRANULARITIES: tuple[Granularity, ...] = ("domain", "hostname", "script", "method")
 
 
-@dataclass(frozen=True, slots=True)
-class ResourceResult:
+class ResourceResult(FrozenRecord):
     """One resource's outcome at one granularity."""
+
+    __slots__ = ("key", "counts", "resource_class")
 
     key: str
     counts: ResourceCounts
     resource_class: ResourceClass
+
+    def __init__(
+        self, key: str, counts: ResourceCounts, resource_class: ResourceClass
+    ) -> None:
+        set_field(self, "key", key)
+        set_field(self, "counts", counts)
+        set_field(self, "resource_class", resource_class)
 
     @property
     def ratio(self) -> float:
         return self.counts.ratio
 
 
-@dataclass
-class LevelReport:
+class LevelReport(Record):
     """Classification outcome for one granularity level."""
 
-    granularity: Granularity
-    resources: dict[str, ResourceResult] = field(default_factory=dict)
+    __slots__ = ("granularity", "resources")
 
-    def __post_init__(self) -> None:
-        if self.granularity not in GRANULARITIES:
-            raise ValueError(f"unknown granularity {self.granularity!r}")
+    granularity: Granularity
+    resources: dict[str, ResourceResult]
+
+    def __init__(
+        self,
+        granularity: Granularity,
+        resources: dict[str, ResourceResult] | None = None,
+    ) -> None:
+        if granularity not in GRANULARITIES:
+            raise ValueError(f"unknown granularity {granularity!r}")
+        self.granularity = granularity
+        self.resources = {} if resources is None else resources
 
     # -- entity-side views -----------------------------------------------
     def by_class(self, resource_class: ResourceClass) -> list[ResourceResult]:
@@ -97,12 +111,19 @@ class LevelReport:
         }
 
 
-@dataclass
-class SiftReport:
+class SiftReport(Record):
     """The chained four-level outcome of a hierarchical sift."""
 
-    levels: list[LevelReport] = field(default_factory=list)
-    total_requests: int = 0
+    __slots__ = ("levels", "total_requests")
+
+    levels: list[LevelReport]
+    total_requests: int
+
+    def __init__(
+        self, levels: list[LevelReport] | None = None, total_requests: int = 0
+    ) -> None:
+        self.levels = [] if levels is None else levels
+        self.total_requests = total_requests
 
     def level(self, granularity: Granularity) -> LevelReport:
         for level in self.levels:

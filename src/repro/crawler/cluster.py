@@ -9,9 +9,9 @@ and shard merging into one database.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
+from .._record import FrozenRecord, Record, set_field
 from ..browser.engine import BlockingPolicy, BrowserEngine
 from ..webmodel.generator import SyntheticWeb
 from .storage import RequestDatabase
@@ -60,9 +60,16 @@ def round_robin_shards(sites: list[RankedSite], nodes: int) -> list[list[RankedS
     return shards
 
 
-@dataclass(frozen=True)
-class NodeReport:
+class NodeReport(FrozenRecord):
     """Per-node crawl accounting."""
+
+    __slots__ = (
+        "node_id",
+        "pages_assigned",
+        "pages_crawled",
+        "pages_failed",
+        "average_load_time",
+    )
 
     node_id: int
     pages_assigned: int
@@ -70,13 +77,34 @@ class NodeReport:
     pages_failed: int
     average_load_time: float
 
+    def __init__(
+        self,
+        node_id: int,
+        pages_assigned: int,
+        pages_crawled: int,
+        pages_failed: int,
+        average_load_time: float,
+    ) -> None:
+        set_field(self, "node_id", node_id)
+        set_field(self, "pages_assigned", pages_assigned)
+        set_field(self, "pages_crawled", pages_crawled)
+        set_field(self, "pages_failed", pages_failed)
+        set_field(self, "average_load_time", average_load_time)
 
-@dataclass
-class ClusterCrawlResult:
+
+class ClusterCrawlResult(Record):
     """Merged output of every node's shard."""
 
+    __slots__ = ("database", "nodes")
+
     database: RequestDatabase
-    nodes: list[NodeReport] = field(default_factory=list)
+    nodes: list[NodeReport]
+
+    def __init__(
+        self, database: RequestDatabase, nodes: list[NodeReport] | None = None
+    ) -> None:
+        self.database = database
+        self.nodes = [] if nodes is None else nodes
 
     @property
     def pages_crawled(self) -> int:

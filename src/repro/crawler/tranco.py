@@ -10,18 +10,24 @@ format) so crawl composition is an explicit, testable step.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from pathlib import Path
+
+from .._record import FrozenRecord, set_field
 
 __all__ = ["RankedSite", "TrancoList"]
 
 
-@dataclass(frozen=True, slots=True)
-class RankedSite:
+class RankedSite(FrozenRecord):
     """One entry of the ranked list."""
+
+    __slots__ = ("rank", "url")
 
     rank: int
     url: str
+
+    def __init__(self, rank: int, url: str) -> None:
+        set_field(self, "rank", rank)
+        set_field(self, "url", url)
 
 
 class TrancoList:

@@ -55,7 +55,8 @@ from __future__ import annotations
 import json
 import os
 import random
-from dataclasses import asdict, dataclass, fields
+
+from .._record import FrozenRecord, set_field
 
 __all__ = [
     "FAULT_ENV_VAR",
@@ -101,36 +102,48 @@ class SimulatedCrash(RuntimeError):
     """
 
 
-@dataclass(frozen=True)
-class FaultSpec:
+class FaultSpec(FrozenRecord):
     """One fault: *kind* at *site*, for *key*, on these *executions*."""
+
+    __slots__ = ("site", "kind", "key", "executions", "seconds", "seed", "fraction")
 
     site: str
     kind: str
-    key: int | str | None = None
-    executions: tuple[int, ...] = (1,)
+    key: int | str | None
+    executions: tuple[int, ...]
     #: hang/slow duration; also the pre-crash delay for ``serve.worker``.
-    seconds: float = 30.0
+    seconds: float
     #: corruption determinism (byte positions/values for corrupt/truncate).
-    seed: int = 0
+    seed: int
     #: truncate: keep this fraction of the payload.
-    fraction: float = 0.5
+    fraction: float
 
-    def __post_init__(self) -> None:
-        if self.site not in FAULT_SITES:
-            raise ValueError(
-                f"unknown fault site {self.site!r}; one of {FAULT_SITES}"
-            )
-        if self.kind not in FAULT_KINDS:
-            raise ValueError(
-                f"unknown fault kind {self.kind!r}; one of {FAULT_KINDS}"
-            )
-        if not isinstance(self.executions, tuple):
-            object.__setattr__(self, "executions", tuple(self.executions))
-        if not self.executions or any(e < 1 for e in self.executions):
+    def __init__(
+        self,
+        site: str,
+        kind: str,
+        key: int | str | None = None,
+        executions: tuple[int, ...] = (1,),
+        seconds: float = 30.0,
+        seed: int = 0,
+        fraction: float = 0.5,
+    ) -> None:
+        if site not in FAULT_SITES:
+            raise ValueError(f"unknown fault site {site!r}; one of {FAULT_SITES}")
+        if kind not in FAULT_KINDS:
+            raise ValueError(f"unknown fault kind {kind!r}; one of {FAULT_KINDS}")
+        executions = tuple(executions)
+        if not executions or any(e < 1 for e in executions):
             raise ValueError("executions must be 1-based and non-empty")
-        if not 0.0 <= self.fraction <= 1.0:
-            raise ValueError(f"fraction must be in [0, 1], got {self.fraction}")
+        if not 0.0 <= fraction <= 1.0:
+            raise ValueError(f"fraction must be in [0, 1], got {fraction}")
+        set_field(self, "site", site)
+        set_field(self, "kind", kind)
+        set_field(self, "key", key)
+        set_field(self, "executions", executions)
+        set_field(self, "seconds", seconds)
+        set_field(self, "seed", seed)
+        set_field(self, "fraction", fraction)
 
     def matches(self, key: int | str | None, execution: int) -> bool:
         if self.key is not None and self.key != key:
@@ -145,17 +158,18 @@ class FaultSpec:
 _PERMANENT = tuple(range(1, 65))
 
 
-@dataclass(frozen=True)
-class FaultPlan:
+class FaultPlan(FrozenRecord):
     """An immutable, serializable schedule of injected faults."""
 
-    specs: tuple[FaultSpec, ...] = ()
-    #: labels the plan in notes/benches; carries no behaviour.
-    name: str = ""
+    __slots__ = ("specs", "name")
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.specs, tuple):
-            object.__setattr__(self, "specs", tuple(self.specs))
+    specs: tuple[FaultSpec, ...]
+    #: labels the plan in notes/benches; carries no behaviour.
+    name: str
+
+    def __init__(self, specs: tuple[FaultSpec, ...] = (), name: str = "") -> None:
+        set_field(self, "specs", tuple(specs))
+        set_field(self, "name", name)
 
     def __bool__(self) -> bool:
         return bool(self.specs)
@@ -235,7 +249,18 @@ class FaultPlan:
     def to_dict(self) -> dict:
         return {
             "name": self.name,
-            "specs": [asdict(spec) for spec in self.specs],
+            "specs": [
+                {
+                    "site": spec.site,
+                    "kind": spec.kind,
+                    "key": spec.key,
+                    "executions": spec.executions,
+                    "seconds": spec.seconds,
+                    "seed": spec.seed,
+                    "fraction": spec.fraction,
+                }
+                for spec in self.specs
+            ],
         }
 
     def to_json(self) -> str:
@@ -243,7 +268,7 @@ class FaultPlan:
 
     @classmethod
     def from_dict(cls, record: dict) -> "FaultPlan":
-        known = {f.name for f in fields(FaultSpec)}
+        known = set(FaultSpec.__slots__)
         specs = []
         for raw in record.get("specs", []):
             unknown = set(raw) - known

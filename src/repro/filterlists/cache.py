@@ -41,8 +41,8 @@ from __future__ import annotations
 
 import re
 import threading
-from dataclasses import dataclass
 
+from .._record import Record
 from .matcher import FilterMatcher, MatchResult
 from .rules import RequestContext
 
@@ -74,12 +74,17 @@ def normalize_url_key(url: str) -> str:
     return url[:path_start] + _DIGIT_RUN_RE.sub("0", url[path_start:])
 
 
-@dataclass
-class CacheStats:
+class CacheStats(Record):
     """Hit/miss accounting, surfaced in ``PipelineResult.notes``."""
 
-    hits: int = 0
-    misses: int = 0
+    __slots__ = ("hits", "misses")
+
+    hits: int
+    misses: int
+
+    def __init__(self, hits: int = 0, misses: int = 0) -> None:
+        self.hits = hits
+        self.misses = misses
 
     @property
     def lookups(self) -> int:

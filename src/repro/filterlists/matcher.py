@@ -86,9 +86,9 @@ exception rule matches.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, replace
 from typing import Iterable, Sequence
 
+from .._record import FrozenRecord, set_field
 from ..urlkit.url import URLError, normalize_host
 from .parser import ParsedList, parse_filter_list
 from .rules import NetworkRule, RequestContext
@@ -418,13 +418,24 @@ def _pure_host_literal(rule: NetworkRule) -> str | None:
     return match.group(1) if match is not None else None
 
 
-@dataclass(frozen=True, slots=True)
-class MatchResult:
+class MatchResult(FrozenRecord):
     """Outcome of matching one request against a matcher's rules."""
 
+    __slots__ = ("blocked", "rule", "exception")
+
     blocked: bool
-    rule: NetworkRule | None = None
-    exception: NetworkRule | None = None
+    rule: NetworkRule | None
+    exception: NetworkRule | None
+
+    def __init__(
+        self,
+        blocked: bool,
+        rule: NetworkRule | None = None,
+        exception: NetworkRule | None = None,
+    ) -> None:
+        set_field(self, "blocked", blocked)
+        set_field(self, "rule", rule)
+        set_field(self, "exception", exception)
 
     @property
     def matched(self) -> bool:
@@ -434,7 +445,7 @@ class MatchResult:
 
 #: The (immutable) "no rule applied" outcome.  Shared by every miss: the
 #: hot path decides far more clean URLs than tracking ones, and a frozen
-#: dataclass with all-default fields never needs a fresh allocation.
+#: record with all-default fields never needs a fresh allocation.
 _NO_MATCH = MatchResult(blocked=False)
 
 
@@ -534,7 +545,12 @@ class _DecisionLoop:
         if shape.match_url is not context.url:
             # Authority normalization changed the URL: every pattern
             # (including per-rule regexes) must see the normalized view.
-            context = replace(context, url=shape.match_url)
+            context = RequestContext(
+                shape.match_url,
+                context.resource_type,
+                context.page_host,
+                context.third_party,
+            )
         return self._decide(context, shape)
 
     def match_many(

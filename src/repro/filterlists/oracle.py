@@ -9,10 +9,10 @@ matched) for measurement purposes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable
 
+from .._record import FrozenRecord, set_field
 from ..urlkit import hostname, is_third_party
 from .cache import CachedMatcher, CacheStats
 from .lists import default_lists
@@ -34,14 +34,23 @@ class Label(str, Enum):
         return self is Label.TRACKING
 
 
-@dataclass(frozen=True, slots=True)
-class LabeledRequest:
+class LabeledRequest(FrozenRecord):
     """A request URL together with the oracle's verdict and provenance."""
+
+    __slots__ = ("url", "label", "matched_rule", "matched_list")
 
     url: str
     label: Label
-    matched_rule: str = ""
-    matched_list: str = ""
+    matched_rule: str
+    matched_list: str
+
+    def __init__(
+        self, url: str, label: Label, matched_rule: str = "", matched_list: str = ""
+    ) -> None:
+        set_field(self, "url", url)
+        set_field(self, "label", label)
+        set_field(self, "matched_rule", matched_rule)
+        set_field(self, "matched_list", matched_list)
 
 
 class FilterListOracle:

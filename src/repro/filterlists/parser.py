@@ -8,10 +8,9 @@ only consumes *network* rules, because its oracle labels network requests.
 
 from __future__ import annotations
 
-import dataclasses
 import re
-from dataclasses import dataclass, field
 
+from .._record import Record
 from .rules import (
     _DEFAULT_OPTIONS,
     NetworkRule,
@@ -38,15 +37,30 @@ _COSMETIC_RE = re.compile(r"#[@?$%]?#")
 _BLANK, _COMMENT, _COSMETIC, _NETWORK = "blank", "comment", "cosmetic", "network"
 
 
-@dataclass
-class ParsedList:
+class ParsedList(Record):
     """The result of parsing one filter list."""
 
+    __slots__ = ("name", "rules", "comment_count", "cosmetic_count", "error_lines")
+
     name: str
-    rules: list[NetworkRule] = field(default_factory=list)
-    comment_count: int = 0
-    cosmetic_count: int = 0
-    error_lines: list[str] = field(default_factory=list)
+    rules: list[NetworkRule]
+    comment_count: int
+    cosmetic_count: int
+    error_lines: list[str]
+
+    def __init__(
+        self,
+        name: str,
+        rules: list[NetworkRule] | None = None,
+        comment_count: int = 0,
+        cosmetic_count: int = 0,
+        error_lines: list[str] | None = None,
+    ) -> None:
+        self.name = name
+        self.rules = [] if rules is None else rules
+        self.comment_count = comment_count
+        self.cosmetic_count = cosmetic_count
+        self.error_lines = [] if error_lines is None else error_lines
 
     @property
     def blocking_rules(self) -> list[NetworkRule]:
@@ -210,8 +224,14 @@ def _parse_network_rule(line: str, list_name: str) -> NetworkRule:
         # keeps its ``/…/`` delimiters: stripping them would leave a
         # misleading substring pattern (``/track/v1/`` is a regex, not the
         # literal ``track/v1``) in every introspection surface downstream.
-        options = dataclasses.replace(
-            options, unsupported=("regex-rule",) + options.unsupported
+        options = RuleOptions(
+            options.include_types,
+            options.exclude_types,
+            options.third_party,
+            options.include_domains,
+            options.exclude_domains,
+            options.match_case,
+            ("regex-rule",) + options.unsupported,
         )
 
     if not pattern:

@@ -31,9 +31,9 @@ for options they do not implement).
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from enum import Enum
 
+from .._record import FrozenRecord, set_field
 from ..urlkit import host_matches_domain
 
 __all__ = [
@@ -80,27 +80,67 @@ class RuleParseError(ValueError):
     """Raised for a line that looks like a network rule but cannot parse."""
 
 
-@dataclass(frozen=True, slots=True)
-class RequestContext:
+class RequestContext(FrozenRecord):
     """Everything the matcher needs to know about one network request."""
 
+    __slots__ = ("url", "resource_type", "page_host", "third_party")
+
     url: str
-    resource_type: ResourceType = ResourceType.OTHER
-    page_host: str = ""
-    third_party: bool = True
+    resource_type: ResourceType
+    page_host: str
+    third_party: bool
+
+    def __init__(
+        self,
+        url: str,
+        resource_type: ResourceType = ResourceType.OTHER,
+        page_host: str = "",
+        third_party: bool = True,
+    ) -> None:
+        set_field(self, "url", url)
+        set_field(self, "resource_type", resource_type)
+        set_field(self, "page_host", page_host)
+        set_field(self, "third_party", third_party)
 
 
-@dataclass(frozen=True, slots=True)
-class RuleOptions:
+class RuleOptions(FrozenRecord):
     """Parsed ``$`` options of a rule."""
 
-    include_types: frozenset[ResourceType] = frozenset()
-    exclude_types: frozenset[ResourceType] = frozenset()
-    third_party: bool | None = None
-    include_domains: tuple[str, ...] = ()
-    exclude_domains: tuple[str, ...] = ()
-    match_case: bool = False
-    unsupported: tuple[str, ...] = ()
+    __slots__ = (
+        "include_types",
+        "exclude_types",
+        "third_party",
+        "include_domains",
+        "exclude_domains",
+        "match_case",
+        "unsupported",
+    )
+
+    include_types: frozenset[ResourceType]
+    exclude_types: frozenset[ResourceType]
+    third_party: bool | None
+    include_domains: tuple[str, ...]
+    exclude_domains: tuple[str, ...]
+    match_case: bool
+    unsupported: tuple[str, ...]
+
+    def __init__(
+        self,
+        include_types: frozenset[ResourceType] = frozenset(),
+        exclude_types: frozenset[ResourceType] = frozenset(),
+        third_party: bool | None = None,
+        include_domains: tuple[str, ...] = (),
+        exclude_domains: tuple[str, ...] = (),
+        match_case: bool = False,
+        unsupported: tuple[str, ...] = (),
+    ) -> None:
+        set_field(self, "include_types", include_types)
+        set_field(self, "exclude_types", exclude_types)
+        set_field(self, "third_party", third_party)
+        set_field(self, "include_domains", include_domains)
+        set_field(self, "exclude_domains", exclude_domains)
+        set_field(self, "match_case", match_case)
+        set_field(self, "unsupported", unsupported)
 
     def permits(self, context: RequestContext) -> bool:
         """Check the non-pattern constraints against a request."""
@@ -123,7 +163,6 @@ class RuleOptions:
 
 #: The options of a rule without ``$`` options; immutable, so shared.
 _DEFAULT_OPTIONS = RuleOptions()
-_SETATTR = object.__setattr__
 
 # ``^`` in ABP matches a "separator": anything that is not a letter, digit or
 # one of ``_ - . %`` — or the end of the URL.
@@ -184,15 +223,29 @@ def _extract_token(pattern: str) -> str:
     return max(runs, key=len) if runs else ""
 
 
-@dataclass(frozen=True)
-class NetworkRule:
+class NetworkRule(FrozenRecord):
     """One parsed network rule (blocking or exception)."""
+
+    # The two slots after the fields hold lazily derived state: the
+    # compiled regex and the indexing token, ``None`` until first use.
+    # (``_token`` uses ``None`` as its sentinel because ``""`` is a
+    # legitimate extracted token for token-free patterns.)  They are not
+    # fields, so equality, hashing and pickling ignore them.
+    __slots__ = (
+        "text",
+        "pattern",
+        "is_exception",
+        "options",
+        "list_name",
+        "_regex",
+        "_token",
+    )
 
     text: str
     pattern: str
-    is_exception: bool = False
-    options: RuleOptions = _DEFAULT_OPTIONS
-    list_name: str = ""
+    is_exception: bool
+    options: RuleOptions
+    list_name: str
 
     def __init__(
         self,
@@ -202,25 +255,13 @@ class NetworkRule:
         options: RuleOptions = _DEFAULT_OPTIONS,
         list_name: str = "",
     ) -> None:
-        # Same assignments as the generated frozen __init__, through a
-        # module-level alias of object.__setattr__ instead of a lookup per
-        # field: a third less time per rule, and every parsed line and
-        # every compile-time re-parse builds one.  (A __dict__.update
-        # would be faster still but gives each rule its own dict object,
-        # about 128 more bytes per rule.)
-        _SETATTR(self, "text", text)
-        _SETATTR(self, "pattern", pattern)
-        _SETATTR(self, "is_exception", is_exception)
-        _SETATTR(self, "options", options)
-        _SETATTR(self, "list_name", list_name)
-
-    # Class-level defaults for the two lazily derived attributes: instances
-    # only gain ``_regex`` / ``_token`` entries in their __dict__ on first
-    # use, so a rule without them simply falls back to "not derived yet".
-    # (``_token`` uses ``None`` as its sentinel because ``""`` is a
-    # legitimate extracted token for token-free patterns.)
-    _regex = None
-    _token = None
+        set_field(self, "text", text)
+        set_field(self, "pattern", pattern)
+        set_field(self, "is_exception", is_exception)
+        set_field(self, "options", options)
+        set_field(self, "list_name", list_name)
+        set_field(self, "_regex", None)
+        set_field(self, "_token", None)
 
     @property
     def token(self) -> str:
@@ -233,22 +274,22 @@ class NetworkRule:
         token: str | None = self._token
         if token is None:
             token = _extract_token(self.pattern)
-            object.__setattr__(self, "_token", token)
+            set_field(self, "_token", token)
         return token
 
     @property
     def regex(self) -> re.Pattern[str]:
         """The compiled pattern, built on first access and then cached."""
-        compiled: re.Pattern[str] | None = self._regex  # type: ignore[attr-defined]
+        compiled: re.Pattern[str] | None = self._regex
         if compiled is None:
             compiled = _compile_pattern(self.pattern, self.options.match_case)
-            object.__setattr__(self, "_regex", compiled)
+            set_field(self, "_regex", compiled)
         return compiled
 
     @property
     def regex_compiled(self) -> bool:
         """Whether the lazy regex has been materialized (introspection)."""
-        return self._regex is not None  # type: ignore[attr-defined]
+        return self._regex is not None
 
     @property
     def supported(self) -> bool:

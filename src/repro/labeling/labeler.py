@@ -14,9 +14,9 @@ functional involvement for the call-stack analyses.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterable, Iterator
 
+from .._record import FrozenRecord, Record, set_field
 from ..browser.callstack import CallStack
 from ..browser.devtools import RequestWillBeSent
 from ..crawler.storage import RequestDatabase
@@ -30,13 +30,27 @@ if TYPE_CHECKING:  # pragma: no cover - whoever builds a resolver imports dns
 __all__ = ["AnalyzedRequest", "LabeledCrawl", "RequestLabeler"]
 
 
-@dataclass(frozen=True)
-class AnalyzedRequest:
+class AnalyzedRequest(FrozenRecord):
     """One labeled, attribution-ready request.
 
     Carries every key the hierarchy needs: the target's registrable domain
     and hostname, and the initiator script/method from the call stack.
     """
+
+    __slots__ = (
+        "url",
+        "label",
+        "domain",
+        "hostname",
+        "script",
+        "method",
+        "page",
+        "resource_type",
+        "ancestry",
+        "frames",
+        "matched_rule",
+        "matched_list",
+    )
 
     url: str
     label: Label
@@ -49,9 +63,37 @@ class AnalyzedRequest:
     ancestry: tuple[str, ...]
     #: flattened (script, method) frames, innermost first — the raw stack
     #: snapshot the call-stack analysis (Figure 5) consumes.
-    frames: tuple[tuple[str, str], ...] = ()
-    matched_rule: str = ""
-    matched_list: str = ""
+    frames: tuple[tuple[str, str], ...]
+    matched_rule: str
+    matched_list: str
+
+    def __init__(
+        self,
+        url: str,
+        label: Label,
+        domain: str,
+        hostname: str,
+        script: str,
+        method: str,
+        page: str,
+        resource_type: str,
+        ancestry: tuple[str, ...],
+        frames: tuple[tuple[str, str], ...] = (),
+        matched_rule: str = "",
+        matched_list: str = "",
+    ) -> None:
+        set_field(self, "url", url)
+        set_field(self, "label", label)
+        set_field(self, "domain", domain)
+        set_field(self, "hostname", hostname)
+        set_field(self, "script", script)
+        set_field(self, "method", method)
+        set_field(self, "page", page)
+        set_field(self, "resource_type", resource_type)
+        set_field(self, "ancestry", ancestry)
+        set_field(self, "frames", frames)
+        set_field(self, "matched_rule", matched_rule)
+        set_field(self, "matched_list", matched_list)
 
     @property
     def is_tracking(self) -> bool:
@@ -63,17 +105,35 @@ class AnalyzedRequest:
         return (self.script, self.method)
 
 
-@dataclass
-class LabeledCrawl:
+class LabeledCrawl(Record):
     """The full labeled dataset plus exclusion accounting."""
 
-    requests: list[AnalyzedRequest] = field(default_factory=list)
-    excluded_non_script: int = 0
-    excluded_unparseable: int = 0
+    __slots__ = (
+        "requests",
+        "excluded_non_script",
+        "excluded_unparseable",
+        "participation",
+    )
+
+    requests: list[AnalyzedRequest]
+    excluded_non_script: int
+    excluded_unparseable: int
     #: script URL -> (tracking, functional) request participation counts,
     #: counting every request whose *ancestry* (not just initiator)
     #: contains the script — the paper's ancestral label propagation.
-    participation: dict[str, list[int]] = field(default_factory=dict)
+    participation: dict[str, list[int]]
+
+    def __init__(
+        self,
+        requests: list[AnalyzedRequest] | None = None,
+        excluded_non_script: int = 0,
+        excluded_unparseable: int = 0,
+        participation: dict[str, list[int]] | None = None,
+    ) -> None:
+        self.requests = [] if requests is None else requests
+        self.excluded_non_script = excluded_non_script
+        self.excluded_unparseable = excluded_unparseable
+        self.participation = {} if participation is None else participation
 
     @property
     def tracking_count(self) -> int:

@@ -28,9 +28,10 @@ import json
 import threading
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator
+
+from .._record import Record
 
 __all__ = [
     "SpanRecord",
@@ -51,8 +52,7 @@ _ACTIVE_SPAN: contextvars.ContextVar[int] = contextvars.ContextVar(
 )
 
 
-@dataclass
-class SpanRecord:
+class SpanRecord(Record):
     """One completed (or synthetic) span.
 
     ``start`` is a monotonic-clock reading local to the process that
@@ -60,12 +60,30 @@ class SpanRecord:
     offsets only within one.  ``span_id`` 0 is reserved for "no parent".
     """
 
+    __slots__ = ("span_id", "parent_id", "name", "start", "duration", "attrs")
+
     span_id: int
     parent_id: int
     name: str
     start: float
     duration: float
-    attrs: dict = field(default_factory=dict)
+    attrs: dict
+
+    def __init__(
+        self,
+        span_id: int,
+        parent_id: int,
+        name: str,
+        start: float,
+        duration: float,
+        attrs: dict | None = None,
+    ) -> None:
+        self.span_id = span_id
+        self.parent_id = parent_id
+        self.name = name
+        self.start = start
+        self.duration = duration
+        self.attrs = {} if attrs is None else attrs
 
     def to_dict(self) -> dict:
         return {

@@ -81,7 +81,7 @@ _MAX_HEADER_BYTES = 64 * 1024
 _MAX_BODY_BYTES = 64 * 1024 * 1024
 _REASONS = {200: "OK", 400: "Bad Request", 404: "Not Found",
             405: "Method Not Allowed", 431: "Request Header Fields Too Large",
-            503: "Service Unavailable"}
+            500: "Internal Server Error", 503: "Service Unavailable"}
 
 
 class _ProtocolError(Exception):
@@ -263,7 +263,10 @@ class _Coalescer:
         batches = sum(1 for _, _, is_batch in pending if is_batch)
         try:
             result = self._service.decide_validated(merged, batches=batches)
-        except Exception as error:  # pragma: no cover - defensive
+        except Exception as error:
+            # Every request in the drain fails with it; _respond answers
+            # each one 500 (an ArtifactError from a corrupt mapped bucket
+            # is one such error).
             for future, _, _ in pending:
                 if not future.cancelled():
                     future.set_exception(error)
@@ -276,6 +279,12 @@ class _Coalescer:
             offset += len(validated)
             if not future.cancelled():
                 future.set_result((share, revision))
+
+
+def _retrieve(future: "asyncio.Future") -> None:
+    """Mark a future's exception as seen (a done-callback)."""
+    if not future.cancelled():
+        future.exception()
 
 
 class _PendingDecide:
@@ -485,10 +494,21 @@ class AsyncBlockingServer:
         for request in requests:
             outcomes.append(self._dispatch(request))
         keep_alive = True
-        for request, outcome in zip(requests, outcomes):
+        for index, (request, outcome) in enumerate(zip(requests, outcomes)):
             keep_alive = request.keep_alive and not self._draining
             if isinstance(outcome, _PendingDecide):
-                share, revision = await outcome.future
+                try:
+                    share, revision = await outcome.future
+                except Exception as error:
+                    # The drain failed: answer, close, and retrieve the
+                    # burst's later futures so none is left unobserved.
+                    for later in outcomes[index + 1 :]:
+                        if isinstance(later, _PendingDecide):
+                            later.future.add_done_callback(_retrieve)
+                    writer.write(
+                        _json_bytes(500, {"error": f"decide failed: {error}"}, False)
+                    )
+                    return False
                 payload = self._decide_payload(
                     outcome.single, share, revision
                 )

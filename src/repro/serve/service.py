@@ -263,7 +263,14 @@ class BlockingService:
                 )
             except ValueError as error:
                 raise ValueError(f"batch item {index}: {error}") from None
-            validated.append((url, resource, item.get("page_url", "")))
+            page_url = item.get("page_url")
+            if page_url is None:
+                page_url = ""
+            elif not isinstance(page_url, str):
+                raise ValueError(
+                    f"batch item {index}: page_url must be a string or null"
+                )
+            validated.append((url, resource, page_url))
         return validated
 
     def decide_validated(

@@ -14,7 +14,7 @@ rules.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from .._record import FrozenRecord, set_field
 
 __all__ = ["URL", "URLError", "parse_url", "normalize_host"]
 
@@ -33,8 +33,7 @@ class URLError(ValueError):
     """Raised when a string cannot be parsed as an absolute URL."""
 
 
-@dataclass(frozen=True, slots=True)
-class URL:
+class URL(FrozenRecord):
     """A parsed absolute URL.
 
     Attributes mirror the generic URI components.  ``host`` is always
@@ -42,14 +41,46 @@ class URL:
     used the scheme's default port (or no port at all).
     """
 
+    __slots__ = (
+        "scheme", "host", "path", "query", "fragment", "port", "username", "password"
+    )
+
     scheme: str
     host: str
-    path: str = "/"
-    query: str = ""
-    fragment: str = ""
-    port: int | None = None
-    username: str = ""
-    password: str = field(default="", repr=False)
+    path: str
+    query: str
+    fragment: str
+    port: int | None
+    username: str
+    password: str
+
+    def __init__(
+        self,
+        scheme: str,
+        host: str,
+        path: str = "/",
+        query: str = "",
+        fragment: str = "",
+        port: int | None = None,
+        username: str = "",
+        password: str = "",
+    ) -> None:
+        set_field(self, "scheme", scheme)
+        set_field(self, "host", host)
+        set_field(self, "path", path)
+        set_field(self, "query", query)
+        set_field(self, "fragment", fragment)
+        set_field(self, "port", port)
+        set_field(self, "username", username)
+        set_field(self, "password", password)
+
+    def __repr__(self) -> str:
+        # Every field but the password, which a log line must not carry.
+        return (
+            f"URL(scheme={self.scheme!r}, host={self.host!r}, path={self.path!r}, "
+            f"query={self.query!r}, fragment={self.fragment!r}, port={self.port!r}, "
+            f"username={self.username!r})"
+        )
 
     def __str__(self) -> str:  # pragma: no cover - convenience
         return self.href
@@ -87,10 +118,18 @@ class URL:
         """Return a copy of this URL with a different path."""
         if not path.startswith("/"):
             path = "/" + path
-        return replace(self, path=path)
+        return URL(
+            self.scheme, self.host, path, self.query, self.fragment,
+            self.port, self.username, self.password,
+        )
 
     def without_fragment(self) -> "URL":
-        return replace(self, fragment="") if self.fragment else self
+        if not self.fragment:
+            return self
+        return URL(
+            self.scheme, self.host, self.path, self.query, "",
+            self.port, self.username, self.password,
+        )
 
 
 def normalize_host(host: str) -> str:

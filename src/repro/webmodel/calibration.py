@@ -19,14 +19,22 @@ All numbers below are copied verbatim from the paper:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from .._record import FrozenRecord, set_field
 
 __all__ = ["LevelTargets", "PaperTargets", "PAPER", "ScaledTargets", "scale_targets"]
 
 
-@dataclass(frozen=True, slots=True)
-class LevelTargets:
+class LevelTargets(FrozenRecord):
     """Entity and request counts for one granularity level."""
+
+    __slots__ = (
+        "entities_tracking",
+        "entities_functional",
+        "entities_mixed",
+        "requests_tracking",
+        "requests_functional",
+        "requests_mixed",
+    )
 
     entities_tracking: int
     entities_functional: int
@@ -34,6 +42,22 @@ class LevelTargets:
     requests_tracking: int
     requests_functional: int
     requests_mixed: int
+
+    def __init__(
+        self,
+        entities_tracking: int,
+        entities_functional: int,
+        entities_mixed: int,
+        requests_tracking: int,
+        requests_functional: int,
+        requests_mixed: int,
+    ) -> None:
+        set_field(self, "entities_tracking", entities_tracking)
+        set_field(self, "entities_functional", entities_functional)
+        set_field(self, "entities_mixed", entities_mixed)
+        set_field(self, "requests_tracking", requests_tracking)
+        set_field(self, "requests_functional", requests_functional)
+        set_field(self, "requests_mixed", requests_mixed)
 
     @property
     def entities_total(self) -> int:
@@ -57,15 +81,30 @@ class LevelTargets:
         return self.entities_mixed / total if total else 0.0
 
 
-@dataclass(frozen=True, slots=True)
-class PaperTargets:
+class PaperTargets(FrozenRecord):
     """The full set of published marginals."""
+
+    __slots__ = ("sites", "domain", "hostname", "script", "method")
 
     sites: int
     domain: LevelTargets
     hostname: LevelTargets
     script: LevelTargets
     method: LevelTargets
+
+    def __init__(
+        self,
+        sites: int,
+        domain: LevelTargets,
+        hostname: LevelTargets,
+        script: LevelTargets,
+        method: LevelTargets,
+    ) -> None:
+        set_field(self, "sites", sites)
+        set_field(self, "domain", domain)
+        set_field(self, "hostname", hostname)
+        set_field(self, "script", script)
+        set_field(self, "method", method)
 
     @property
     def total_requests(self) -> int:
@@ -91,9 +130,10 @@ PAPER = PaperTargets(
 )
 
 
-@dataclass(frozen=True, slots=True)
-class ScaledTargets:
+class ScaledTargets(FrozenRecord):
     """Paper targets scaled to a smaller (or larger) crawl."""
+
+    __slots__ = ("sites", "scale", "domain", "hostname", "script", "method")
 
     sites: int
     scale: float
@@ -101,6 +141,22 @@ class ScaledTargets:
     hostname: LevelTargets
     script: LevelTargets
     method: LevelTargets
+
+    def __init__(
+        self,
+        sites: int,
+        scale: float,
+        domain: LevelTargets,
+        hostname: LevelTargets,
+        script: LevelTargets,
+        method: LevelTargets,
+    ) -> None:
+        set_field(self, "sites", sites)
+        set_field(self, "scale", scale)
+        set_field(self, "domain", domain)
+        set_field(self, "hostname", hostname)
+        set_field(self, "script", script)
+        set_field(self, "method", method)
 
     @property
     def levels(self) -> tuple[LevelTargets, ...]:

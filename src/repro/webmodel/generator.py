@@ -32,9 +32,9 @@ from __future__ import annotations
 
 import random
 from collections.abc import Iterable
-from dataclasses import dataclass, field
 from typing import TypeVar
 
+from .._record import Record
 from .allocation import (
     allocate_volumes,
     impurity_for_pure,
@@ -73,9 +73,12 @@ _RESOURCE_TYPES_TRACKING = ("image", "ping", "xmlhttprequest")
 _RESOURCE_TYPES_FUNCTIONAL = ("xmlhttprequest", "image", "script", "stylesheet", "font")
 
 
-@dataclass
-class SyntheticWeb:
+class SyntheticWeb(Record):
     """The fully-planned population handed to the crawler/browser."""
+
+    __slots__ = (
+        "seed", "targets", "websites", "domains", "scripts", "listed_tracker_domains"
+    )
 
     seed: int
     targets: ScaledTargets
@@ -84,6 +87,22 @@ class SyntheticWeb:
     scripts: list[ScriptSpec]
     #: hosts covered by a ``||domain^``-style rule (tracking-by-domain).
     listed_tracker_domains: frozenset[str]
+
+    def __init__(
+        self,
+        seed: int,
+        targets: ScaledTargets,
+        websites: list[Website],
+        domains: list[DomainSpec],
+        scripts: list[ScriptSpec],
+        listed_tracker_domains: frozenset[str],
+    ) -> None:
+        self.seed = seed
+        self.targets = targets
+        self.websites = websites
+        self.domains = domains
+        self.scripts = scripts
+        self.listed_tracker_domains = listed_tracker_domains
 
     @property
     def sites(self) -> int:
@@ -136,12 +155,17 @@ def _check_band(category: Category, tracking: int, functional: int, what: str) -
         raise AssertionError(f"{what}: ratio {ratio:.2f} not mixed")
 
 
-@dataclass
-class _Budget:
+class _Budget(Record):
     """A (tracking, functional) request budget for one planned entity."""
+
+    __slots__ = ("tracking", "functional")
 
     tracking: int
     functional: int
+
+    def __init__(self, tracking: int, functional: int) -> None:
+        self.tracking = tracking
+        self.functional = functional
 
     @property
     def total(self) -> int:
@@ -187,22 +211,44 @@ def _mixed_budgets(
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class _PlannedMethod:
+class _PlannedMethod(Record):
+    __slots__ = ("name", "category", "budget", "coverage", "context_separable")
+
     name: str
     category: Category
     budget: _Budget
-    coverage: float = 1.0
+    coverage: float
     #: for mixed methods: do tracking and functional invocations have
     #: distinguishable contexts (caller chain / arguments)?  The paper's
     #: Figure 5 and guard proposals only work on the separable majority.
-    context_separable: bool = True
+    context_separable: bool
+
+    def __init__(
+        self,
+        name: str,
+        category: Category,
+        budget: _Budget,
+        coverage: float = 1.0,
+        context_separable: bool = True,
+    ) -> None:
+        self.name = name
+        self.category = category
+        self.budget = budget
+        self.coverage = coverage
+        self.context_separable = context_separable
 
 
-@dataclass
-class _PlannedScript:
+class _PlannedScript(Record):
+    __slots__ = ("category", "methods")
+
     category: Category
-    methods: list[_PlannedMethod] = field(default_factory=list)
+    methods: list[_PlannedMethod]
+
+    def __init__(
+        self, category: Category, methods: list[_PlannedMethod] | None = None
+    ) -> None:
+        self.category = category
+        self.methods = [] if methods is None else methods
 
     def counts(self) -> tuple[int, int]:
         t = sum(m.budget.tracking for m in self.methods)
@@ -736,12 +782,19 @@ def _repair_domain_bands(mixed_domains: list[DomainSpec]) -> None:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class _HostSlots:
+class _HostSlots(Record):
+    __slots__ = ("host", "listed", "tracking", "functional")
+
     host: str
     listed: bool
     tracking: int
     functional: int
+
+    def __init__(self, host: str, listed: bool, tracking: int, functional: int) -> None:
+        self.host = host
+        self.listed = listed
+        self.tracking = tracking
+        self.functional = functional
 
 
 class _SharedValues:

@@ -17,8 +17,9 @@ Category semantics (generator *intent*, not pipeline output):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from enum import Enum
+
+from .._record import FrozenRecord, Record, set_field
 
 __all__ = [
     "Category",
@@ -41,19 +42,23 @@ class Category(str, Enum):
     MIXED = "mixed"
 
 
-@dataclass(frozen=True, slots=True)
-class Frame:
+class Frame(FrozenRecord):
     """One call-stack frame: a method within a script."""
+
+    __slots__ = ("script_url", "method")
 
     script_url: str
     method: str
+
+    def __init__(self, script_url: str, method: str) -> None:
+        set_field(self, "script_url", script_url)
+        set_field(self, "method", method)
 
     def __str__(self) -> str:  # pragma: no cover - convenience
         return f"{self.script_url}@{self.method}()"
 
 
-@dataclass(frozen=True, slots=True)
-class PlannedRequest:
+class PlannedRequest(FrozenRecord):
     """One network request the browser will issue during a page load.
 
     ``tracking`` is the generator's intent; the URL is synthesised so the
@@ -61,13 +66,21 @@ class PlannedRequest:
     the test suite, never assumed by the pipeline).
     """
 
+    __slots__ = ("url", "tracking", "resource_type")
+
     url: str
     tracking: bool
-    resource_type: str = "xmlhttprequest"
+    resource_type: str
+
+    def __init__(
+        self, url: str, tracking: bool, resource_type: str = "xmlhttprequest"
+    ) -> None:
+        set_field(self, "url", url)
+        set_field(self, "tracking", tracking)
+        set_field(self, "resource_type", resource_type)
 
 
-@dataclass(slots=True)
-class Invocation:
+class Invocation(Record):
     """One invocation of a method on a concrete page.
 
     ``caller_chain`` lists the frames *above* the initiator frame, nearest
@@ -83,29 +96,64 @@ class Invocation:
     one, and never write into ``args``.
     """
 
+    __slots__ = ("site", "requests", "caller_chain", "async_chain", "args", "sequence")
+
     site: str
-    requests: list[PlannedRequest] = field(default_factory=list)
-    caller_chain: tuple[Frame, ...] = ()
-    async_chain: tuple[Frame, ...] = ()
-    args: dict[str, str] = field(default_factory=dict)
-    sequence: int = 0
+    requests: list[PlannedRequest]
+    caller_chain: tuple[Frame, ...]
+    async_chain: tuple[Frame, ...]
+    args: dict[str, str]
+    sequence: int
+
+    def __init__(
+        self,
+        site: str,
+        requests: list[PlannedRequest] | None = None,
+        caller_chain: tuple[Frame, ...] = (),
+        async_chain: tuple[Frame, ...] = (),
+        args: dict[str, str] | None = None,
+        sequence: int = 0,
+    ) -> None:
+        self.site = site
+        self.requests = [] if requests is None else requests
+        self.caller_chain = caller_chain
+        self.async_chain = async_chain
+        self.args = {} if args is None else args
+        self.sequence = sequence
 
 
-@dataclass(slots=True)
-class MethodSpec:
+class MethodSpec(Record):
     """A named method inside a script, with its planned invocations."""
+
+    __slots__ = ("name", "category", "invocations", "coverage", "line", "column")
 
     name: str
     category: Category
-    invocations: list[Invocation] = field(default_factory=list)
+    invocations: list[Invocation]
     #: Probability the crawler ever observes this method (coverage gaps are
     #: what make naive surrogate generation risky — paper §5).
-    coverage: float = 1.0
+    coverage: float
     #: Source position.  Anonymous functions all report the same (empty)
     #: name in stack traces; line/column is the only way to tell them
     #: apart — the paper's second stated limitation.
-    line: int = 0
-    column: int = 0
+    line: int
+    column: int
+
+    def __init__(
+        self,
+        name: str,
+        category: Category,
+        invocations: list[Invocation] | None = None,
+        coverage: float = 1.0,
+        line: int = 0,
+        column: int = 0,
+    ) -> None:
+        self.name = name
+        self.category = category
+        self.invocations = [] if invocations is None else invocations
+        self.coverage = coverage
+        self.line = line
+        self.column = column
 
     @property
     def planned_requests(self) -> list[PlannedRequest]:
@@ -130,8 +178,7 @@ class ScriptKind(str, Enum):
     BUNDLED = "bundled"
 
 
-@dataclass(slots=True)
-class ScriptSpec:
+class ScriptSpec(Record):
     """A JavaScript resource: a URL identity plus a set of methods.
 
     External scripts have a real URL; inline scripts use the page URL with
@@ -140,12 +187,30 @@ class ScriptSpec:
     and record the originally separate sources in ``bundle_sources``.
     """
 
+    __slots__ = ("url", "category", "kind", "methods", "sites", "bundle_sources")
+
     url: str
     category: Category
-    kind: ScriptKind = ScriptKind.EXTERNAL
-    methods: list[MethodSpec] = field(default_factory=list)
-    sites: list[str] = field(default_factory=list)
-    bundle_sources: tuple[str, ...] = ()
+    kind: ScriptKind
+    methods: list[MethodSpec]
+    sites: list[str]
+    bundle_sources: tuple[str, ...]
+
+    def __init__(
+        self,
+        url: str,
+        category: Category,
+        kind: ScriptKind = ScriptKind.EXTERNAL,
+        methods: list[MethodSpec] | None = None,
+        sites: list[str] | None = None,
+        bundle_sources: tuple[str, ...] = (),
+    ) -> None:
+        self.url = url
+        self.category = category
+        self.kind = kind
+        self.methods = [] if methods is None else methods
+        self.sites = [] if sites is None else sites
+        self.bundle_sources = bundle_sources
 
     def method(self, name: str) -> MethodSpec:
         for method in self.methods:
@@ -162,27 +227,51 @@ class ScriptSpec:
         return tracking, functional
 
 
-@dataclass(slots=True)
-class HostnameSpec:
+class HostnameSpec(Record):
     """A hostname under some domain, with planned request volume."""
+
+    __slots__ = ("host", "category", "tracking_requests", "functional_requests")
 
     host: str
     category: Category
-    tracking_requests: int = 0
-    functional_requests: int = 0
+    tracking_requests: int
+    functional_requests: int
+
+    def __init__(
+        self,
+        host: str,
+        category: Category,
+        tracking_requests: int = 0,
+        functional_requests: int = 0,
+    ) -> None:
+        self.host = host
+        self.category = category
+        self.tracking_requests = tracking_requests
+        self.functional_requests = functional_requests
 
     @property
     def total_requests(self) -> int:
         return self.tracking_requests + self.functional_requests
 
 
-@dataclass(slots=True)
-class DomainSpec:
+class DomainSpec(Record):
     """An eTLD+1 with its hostnames."""
+
+    __slots__ = ("domain", "category", "hostnames")
 
     domain: str
     category: Category
-    hostnames: list[HostnameSpec] = field(default_factory=list)
+    hostnames: list[HostnameSpec]
+
+    def __init__(
+        self,
+        domain: str,
+        category: Category,
+        hostnames: list[HostnameSpec] | None = None,
+    ) -> None:
+        self.domain = domain
+        self.category = category
+        self.hostnames = [] if hostnames is None else hostnames
 
     def request_counts(self) -> tuple[int, int]:
         tracking = sum(h.tracking_requests for h in self.hostnames)

@@ -11,9 +11,9 @@ which scripts (optionally which methods) it needs to work.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from enum import Enum
 
+from .._record import Record
 from .resources import ScriptSpec
 
 __all__ = ["FunctionalityTier", "Functionality", "Website", "CORE_FEATURES", "SECONDARY_FEATURES"]
@@ -47,8 +47,7 @@ SECONDARY_FEATURES: tuple[str, ...] = (
 )
 
 
-@dataclass(slots=True)
-class Functionality:
+class Functionality(Record):
     """One user-visible feature and its script dependencies.
 
     ``required_methods`` refines the dependency to specific methods: if
@@ -63,10 +62,24 @@ class Functionality:
     them.
     """
 
+    __slots__ = ("name", "tier", "required_scripts", "required_methods")
+
     name: str
     tier: FunctionalityTier
-    required_scripts: frozenset[str] = frozenset()
-    required_methods: frozenset[tuple[str, str]] = frozenset()
+    required_scripts: frozenset[str]
+    required_methods: frozenset[tuple[str, str]]
+
+    def __init__(
+        self,
+        name: str,
+        tier: FunctionalityTier,
+        required_scripts: frozenset[str] = frozenset(),
+        required_methods: frozenset[tuple[str, str]] = frozenset(),
+    ) -> None:
+        self.name = name
+        self.tier = tier
+        self.required_scripts = required_scripts
+        self.required_methods = required_methods
 
     def works(self, blocked_scripts: frozenset[str], removed_methods: frozenset[tuple[str, str]]) -> bool:
         """Does the feature work given blocked scripts / removed methods?"""
@@ -78,14 +91,27 @@ class Functionality:
         return not (self.required_scripts & blocked_scripts)
 
 
-@dataclass(slots=True)
-class Website:
+class Website(Record):
     """One crawl target: a landing page, its scripts, its features."""
+
+    __slots__ = ("url", "rank", "scripts", "functionalities")
 
     url: str
     rank: int
-    scripts: list[ScriptSpec] = field(default_factory=list)
-    functionalities: list[Functionality] = field(default_factory=list)
+    scripts: list[ScriptSpec]
+    functionalities: list[Functionality]
+
+    def __init__(
+        self,
+        url: str,
+        rank: int,
+        scripts: list[ScriptSpec] | None = None,
+        functionalities: list[Functionality] | None = None,
+    ) -> None:
+        self.url = url
+        self.rank = rank
+        self.scripts = [] if scripts is None else scripts
+        self.functionalities = [] if functionalities is None else functionalities
 
     @property
     def domain_url(self) -> str:

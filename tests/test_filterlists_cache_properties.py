@@ -12,8 +12,6 @@ Two proof obligations back the streaming engine's labeling cache:
    context must appear among the candidates its URL tokens select.
 """
 
-import dataclasses
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -213,7 +211,12 @@ class TestCandidateCompleteness:
             # first_match/candidates contract: the context carries the
             # shape's normalized-authority view (what FilterMatcher.match
             # rewrites before consulting the indexes).
-            context = dataclasses.replace(context, url=shape.match_url)
+            context = RequestContext(
+                shape.match_url,
+                context.resource_type,
+                context.page_host,
+                context.third_party,
+            )
         for index in (matcher._blocking, matcher._exceptions):
             considered = list(candidates(index, shape))
             for rule in _index_rules(index):
@@ -230,7 +233,12 @@ class TestCandidateCompleteness:
         matcher = _build(rules)
         shape = RequestShape(context.url, matcher.automaton)
         if shape.match_url is not context.url:
-            context = dataclasses.replace(context, url=shape.match_url)
+            context = RequestContext(
+                shape.match_url,
+                context.resource_type,
+                context.page_host,
+                context.third_party,
+            )
         for index in (matcher._blocking, matcher._exceptions):
             brute = any(rule.matches(context) for rule in _index_rules(index))
             assert (index.first_match(context, shape) is not None) == brute

@@ -133,7 +133,7 @@ class TestRoundTrip:
         assert rules
         # The host-anchor hit decided by key lookup: no regex compiled.
         assert all(not rule.regex_compiled for rule in rules)
-        assert all("_token" not in rule.__dict__ for rule in rules)
+        assert all(rule._token is None for rule in rules)
 
     def test_file_round_trip_and_meta(self, tmp_path):
         path = tmp_path / "unit.tsoracle"

@@ -38,6 +38,11 @@ _NOT_ON_THE_STUDY_PATH = [
     "repro.durable",
     "repro.crawler.crawler",
     "sqlite3",
+    # The study path's records are written out (repro/_record.py): a
+    # dataclass compiles its methods with exec at import, and importing
+    # dataclasses loads inspect.
+    "dataclasses",
+    "inspect",
 ]
 
 #: Modules only some CLI commands use; ``import repro.cli`` leaves them
@@ -57,6 +62,16 @@ _NOT_ON_THE_CLI_IMPORT_PATH = [
     "socket",
     "subprocess",
     "pickle",
+]
+
+#: Modules rendering Tables 1-2 after a study must leave unloaded: they
+#: serve Figures 3-5, the bootstrap and Table 3.
+_NOT_ON_THE_TABLE_1_2_PATH = [
+    "repro.analysis.figures",
+    "repro.analysis.confidence",
+    "repro.core.sensitivity",
+    "repro.core.callstack_analysis",
+    "repro.browser.breakage",
 ]
 
 
@@ -149,6 +164,19 @@ class TestTopLevel:
             import repro.cli
             print([m for m in {_NOT_ON_THE_CLI_IMPORT_PATH!r}
                    if m in sys.modules])
+            """
+        )
+        assert out == ["[]"]
+
+    @pytest.mark.tier1
+    def test_rendering_tables_1_and_2_loads_no_figure_analysis(self):
+        out = _run_fresh(
+            f"""
+            import sys
+            import repro.cli
+            from repro.analysis.report import render_table1, render_table2
+            from repro.analysis.tables import build_table1, build_table2
+            print([m for m in {_NOT_ON_THE_TABLE_1_2_PATH!r} if m in sys.modules])
             """
         )
         assert out == ["[]"]

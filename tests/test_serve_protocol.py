@@ -25,7 +25,10 @@ Proof obligations for ``repro.serve.protocol``:
 """
 
 import asyncio
+import gc
 import json
+import logging
+import re
 import socket
 import threading
 import time
@@ -35,6 +38,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro.filterlists.image import ArtifactError
 from repro.serve import protocol
 from repro.serve.client import BlockingClient, OpenLoopLoadGenerator, ServeError
 from repro.serve.protocol import (
@@ -436,7 +440,73 @@ class TestCoalescer:
         assert service.drains == [(1, 0), (1, 0)]
 
 
+# -- decide validation, in isolation ------------------------------------------
+
+#: Any JSON value.
+_JSON = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats(allow_nan=False)
+    | st.text(max_size=40),
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(st.text(max_size=8), children, max_size=3),
+    max_leaves=6,
+)
+
+
+class TestDecideValidation:
+    service = BlockingService()
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        item=st.fixed_dictionaries(
+            {},
+            optional={
+                "url": _JSON
+                | st.sampled_from(["https://ads.example/p.gif", "//x.example/a"]),
+                "resource_type": _JSON | st.sampled_from(["script", "image", "xhr"]),
+                "page_url": _JSON | st.sampled_from(["https://site.example/", ""]),
+            },
+        )
+    )
+    @example(item={"url": "https://doubleclick.net/x.js", "page_url": 5})
+    @example(item={"url": "https://doubleclick.net/x.js", "page_url": None})
+    def test_any_json_item_validates_or_raises_value_error(self, item):
+        try:
+            validated = self.service.validate_requests([item])
+        except ValueError as error:
+            assert str(error).startswith("batch item 0")
+            return
+        # What validates is decidable: it joins a coalesced drain.
+        ((url, _, page_url),) = validated
+        assert isinstance(url, str) and isinstance(page_url, str)
+        assert len(self.service.decide_validated(validated)["decisions"]) == 1
+
+    def test_null_page_url_decides_like_an_absent_one(self):
+        url = "https://doubleclick.net/x.js"
+        assert self.service.validate_requests(
+            [{"url": url, "page_url": None}]
+        ) == self.service.validate_requests([{"url": url}])
+
+
 # -- the server over real sockets ---------------------------------------------
+
+
+def _read_until_closed(sock: socket.socket, seconds: float = 10.0) -> bytes:
+    received = b""
+    deadline = time.monotonic() + seconds
+    while True:
+        assert time.monotonic() < deadline, received
+        data = sock.recv(65536)
+        if not data:
+            return received
+        received += data
+
+
+def _statuses(received: bytes) -> list[bytes]:
+    """The status codes of a stream of responses, in order."""
+    return re.findall(rb"HTTP/1\.1 (\d{3}) ", received)
 
 
 @pytest.fixture()
@@ -511,6 +581,21 @@ class TestAsyncServer:
         assert b"400" in received.split(b"\r\n")[0]
         assert received.count(b'"blocked": true') == 1
 
+    def test_non_string_page_url_does_not_poison_its_neighbour(self, server):
+        # One drain would have held both: the bad page_url is refused at
+        # validation, so the valid pipelined neighbour is still decided.
+        good = json.dumps({"url": "https://doubleclick.net/x.js"}).encode()
+        bad = json.dumps(
+            {"url": "https://doubleclick.net/y.js", "page_url": 5}
+        ).encode()
+        close = "Connection: close\r\n"
+        with socket.create_connection((server.host, server.port), timeout=10) as sock:
+            sock.sendall(_post("/v1/decide", good) + _post("/v1/decide", bad, close))
+            received = _read_until_closed(sock)
+        assert _statuses(received) == [b"200", b"400"]
+        assert received.count(b'"blocked": true') == 1
+        assert b"batch item 0: page_url must be a string or null" in received
+
     def test_chunked_body_rejected_then_closed(self, server):
         with socket.create_connection((server.host, server.port), timeout=10) as sock:
             sock.sendall(
@@ -521,6 +606,56 @@ class TestAsyncServer:
             assert response.startswith(b"HTTP/1.1 400")
             # Framing is untrustworthy after that: server closes.
             assert sock.recv(65536) == b""
+
+
+class _FailingService(BlockingService):
+    """Every drain fails while ``fail`` is set, as a corrupt mapped
+    bucket makes it."""
+
+    fail = True
+
+    def decide_validated(self, validated, *, batches=1):
+        if self.fail:
+            raise ArtifactError("bucket 3 is corrupt")
+        return super().decide_validated(validated, batches=batches)
+
+
+class TestFailedDrain:
+    def test_every_request_in_a_failed_drain_is_answered_500(self, caplog):
+        body = json.dumps({"url": "https://doubleclick.net/t.js"}).encode()
+        caplog.set_level(logging.ERROR, logger="asyncio")
+        with AsyncServerThread(service=_FailingService()) as server:
+            first = socket.create_connection((server.host, server.port), timeout=10)
+            second = socket.create_connection((server.host, server.port), timeout=10)
+            with first, second:
+                # A pipelined burst of three on one connection, one more
+                # on another: all four land in the same drain.
+                first.sendall(_post("/v1/decide", body) * 3)
+                second.sendall(_post("/v1/decide", body))
+                answers = [_read_until_closed(first), _read_until_closed(second)]
+            gc.collect()
+        for received in answers:
+            # The first failed decide is answered and the connection
+            # closes: nothing after it on that connection can be trusted.
+            assert _statuses(received) == [b"500"]
+            assert b"Connection: close" in received
+            head, _, payload = received.partition(b"\r\n\r\n")
+            assert json.loads(payload) == {
+                "error": "decide failed: bucket 3 is corrupt"
+            }
+        assert "never retrieved" not in caplog.text
+        assert "Task exception" not in caplog.text
+
+    def test_the_server_keeps_serving_after_a_failed_drain(self):
+        service = _FailingService()
+        with AsyncServerThread(service=service) as server:
+            with BlockingClient(server.host, server.port) as client:
+                with pytest.raises(ServeError) as failed:
+                    client.decide("https://doubleclick.net/t.js")
+                assert failed.value.status == 500
+            service.fail = False
+            with BlockingClient(server.host, server.port) as client:
+                assert client.decide("https://doubleclick.net/t.js")["blocked"] is True
 
 
 class TestSupervisedMode:
