@@ -5,9 +5,9 @@
 text and compiles it with ``exec`` when the decorator runs, and ``import
 dataclasses`` also loads ``inspect``.  A ``.pyc`` caches neither, so every
 process pays both again: on the study path that was most of ``import
-repro``.  The modules a study's set-up loads therefore declare their
-records as ``__slots__`` classes that write their own ``__init__`` and take
-the rest from here::
+repro``.  The modules a study's set-up loads, and the table rows a CLI
+study renders, therefore declare their records as ``__slots__`` classes
+that write their own ``__init__`` and take the rest from here::
 
     class Point(FrozenRecord):
         __slots__ = ("x", "y")

@@ -9,9 +9,9 @@ size) for EXPERIMENTS.md.
 from __future__ import annotations
 
 import io
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
+from .._record import FrozenRecord, set_field
 from ..core.classifier import ResourceClass
 from ..core.results import SiftReport
 from ..webmodel.calibration import PAPER, PaperTargets
@@ -118,13 +118,21 @@ def rows_to_csv(headers: list[str], rows: list[list[str]]) -> str:
     return buffer.getvalue()
 
 
-@dataclass(frozen=True)
-class PaperComparison:
+class PaperComparison(FrozenRecord):
     """Paper-reported vs measured, one metric per row."""
+
+    __slots__ = ("metric", "paper_value", "measured_value")
 
     metric: str
     paper_value: float
     measured_value: float
+
+    def __init__(
+        self, metric: str, paper_value: float, measured_value: float
+    ) -> None:
+        set_field(self, "metric", metric)
+        set_field(self, "paper_value", paper_value)
+        set_field(self, "measured_value", measured_value)
 
     @property
     def absolute_error(self) -> float:

@@ -9,9 +9,9 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
+from .._record import FrozenRecord, set_field
 from ..browser.engine import BrowserEngine
 from ..core.classifier import ResourceClass
 from ..core.results import SiftReport
@@ -32,9 +32,17 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Table1Row:
+class Table1Row(FrozenRecord):
     """One granularity's request-level row."""
+
+    __slots__ = (
+        "granularity",
+        "tracking",
+        "functional",
+        "mixed",
+        "separation_factor",
+        "cumulative_separation",
+    )
 
     granularity: str
     tracking: int
@@ -43,20 +51,57 @@ class Table1Row:
     separation_factor: float
     cumulative_separation: float
 
+    def __init__(
+        self,
+        granularity: str,
+        tracking: int,
+        functional: int,
+        mixed: int,
+        separation_factor: float,
+        cumulative_separation: float,
+    ) -> None:
+        set_field(self, "granularity", granularity)
+        set_field(self, "tracking", tracking)
+        set_field(self, "functional", functional)
+        set_field(self, "mixed", mixed)
+        set_field(self, "separation_factor", separation_factor)
+        set_field(self, "cumulative_separation", cumulative_separation)
+
     @property
     def total(self) -> int:
         return self.tracking + self.functional + self.mixed
 
 
-@dataclass(frozen=True)
-class Table2Row:
+class Table2Row(FrozenRecord):
     """One granularity's resource-level row."""
+
+    __slots__ = (
+        "granularity",
+        "tracking",
+        "functional",
+        "mixed",
+        "separation_factor",
+    )
 
     granularity: str
     tracking: int
     functional: int
     mixed: int
     separation_factor: float
+
+    def __init__(
+        self,
+        granularity: str,
+        tracking: int,
+        functional: int,
+        mixed: int,
+        separation_factor: float,
+    ) -> None:
+        set_field(self, "granularity", granularity)
+        set_field(self, "tracking", tracking)
+        set_field(self, "functional", functional)
+        set_field(self, "mixed", mixed)
+        set_field(self, "separation_factor", separation_factor)
 
     @property
     def total(self) -> int:
@@ -67,14 +112,23 @@ class Table2Row:
         return self.mixed / self.total if self.total else 0.0
 
 
-@dataclass(frozen=True)
-class Table3Row:
+class Table3Row(FrozenRecord):
     """One website's breakage outcome."""
+
+    __slots__ = ("website", "mixed_script", "breakage", "comment")
 
     website: str
     mixed_script: str
     breakage: str
     comment: str
+
+    def __init__(
+        self, website: str, mixed_script: str, breakage: str, comment: str
+    ) -> None:
+        set_field(self, "website", website)
+        set_field(self, "mixed_script", mixed_script)
+        set_field(self, "breakage", breakage)
+        set_field(self, "comment", comment)
 
 
 def build_table1(report: SiftReport) -> list[Table1Row]:

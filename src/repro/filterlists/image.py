@@ -171,9 +171,11 @@ def build_image(matcher: FilterMatcher, lists: tuple[ParsedList, ...] = ()) -> b
     Every indexed rule must round-trip through
     :func:`~repro.filterlists.parser.parse_rule_line` — the image stores
     source lines, not objects, so lazy materialization re-parses them.
-    Rules constructed programmatically with a ``text`` that does not
-    re-parse to the same rule are rejected at compile time rather than
-    silently drifting at serve time.
+    The parser marks each rule it builds as round-tripping by
+    construction, so only unmarked rules are re-parsed here: those
+    constructed programmatically, or rebuilt by pickle or copy.  One whose
+    ``text`` does not re-parse to the same rule is rejected at compile
+    time rather than silently drifting at serve time.
     """
     # Every bucket in directory order — hosts, token buckets, catch-all;
     # blocking tier, then exceptions — concatenated into one sequence.  A
@@ -208,7 +210,7 @@ def build_image(matcher: FilterMatcher, lists: tuple[ParsedList, ...] = ()) -> b
         position = {key: index for index, key in enumerate(unique)}
         ids = [position[id(rule)] for rule in ordered]
     for rule in rules:
-        if parse_rule_line(rule.text, rule.list_name) != rule:
+        if not rule._parsed and parse_rule_line(rule.text, rule.list_name) != rule:
             raise ArtifactError(
                 f"rule {rule.text!r} does not round-trip through the "
                 "parser; oracle images store source lines and cannot "

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import re
 
-from .._record import Record
+from .._record import Record, set_field
 from .rules import (
     _DEFAULT_OPTIONS,
     NetworkRule,
@@ -206,7 +206,8 @@ def parse_rule_line(line: str, list_name: str = "") -> NetworkRule | None:
 
 
 def _parse_network_rule(line: str, list_name: str) -> NetworkRule:
-    """Parse a stripped line already classified as a network rule."""
+    """Parse a stripped line already classified as a network rule; the
+    rule comes back marked as round-tripping (``_parsed``)."""
     text = line
     is_exception = line.startswith("@@")
     if is_exception:
@@ -236,7 +237,12 @@ def _parse_network_rule(line: str, list_name: str) -> NetworkRule:
 
     if not pattern:
         raise RuleParseError(f"empty pattern in rule: {text!r}")
-    return NetworkRule(text, pattern, is_exception, options, list_name)
+    rule = NetworkRule(text, pattern, is_exception, options, list_name)
+    # ``text`` is a stripped line that _classify calls a network rule, so
+    # parse_rule_line(text, list_name) re-parses it to an equal rule; the
+    # mark lets build_image skip that round-trip check.
+    set_field(rule, "_parsed", True)
+    return rule
 
 
 def parse_filter_list(data: str, name: str = "") -> ParsedList:

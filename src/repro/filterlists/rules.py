@@ -226,11 +226,14 @@ def _extract_token(pattern: str) -> str:
 class NetworkRule(FrozenRecord):
     """One parsed network rule (blocking or exception)."""
 
-    # The two slots after the fields hold lazily derived state: the
-    # compiled regex and the indexing token, ``None`` until first use.
-    # (``_token`` uses ``None`` as its sentinel because ``""`` is a
-    # legitimate extracted token for token-free patterns.)  They are not
-    # fields, so equality, hashing and pickling ignore them.
+    # The slots after the fields are not fields, so equality, hashing,
+    # repr and pickling ignore them.  The first two hold lazily derived
+    # state: the compiled regex and the indexing token, ``None`` until
+    # first use.  (``_token`` uses ``None`` as its sentinel because ``""``
+    # is a legitimate extracted token for token-free patterns.)
+    # ``_parsed`` is True only on a rule the parser built from its own
+    # ``text``, so re-parsing that text gives an equal rule; a rule built
+    # here directly, or rebuilt by pickle or copy, starts False.
     __slots__ = (
         "text",
         "pattern",
@@ -239,6 +242,7 @@ class NetworkRule(FrozenRecord):
         "list_name",
         "_regex",
         "_token",
+        "_parsed",
     )
 
     text: str
@@ -262,6 +266,7 @@ class NetworkRule(FrozenRecord):
         set_field(self, "list_name", list_name)
         set_field(self, "_regex", None)
         set_field(self, "_token", None)
+        set_field(self, "_parsed", False)
 
     @property
     def token(self) -> str:

@@ -26,7 +26,9 @@ independent servers would hold N private copies of the rule index.
   (via :meth:`~repro.serve.service.BlockingService.swap_image`, one
   atomic reference assignment per worker; in-flight batches finish on the
   snapshot they started with).  Workers decline HTTP ``/v1/reload`` —
-  a single worker must never diverge from its siblings.
+  a single worker must never diverge from its siblings.  Only the
+  parent holds the parent ends: a worker closes those it inherited, so
+  a parent that dies undrained shows as EOF and every worker drains.
 * **Shared metrics board.** A lock-free ``multiprocessing.Array`` of
   doubles with one writer per slot region: each worker periodically
   publishes its counters, revision, pid, and new latency samples into
@@ -50,6 +52,7 @@ independent servers would hold N private copies of the rule index.
 
 from __future__ import annotations
 
+import gc
 import multiprocessing
 import os
 import signal
@@ -165,6 +168,7 @@ def _worker_main(
     workers: int,
     ring: int,
     incarnation: int = 1,
+    parent_ends: tuple = (),
 ) -> None:
     """Entry point of one forked worker: asyncio server on the shared
     port, control pipe on the loop, board publisher, own drain signals.
@@ -174,7 +178,22 @@ def _worker_main(
     ``serve.worker`` fault-injection site matches on, so a chaos plan can
     crash exactly the first incarnation and prove the restarted one
     serves identically.
+
+    ``parent_ends`` are the supervisor's ends of the control pipes (this
+    worker's and its live siblings'), which the fork copied in.  The
+    worker closes them first: while any process but the supervisor holds
+    the supervisor's end of ``conn``, the supervisor's death never shows
+    here as EOF, and the worker would serve on unsupervised.
     """
+    for end in parent_ends:
+        end.close()
+    # Nor does the worker keep the supervisor's stop and reload handlers:
+    # it starts from the default dispositions, and its event loop installs
+    # its own drain handlers.
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    signal.signal(signal.SIGINT, signal.default_int_handler)
+    signal.signal(signal.SIGHUP, signal.SIG_DFL)
+
     import asyncio
 
     from ..faults import FaultPlan
@@ -286,7 +305,10 @@ def _worker_main(
         await server.drain(timeout=10.0)
         publish_task.cancel()
         _publish_slot(service, shared, index, 0)
-        conn.send({"op": "drained", "worker": os.getpid()})
+        try:
+            conn.send({"op": "drained", "worker": os.getpid()})
+        except OSError:
+            pass  # the supervisor is gone (the EOF drain above)
         conn.close()
 
     asyncio.run(main())
@@ -405,9 +427,20 @@ class ServeSupervisor:
 
     # -- lifecycle ---------------------------------------------------------
     def _spawn_worker(self, index: int) -> None:
-        """(Re)spawn worker slot ``index`` — pipe, process, bookkeeping."""
+        """(Re)spawn worker slot ``index`` — pipe, process, bookkeeping.
+
+        The worker forks on a frozen heap: ``gc.freeze()`` moves every
+        object the supervisor's collector tracks into its permanent
+        generation for the fork, so the worker's collections never walk,
+        nor copy-on-write fault, the supervisor's objects.  The parent
+        unfreezes them straight after, so its own collector is unchanged.
+        """
         self._incarnations[index] += 1
         parent_end, worker_end = self._context.Pipe(duplex=True)
+        parent_ends = (
+            parent_end,
+            *(pipe for pipe in self._pipes if pipe is not None),
+        )
         process = self._context.Process(
             target=_worker_main,
             args=(
@@ -422,10 +455,15 @@ class ServeSupervisor:
                 self.workers,
                 self.ring,
                 self._incarnations[index],
+                parent_ends,
             ),
             name=f"trackersift-serve-worker-{index}",
         )
-        process.start()
+        gc.freeze()
+        try:
+            process.start()
+        finally:
+            gc.unfreeze()
         worker_end.close()
         self._processes[index] = process
         self._pipes[index] = parent_end
@@ -710,12 +748,18 @@ class ServeSupervisor:
 
     # -- CLI blocking mode -------------------------------------------------
     def serve_forever(self) -> int:
-        """Block until SIGTERM/SIGINT, draining gracefully (exit 0).
+        """Start the fleet unless it runs, then block until SIGTERM/SIGINT,
+        draining gracefully (exit 0).
         SIGHUP re-reads the boot artifact as a coordinated reload.
         Crashed workers are reaped and restarted with exponential backoff
         (the fleet serves degraded in between — every survivor's
         ``/healthz`` says so); only a fleet that is fully dead with every
-        restart budget spent exits non-zero."""
+        restart budget spent exits non-zero.
+
+        The signal handlers go in before the fleet starts, so a stop that
+        arrives while the workers boot drains them, exit 0, as soon as
+        :meth:`start` returns, instead of killing the supervisor by the
+        signal's default action and leaving the workers behind."""
         stop = {"flag": False}
         fleet_dead = False
 
@@ -723,6 +767,8 @@ class ServeSupervisor:
             stop["flag"] = True
 
         def on_hup(signum, frame) -> None:
+            if not self._started:
+                return  # booting: the workers are loading that artifact
             try:
                 report = self.reload(self.artifact)
                 console.say(
@@ -738,6 +784,18 @@ class ServeSupervisor:
             signal.SIGHUP: signal.signal(signal.SIGHUP, on_hup),
         }
         try:
+            if not self._started:
+                self.start()
+                meta = self.artifact_meta
+                console.say(
+                    f"trackersift serve: {self.workers} workers on {self.url} "
+                    f"({self.strategy} sockets, {meta.get('rule_count')} "
+                    f"rules, shared image {meta.get('image_bytes')} bytes)"
+                )
+                console.say(
+                    "endpoints: POST /v1/decide  GET /healthz  GET /metrics  "
+                    "(reload: SIGHUP to the supervisor)"
+                )
             while not stop["flag"]:
                 time.sleep(0.2)
                 events = self.maintain()
@@ -783,16 +841,5 @@ def run_supervisor(
     """``trackersift serve --workers N --artifact ...`` entry point."""
     supervisor = ServeSupervisor(
         artifact, workers=workers, host=host, port=port
-    )
-    supervisor.start()
-    meta = supervisor.artifact_meta
-    console.say(
-        f"trackersift serve: {workers} workers on {supervisor.url} "
-        f"({supervisor.strategy} sockets, {meta.get('rule_count')} rules, "
-        f"shared image {meta.get('image_bytes')} bytes)"
-    )
-    console.say(
-        "endpoints: POST /v1/decide  GET /healthz  GET /metrics  "
-        "(reload: SIGHUP to the supervisor)"
     )
     return supervisor.serve_forever()

@@ -13,8 +13,10 @@ The proof obligations for ``repro.filterlists.compile``:
   and ``add_list`` refuses (edit list text and recompile instead).
 """
 
+import copy
 import hashlib
 import json
+import pickle
 import random
 import struct
 import tempfile
@@ -39,7 +41,7 @@ from repro.filterlists.image import ImageMatcher
 from repro.filterlists.lists import default_lists
 from repro.filterlists.matcher import FilterMatcher
 from repro.filterlists.oracle import FilterListOracle
-from repro.filterlists.parser import parse_filter_list
+from repro.filterlists.parser import parse_filter_list, parse_rule_line
 from repro.filterlists.rules import NetworkRule, RequestContext, RuleOptions
 from repro.obs.trace import Tracer
 
@@ -248,6 +250,29 @@ class TestRejection:
         with pytest.raises(ArtifactError, match="does not round-trip"):
             compile_matcher(matcher, path)
         assert not path.exists()
+
+    def test_only_unmarked_rules_are_reparsed(self, monkeypatch):
+        """The parser marks the rules it builds as round-tripping, so the
+        check re-parses only rules that lost the mark (pickle, copy) or
+        never had it, and still rejects one that does not re-parse."""
+        import repro.filterlists.image as image
+
+        reparsed: list[str] = []
+
+        def counting(line: str, list_name: str = ""):
+            reparsed.append(line)
+            return parse_rule_line(line, list_name)
+
+        monkeypatch.setattr(image, "parse_rule_line", counting)
+        parsed = parse_filter_list(LIST_TEXT, name="unit").rules
+        copied = [copy.copy(parsed[0]), pickle.loads(pickle.dumps(parsed[1]))]
+        dumps_artifact(FilterMatcher(parsed))
+        assert reparsed == []
+        dumps_artifact(FilterMatcher(parsed[2:] + copied))
+        assert sorted(reparsed) == sorted(rule.text for rule in copied)
+        drift = NetworkRule(text="||a.example^", pattern="||b.example^")
+        with pytest.raises(ArtifactError, match="does not round-trip"):
+            dumps_artifact(FilterMatcher([*parsed, drift]))
 
     def test_missing_file_rejected(self, tmp_path):
         with pytest.raises(ArtifactError, match="cannot read"):

@@ -1,9 +1,14 @@
 """Filter-list parsing: comments, cosmetics, options, error tolerance."""
 
+import copy
+import pickle
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.filterlists.parser import parse_filter_list, parse_rule_line
-from repro.filterlists.rules import ResourceType, RuleParseError
+from repro.filterlists.rules import NetworkRule, ResourceType, RuleParseError
 
 
 class TestLineParsing:
@@ -178,3 +183,93 @@ class TestLineClassification:
             parsed.cosmetic_count,
             len(parsed.error_lines),
         ) == counts
+
+
+# -- the round-trip mark ------------------------------------------------------
+
+_PATTERNS = st.text(alphabet="abz09.-_/|^*:?=&%#$@!~ ", max_size=16)
+_OPTIONS = st.lists(
+    st.one_of(
+        st.sampled_from(
+            [
+                "third-party",
+                "~third-party",
+                "3p",
+                "1p",
+                "script",
+                "~image",
+                "xhr",
+                "match-case",
+                "popup",
+                "csp=default-src",
+                "",
+            ]
+        ),
+        st.builds(
+            lambda domains: "domain=" + "|".join(domains),
+            st.lists(st.sampled_from(["a.example", "~b.a.example", " "]), max_size=3),
+        ),
+    ),
+    max_size=4,
+)
+_SPACE = st.text(alphabet=" \t\r\x0b\x0c\u00a0\u2003", max_size=2)
+_LINES = st.one_of(
+    st.builds(
+        lambda before, exception, regex, pattern, options, after: "".join(
+            (
+                before,
+                "@@" if exception else "",
+                f"/{pattern}/" if regex else pattern,
+                "$" + ",".join(options) if options else "",
+                after,
+            )
+        ),
+        _SPACE,
+        st.booleans(),
+        st.booleans(),
+        _PATTERNS,
+        _OPTIONS,
+        _SPACE,
+    ),
+    st.text(max_size=24),
+)
+
+
+class TestRoundTripMark:
+    """The parser marks each rule it builds as round-tripping, which is
+    what lets ``build_image`` skip re-parsing it: re-parsing a marked
+    rule's own text must give an equal rule."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(line=_LINES, list_name=st.sampled_from(["", "easylist", "hotfix"]))
+    def test_every_parsed_rule_is_marked_and_round_trips(self, line, list_name):
+        try:
+            rule = parse_rule_line(line, list_name)
+        except RuleParseError:
+            return
+        if rule is None:
+            return
+        assert rule._parsed
+        again = parse_rule_line(rule.text, rule.list_name)
+        assert again == rule and again._parsed
+        assert again.text == rule.text == line.strip()
+
+    def test_document_rules_are_marked(self):
+        parsed = parse_filter_list(
+            "! c\n||a.example^\n  @@/ok/$script  \n/re+/$domain=a.example\n",
+            name="unit",
+        )
+        assert len(parsed.rules) == 3
+        assert all(rule._parsed for rule in parsed.rules)
+
+    def test_constructed_copied_and_pickled_rules_are_unmarked(self):
+        rule = parse_rule_line("||a.example^$third-party", "unit")
+        assert not NetworkRule(rule.text, rule.pattern)._parsed
+        for twin in (
+            copy.copy(rule),
+            copy.deepcopy(rule),
+            pickle.loads(pickle.dumps(rule)),
+        ):
+            assert twin == rule and hash(twin) == hash(rule)
+            assert repr(twin) == repr(rule)
+            assert not twin._parsed

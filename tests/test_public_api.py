@@ -65,13 +65,16 @@ _NOT_ON_THE_CLI_IMPORT_PATH = [
 ]
 
 #: Modules rendering Tables 1-2 after a study must leave unloaded: they
-#: serve Figures 3-5, the bootstrap and Table 3.
+#: serve Figures 3-5, the bootstrap and Table 3, or (``dataclasses``,
+#: ``inspect``) would compile the table rows' methods at import.
 _NOT_ON_THE_TABLE_1_2_PATH = [
     "repro.analysis.figures",
     "repro.analysis.confidence",
     "repro.core.sensitivity",
     "repro.core.callstack_analysis",
     "repro.browser.breakage",
+    "dataclasses",
+    "inspect",
 ]
 
 

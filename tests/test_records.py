@@ -1,4 +1,5 @@
-"""The record contract of the data classes a study's set-up loads.
+"""The record contract of the data classes a study's set-up loads, and of
+the table rows a CLI study renders.
 
 Every value type on the study path (URLs, rules, plan entities, DevTools
 events, labeled requests, reports, configs) is a plain record: equality
@@ -19,6 +20,8 @@ from typing import Callable, NamedTuple
 
 import pytest
 
+from repro.analysis.report import PaperComparison
+from repro.analysis.tables import Table1Row, Table2Row, Table3Row
 from repro.browser.callstack import CallFrame, CallStack
 from repro.browser.devtools import RequestWillBeSent, ResponseReceived
 from repro.browser.engine import BlockingPolicy, PageLoad
@@ -448,6 +451,18 @@ CASES = [
         minimal=lambda: ShardState(2),
         factories=("tallies", "participation"),
     ),
+    Case(Table1Row, lambda: Table1Row("domain", 9, 7, 3, 0.84, 0.84), True),
+    Case(Table2Row, lambda: Table2Row("hostname", 5, 4, 1, 0.9), True),
+    Case(
+        Table3Row,
+        lambda: Table3Row(_PAGE, "a.js", "Major", "menu stops working"),
+        True,
+    ),
+    Case(
+        PaperComparison,
+        lambda: PaperComparison("domain: separation factor", 0.84, 0.81),
+        True,
+    ),
 ]
 
 _BY_NAME = {case.cls.__name__: case for case in CASES}
@@ -472,7 +487,7 @@ def case(request) -> Case:
 
 
 def test_every_record_is_covered():
-    assert len(CASES) == len(_BY_NAME) == len(REPRS) == 47
+    assert len(CASES) == len(_BY_NAME) == len(REPRS) == 51
     assert set(_BY_NAME) == set(REPRS)
 
 
@@ -971,5 +986,21 @@ REPRS = {
         "labeled_requests=40, tallies={('ads.example', 'ads.example', "
         "'https://cdn.example/a.js', 'send'): [3, 1]}, "
         "participation={'https://cdn.example/a.js': [3, 1]})"
+    ),
+    "Table1Row": (
+        "Table1Row(granularity='domain', tracking=9, functional=7, mixed=3, "
+        "separation_factor=0.84, cumulative_separation=0.84)"
+    ),
+    "Table2Row": (
+        "Table2Row(granularity='hostname', tracking=5, functional=4, "
+        "mixed=1, separation_factor=0.9)"
+    ),
+    "Table3Row": (
+        "Table3Row(website='https://site.example/', mixed_script='a.js', "
+        "breakage='Major', comment='menu stops working')"
+    ),
+    "PaperComparison": (
+        "PaperComparison(metric='domain: separation factor', "
+        "paper_value=0.84, measured_value=0.81)"
     ),
 }

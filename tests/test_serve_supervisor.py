@@ -12,9 +12,13 @@ Proof obligations for ``repro.serve.supervisor``:
   per-worker counters, pids, and cross-worker latency percentiles;
 * graceful drain: a batch mid-flight when shutdown starts still gets its
   complete answer, and every worker exits 0 — including via SIGTERM to a
-  real supervisor process.
+  real supervisor process, even one still booting;
+* no orphans: a supervisor killed without a drain takes its workers down;
+* workers fork on a frozen heap, and the embedding process is left with
+  nothing frozen.
 """
 
+import gc
 import json
 import os
 import signal
@@ -48,6 +52,92 @@ def artifacts(tmp_path_factory):
         parse_filter_list(HOTFIX_TEXT, name="hotfix"),
     )
     return boot, hotfix
+
+
+def _free_port() -> int:
+    with socket.socket() as probe:
+        probe.bind(("127.0.0.1", 0))
+        return probe.getsockname()[1]
+
+
+def _python(args: list[str]) -> subprocess.Popen:
+    """A fresh interpreter on this checkout's ``repro``, stdout and stderr
+    on one pipe."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parent.parent / "src")
+    return subprocess.Popen(
+        [sys.executable, *args],
+        env=env,
+        stdout=subprocess.PIPE,
+        stderr=subprocess.STDOUT,
+        text=True,
+    )
+
+
+def _serve_cli(boot: Path, port: int) -> subprocess.Popen:
+    """``trackersift serve --workers 2`` on ``boot``, as its own process."""
+    return _python(
+        [
+            "-m",
+            "repro.cli",
+            "serve",
+            "--workers",
+            "2",
+            "--artifact",
+            str(boot),
+            "--port",
+            str(port),
+        ]
+    )
+
+
+def _gone(pid: int) -> bool:
+    """Whether ``pid`` has exited.  An exited orphan stays a zombie until
+    the process it was reparented to reaps it, so a zombie counts."""
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return True
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except OSError:
+        return False
+    return stat.rsplit(")", 1)[1].split()[0] == "Z"
+
+
+def _wait_gone(pids, seconds: float) -> list[int]:
+    """Poll until every pid has exited or ``seconds`` pass; the survivors
+    are killed and returned."""
+    deadline = time.monotonic() + seconds
+    while time.monotonic() < deadline and not all(map(_gone, pids)):
+        time.sleep(0.1)
+    survivors = [pid for pid in pids if not _gone(pid)]
+    for pid in survivors:
+        try:
+            os.kill(pid, signal.SIGKILL)
+        except ProcessLookupError:
+            pass
+    return survivors
+
+
+def _held_parent_ends(supervisor) -> list[int]:
+    """How many of the supervisor's control-pipe ends each worker holds
+    open, matched by socket inode through ``/proc/<pid>/fd``."""
+    ends = {
+        os.fstat(pipe.fileno()).st_ino
+        for pipe in supervisor._pipes
+        if pipe is not None
+    }
+    held = []
+    for pid in supervisor.worker_pids:
+        inodes = set()
+        for fd in Path(f"/proc/{pid}/fd").iterdir():
+            try:
+                inodes.add(fd.stat().st_ino)
+            except OSError:
+                pass  # closed while listing
+        held.append(len(ends & inodes))
+    return held
 
 
 def _pids_over_fresh_connections(supervisor, attempts: int = 80) -> set:
@@ -240,6 +330,31 @@ class TestCrashRecovery:
             assert health["workers_alive"] == 2
 
 
+    @pytest.mark.skipif(
+        not Path("/proc/self/fd").is_dir(), reason="needs /proc/<pid>/fd"
+    )
+    def test_workers_hold_no_supervisor_pipe_end(self, artifacts):
+        # A worker holding the supervisor's end of its own pipe (or a
+        # sibling's) would never see EOF when the supervisor dies: checked
+        # after start() and after a maintain() respawn.
+        boot, _ = artifacts
+        with ServeSupervisor(
+            boot, workers=2, restart_base_seconds=0.05
+        ) as supervisor:
+            assert _held_parent_ends(supervisor) == [0, 0]
+            victim = supervisor.worker_pids[0]
+            os.kill(victim, signal.SIGKILL)
+            deadline = time.monotonic() + 15
+            while time.monotonic() < deadline:
+                supervisor.maintain()
+                pids = supervisor.worker_pids
+                if len(pids) == 2 and victim not in pids:
+                    break
+                time.sleep(0.05)
+            assert len(pids) == 2 and victim not in pids
+            assert _held_parent_ends(supervisor) == [0, 0]
+
+
 class TestDrainAndExit:
     def test_midflight_batch_completes_through_shutdown(self, artifacts):
         boot, _ = artifacts
@@ -268,29 +383,8 @@ class TestDrainAndExit:
 
     def test_sigterm_to_real_supervisor_exits_zero(self, artifacts):
         boot, _ = artifacts
-        with socket.socket() as probe:
-            probe.bind(("127.0.0.1", 0))
-            port = probe.getsockname()[1]
-        env = dict(os.environ)
-        env["PYTHONPATH"] = str(Path(__file__).resolve().parent.parent / "src")
-        process = subprocess.Popen(
-            [
-                sys.executable,
-                "-m",
-                "repro.cli",
-                "serve",
-                "--workers",
-                "2",
-                "--artifact",
-                str(boot),
-                "--port",
-                str(port),
-            ],
-            env=env,
-            stdout=subprocess.PIPE,
-            stderr=subprocess.STDOUT,
-            text=True,
-        )
+        port = _free_port()
+        process = _serve_cli(boot, port)
         try:
             deadline = time.monotonic() + 20
             while True:
@@ -307,6 +401,107 @@ class TestDrainAndExit:
             if process.poll() is None:
                 process.kill()
         assert process.returncode == 0, out
+
+    def test_sigterm_during_boot_drains_and_exits_zero(self, artifacts):
+        # The stop arrives inside start(), right after the first worker's
+        # ready message and before the second's: the supervisor must still
+        # drain both workers and exit 0, not die by SIGTERM's default action.
+        boot, _ = artifacts
+        script = """
+import os, signal, sys
+from repro.serve import supervisor
+
+await_ready = supervisor.ServeSupervisor._await_ready
+
+def signal_on_first_ready(self, index, timeout):
+    message = await_ready(self, index, timeout)
+    if index == 0:
+        sys.stdout.write(f"pids {self.worker_pids}\\n")
+        sys.stdout.flush()
+        os.kill(os.getpid(), signal.SIGTERM)
+    return message
+
+supervisor.ServeSupervisor._await_ready = signal_on_first_ready
+sys.exit(supervisor.run_supervisor(sys.argv[1], workers=2))
+"""
+        process = _python(["-c", script, str(boot)])
+        pids: list[int] = []
+        try:
+            for line in process.stdout:
+                if line.startswith("pids "):
+                    pids = json.loads(line[len("pids "):])
+                    break
+            assert len(pids) == 2
+            # wait(), not communicate(): workers that outlived their
+            # supervisor would hold the output pipe open.
+            assert process.wait(timeout=30) == 0
+        finally:
+            if process.poll() is None:
+                process.kill()
+                process.wait(timeout=10)
+            survivors = _wait_gone(pids, 2.0)
+            process.stdout.close()
+        assert survivors == []
+
+    def test_sigkilled_supervisor_takes_its_workers_down(self, artifacts):
+        # A supervisor that dies without draining (SIGKILL, OOM kill)
+        # closes its ends of the control pipes; each worker sees EOF,
+        # drains (10 s at most) and exits instead of serving orphaned.
+        boot, _ = artifacts
+        port = _free_port()
+        process = _serve_cli(boot, port)
+        pids: list[int] = []
+        try:
+            deadline = time.monotonic() + 20
+            while len(pids) < 2:
+                assert time.monotonic() < deadline, "workers never came up"
+                try:
+                    with BlockingClient("127.0.0.1", port, timeout=2) as client:
+                        pids = client.metrics()["worker_pids"]
+                except OSError:
+                    pass
+                time.sleep(0.1)
+            process.kill()
+            process.wait(timeout=10)
+            assert _wait_gone(pids, 15.0) == []
+        finally:
+            if process.poll() is None:
+                process.kill()
+                process.wait(timeout=10)
+            _wait_gone(pids, 0.0)
+            process.stdout.close()
+
+
+class TestFrozenFork:
+    def test_start_leaves_nothing_frozen(self, artifacts):
+        boot, _ = artifacts
+        with ServeSupervisor(boot, workers=2) as supervisor:
+            assert gc.get_freeze_count() == 0
+            with BlockingClient(supervisor.host, supervisor.port) as client:
+                assert client.decide("https://doubleclick.net/x.js")["blocked"]
+        assert gc.get_freeze_count() == 0
+
+    def test_failed_start_leaves_nothing_frozen(self, artifacts):
+        boot, _ = artifacts
+        supervisor = ServeSupervisor(boot, workers=2)
+        with pytest.raises(RuntimeError, match="did not become ready"):
+            supervisor.start(ready_timeout=0.0)
+        assert gc.get_freeze_count() == 0
+
+    def test_failed_fork_leaves_nothing_frozen(self, artifacts, monkeypatch):
+        import multiprocessing.context
+
+        def refuse(self) -> None:
+            raise OSError("fork refused")
+
+        monkeypatch.setattr(multiprocessing.context.ForkProcess, "start", refuse)
+        supervisor = ServeSupervisor(artifacts[0], workers=1)
+        try:
+            with pytest.raises(OSError, match="fork refused"):
+                supervisor.start()
+            assert gc.get_freeze_count() == 0
+        finally:
+            supervisor.shutdown(timeout=1.0)
 
 
 class TestSocketFallback:
