@@ -52,7 +52,6 @@ independent servers would hold N private copies of the rule index.
 
 from __future__ import annotations
 
-import gc
 import multiprocessing
 import os
 import signal
@@ -427,14 +426,7 @@ class ServeSupervisor:
 
     # -- lifecycle ---------------------------------------------------------
     def _spawn_worker(self, index: int) -> None:
-        """(Re)spawn worker slot ``index`` — pipe, process, bookkeeping.
-
-        The worker forks on a frozen heap: ``gc.freeze()`` moves every
-        object the supervisor's collector tracks into its permanent
-        generation for the fork, so the worker's collections never walk,
-        nor copy-on-write fault, the supervisor's objects.  The parent
-        unfreezes them straight after, so its own collector is unchanged.
-        """
+        """(Re)spawn worker slot ``index`` — pipe, process, bookkeeping."""
         self._incarnations[index] += 1
         parent_end, worker_end = self._context.Pipe(duplex=True)
         parent_ends = (
@@ -459,11 +451,7 @@ class ServeSupervisor:
             ),
             name=f"trackersift-serve-worker-{index}",
         )
-        gc.freeze()
-        try:
-            process.start()
-        finally:
-            gc.unfreeze()
+        process.start()
         worker_end.close()
         self._processes[index] = process
         self._pipes[index] = parent_end
@@ -748,8 +736,8 @@ class ServeSupervisor:
 
     # -- CLI blocking mode -------------------------------------------------
     def serve_forever(self) -> int:
-        """Start the fleet unless it runs, then block until SIGTERM/SIGINT,
-        draining gracefully (exit 0).
+        """Start the fleet, then block until SIGTERM/SIGINT, draining
+        gracefully (exit 0).
         SIGHUP re-reads the boot artifact as a coordinated reload.
         Crashed workers are reaped and restarted with exponential backoff
         (the fleet serves degraded in between — every survivor's
@@ -784,18 +772,17 @@ class ServeSupervisor:
             signal.SIGHUP: signal.signal(signal.SIGHUP, on_hup),
         }
         try:
-            if not self._started:
-                self.start()
-                meta = self.artifact_meta
-                console.say(
-                    f"trackersift serve: {self.workers} workers on {self.url} "
-                    f"({self.strategy} sockets, {meta.get('rule_count')} "
-                    f"rules, shared image {meta.get('image_bytes')} bytes)"
-                )
-                console.say(
-                    "endpoints: POST /v1/decide  GET /healthz  GET /metrics  "
-                    "(reload: SIGHUP to the supervisor)"
-                )
+            self.start()
+            meta = self.artifact_meta
+            console.say(
+                f"trackersift serve: {self.workers} workers on {self.url} "
+                f"({self.strategy} sockets, {meta.get('rule_count')} "
+                f"rules, shared image {meta.get('image_bytes')} bytes)"
+            )
+            console.say(
+                "endpoints: POST /v1/decide  GET /healthz  GET /metrics  "
+                "(reload: SIGHUP to the supervisor)"
+            )
             while not stop["flag"]:
                 time.sleep(0.2)
                 events = self.maintain()

@@ -13,12 +13,9 @@ Proof obligations for ``repro.serve.supervisor``:
 * graceful drain: a batch mid-flight when shutdown starts still gets its
   complete answer, and every worker exits 0 — including via SIGTERM to a
   real supervisor process, even one still booting;
-* no orphans: a supervisor killed without a drain takes its workers down;
-* workers fork on a frozen heap, and the embedding process is left with
-  nothing frozen.
+* no orphans: a supervisor killed without a drain takes its workers down.
 """
 
-import gc
 import json
 import os
 import signal
@@ -470,38 +467,6 @@ sys.exit(supervisor.run_supervisor(sys.argv[1], workers=2))
                 process.wait(timeout=10)
             _wait_gone(pids, 0.0)
             process.stdout.close()
-
-
-class TestFrozenFork:
-    def test_start_leaves_nothing_frozen(self, artifacts):
-        boot, _ = artifacts
-        with ServeSupervisor(boot, workers=2) as supervisor:
-            assert gc.get_freeze_count() == 0
-            with BlockingClient(supervisor.host, supervisor.port) as client:
-                assert client.decide("https://doubleclick.net/x.js")["blocked"]
-        assert gc.get_freeze_count() == 0
-
-    def test_failed_start_leaves_nothing_frozen(self, artifacts):
-        boot, _ = artifacts
-        supervisor = ServeSupervisor(boot, workers=2)
-        with pytest.raises(RuntimeError, match="did not become ready"):
-            supervisor.start(ready_timeout=0.0)
-        assert gc.get_freeze_count() == 0
-
-    def test_failed_fork_leaves_nothing_frozen(self, artifacts, monkeypatch):
-        import multiprocessing.context
-
-        def refuse(self) -> None:
-            raise OSError("fork refused")
-
-        monkeypatch.setattr(multiprocessing.context.ForkProcess, "start", refuse)
-        supervisor = ServeSupervisor(artifacts[0], workers=1)
-        try:
-            with pytest.raises(OSError, match="fork refused"):
-                supervisor.start()
-            assert gc.get_freeze_count() == 0
-        finally:
-            supervisor.shutdown(timeout=1.0)
 
 
 class TestSocketFallback:
