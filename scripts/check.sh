@@ -49,6 +49,10 @@ python -m pytest -q -p no:cacheprovider benchmarks/perf
 python3 benchmarks/perf/bench.py --seed 7 --smoke --trace 1
 
 echo
+echo "== serve boot stages (one fresh boot, timing only: no gate) =="
+python scripts/serve_boot_stages.py --runs 1
+
+echo
 echo "== chaos smoke (env-injected faults, quarantine, fleet self-heal) =="
 python scripts/chaos_smoke.py
 

@@ -39,6 +39,7 @@ serialization, only data.
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import json
 import struct
@@ -191,10 +192,22 @@ def compile_lists(path: str | Path, *lists: ParsedList) -> dict:
     This is the ``trackersift compile`` entry point: the stored lists are
     what a serving-layer reload diffs churn against.  Index building runs
     in an ``artifact.index`` span, encoding in ``artifact.compile``.
+
+    The cyclic collector is paused for the call and left as it was
+    found: the index and the encode build only acyclic containers
+    (rule lists, key dicts, byte tables), which reference counting
+    frees, yet their allocations would trigger dozens of collections
+    that each traverse every rule of the lists.
     """
-    with span("artifact.index", path=str(path)):
-        matcher = FilterMatcher.from_lists(*lists)
-    return compile_matcher(matcher, path, lists=tuple(lists))
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        with span("artifact.index", path=str(path)):
+            matcher = FilterMatcher.from_lists(*lists)
+        return compile_matcher(matcher, path, lists=tuple(lists))
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def open_image(path: str | Path) -> ImageMatcher:

@@ -409,15 +409,6 @@ class RequestShape:
         )
 
 
-def _pure_host_literal(rule: NetworkRule) -> str | None:
-    """The host literal of a ``||host^`` rule, or ``None`` when the rule
-    needs the regex path (wildcards, paths, anchors, ``match-case``)."""
-    if rule.options.match_case:
-        return None
-    match = _PURE_HOST_RULE_RE.match(rule.pattern.lower())
-    return match.group(1) if match is not None else None
-
-
 class MatchResult(FrozenRecord):
     """Outcome of matching one request against a matcher's rules."""
 
@@ -452,6 +443,9 @@ _NO_MATCH = MatchResult(blocked=False)
 class _RuleIndex:
     """Host-literal dict + token buckets + a catch-all bucket.
 
+    :meth:`FilterMatcher._index` fills both tiers in one pass over the
+    rules; this class holds and walks them.
+
     Candidate order (and so first-match attribution) is deterministic:
     host-dict hits in the URL's host-key order, then the catch-all bucket,
     then token buckets in URL-token order; insertion order within a bucket.
@@ -464,20 +458,6 @@ class _RuleIndex:
         self._buckets: dict[str, list[NetworkRule]] = {}
         self._catch_all: list[NetworkRule] = []
         self._count = 0
-
-    def add(self, rule: NetworkRule) -> None:
-        host = _pure_host_literal(rule)
-        if host is not None:
-            self._hosts.setdefault(host, []).append(rule)
-        else:
-            token = rule.token
-            # Short tokens appear in nearly every URL; treating them as
-            # catch-all avoids giant useless buckets.
-            if len(token) >= 3:
-                self._buckets.setdefault(token, []).append(rule)
-            else:
-                self._catch_all.append(rule)
-        self._count += 1
 
     def __len__(self) -> int:
         return self._count
@@ -666,28 +646,49 @@ class FilterMatcher(_DecisionLoop):
         self._automaton = self._build_automaton()
 
     def _index(self, rules: Iterable[NetworkRule]) -> None:
+        """Classify each rule once into its tier's host dict, token
+        bucket or catch-all, recording what the cache needs to know
+        (``domain=`` options, digits a path normalizer could change)."""
         self._revision += 1
         unsupported = self._unsupported_counts
+        blocking, exceptions = self._blocking, self._exceptions
+        pure_host = _PURE_HOST_RULE_RE.match
         for rule in rules:
-            if not rule.supported:
+            options = rule.options
+            if options.unsupported:
                 # Skipped, exactly like real blockers skip options they do
                 # not implement — but never silently: every skip is
                 # accounted per reason (see ``unsupported_counts``).
                 self._unsupported_rules += 1
-                for reason in rule.options.unsupported:
+                for reason in options.unsupported:
                     unsupported[reason] = unsupported.get(reason, 0) + 1
                 continue
-            if rule.options.include_domains or rule.options.exclude_domains:
+            if options.include_domains or options.exclude_domains:
                 self._domain_sensitive = True
-            segment = _digit_segment(rule.pattern)
+            tier = exceptions if rule.is_exception else blocking
+            tier._count += 1
+            pattern = rule.pattern
+            # ``||host^`` with a literal host goes to the host dict by that
+            # literal; ``match-case`` rules need the regex path.  The host
+            # body holds no ``/ ? ^ *``, so the rule's host segment ends at
+            # the trailing ``^`` and no digit can follow it: such a rule
+            # never has path-reachable digits (``_digit_segment`` is None).
+            host = None if options.match_case else pure_host(pattern.lower())
+            if host is not None:
+                tier._hosts.setdefault(host.group(1), []).append(rule)
+                continue
+            segment = _digit_segment(pattern)
             if segment == "":
                 self._digit_anywhere = True
             elif segment is not None:
                 self._digit_hosts.add(segment)
-            if rule.is_exception:
-                self._exceptions.add(rule)
+            token = rule.token
+            # Short tokens appear in nearly every URL; treating them as
+            # catch-all avoids giant useless buckets.
+            if len(token) >= 3:
+                tier._buckets.setdefault(token, []).append(rule)
             else:
-                self._blocking.add(rule)
+                tier._catch_all.append(rule)
 
     def _build_automaton(self) -> TokenAutomaton:
         return TokenAutomaton(

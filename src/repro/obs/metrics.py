@@ -12,12 +12,14 @@ text, so JSON and Prometheus are two renderings of one dict.
 
 :class:`SharedBoard` is the cross-process part: named scalar fields per
 worker slot (plus a latency-sample ring and a parent-owned fleet
-region) over a lock-free shared ``Array`` of doubles, single writer per
-region, torn reads acceptable (monitoring, not ledger).
+region) over an anonymous shared ``mmap`` viewed as doubles, without
+locks: single writer per region, torn reads acceptable (monitoring, not
+ledger).
 """
 
 from __future__ import annotations
 
+import mmap
 import re
 import threading
 from collections import deque
@@ -154,7 +156,7 @@ def serving_blocks(counters: Mapping[str, float], samples: Sequence[float]) -> d
 # ---------------------------------------------------------------------------
 
 class SharedBoard:
-    """Named-field view over a lock-free shared ``Array('d')``.
+    """Named-field view over a shared array of doubles, without locks.
 
     Layout: ``workers`` slots of ``len(fields) + ring`` doubles (scalar
     fields, then a latency-sample ring addressed by the slot's
@@ -164,8 +166,7 @@ class SharedBoard:
     reads are acceptable: this is monitoring, not the ledger.
 
     Construct either around a fresh shared array (:meth:`create`) or
-    around an existing raw array a worker inherited over fork
-    (:meth:`view`).
+    around the raw array a worker inherited over fork (the constructor).
     """
 
     CURSOR = "cursor"
@@ -205,15 +206,17 @@ class SharedBoard:
     @classmethod
     def create(
         cls,
-        context,
         fields: Sequence[str],
         workers: int,
         ring: int,
         fleet_fields: Sequence[str] = (),
     ) -> "SharedBoard":
-        array = context.Array(
-            "d", cls.size(fields, workers, ring, fleet_fields), lock=False
-        )
+        """A zeroed board in an anonymous shared map, which a forked
+        child sees and writes through, like its parent.  A plain
+        ``mmap`` view needs neither ``ctypes`` nor multiprocessing's
+        shared heap."""
+        size = cls.size(fields, workers, ring, fleet_fields)
+        array = memoryview(mmap.mmap(-1, 8 * size)).cast("d")
         return cls(array, fields, workers, ring, fleet_fields)
 
     # -- worker slots --------------------------------------------------------

@@ -29,8 +29,8 @@ independent servers would hold N private copies of the rule index.
   a single worker must never diverge from its siblings.  Only the
   parent holds the parent ends: a worker closes those it inherited, so
   a parent that dies undrained shows as EOF and every worker drains.
-* **Shared metrics board.** A lock-free ``multiprocessing.Array`` of
-  doubles with one writer per slot region: each worker periodically
+* **Shared metrics board.** An anonymous shared ``mmap`` of doubles,
+  without locks, with one writer per slot region: each worker periodically
   publishes its counters, revision, pid, and new latency samples into
   its slot; ``GET /metrics`` on *any* worker (and
   :meth:`ServeSupervisor.metrics`) merges all slots into one view with
@@ -502,7 +502,7 @@ class ServeSupervisor:
         # inherited-socket mode) the listening socket without pickling.
         self._context = multiprocessing.get_context("fork")
         self._board = SharedBoard.create(
-            self._context, _SLOT_FIELDS, self.workers, self.ring, _FLEET_FIELDS
+            _SLOT_FIELDS, self.workers, self.ring, _FLEET_FIELDS
         )
         self._reuse_port = self.strategy == "reuseport"
         self._processes = [None] * self.workers
@@ -513,15 +513,17 @@ class ServeSupervisor:
         self._restart_at = [0.0] * self.workers
         self._total_restarts = 0
         self._total_backoff = 0.0
-        for index in range(self.workers):
-            self._spawn_worker(index)
-        deadline = time.monotonic() + ready_timeout
-        for index in range(self.workers):
-            try:
+        # A refused fork or a missed ready deadline drains the workers
+        # already forked and releases the port before the error surfaces.
+        try:
+            for index in range(self.workers):
+                self._spawn_worker(index)
+            deadline = time.monotonic() + ready_timeout
+            for index in range(self.workers):
                 self._await_ready(index, deadline - time.monotonic())
-            except RuntimeError:
-                self.shutdown(timeout=2.0)
-                raise
+        except BaseException:
+            self.shutdown(timeout=2.0)
+            raise
         self._board.write_fleet(
             {
                 "spawned": self.workers,

@@ -14,6 +14,7 @@ The proof obligations for ``repro.filterlists.compile``:
 """
 
 import copy
+import gc
 import hashlib
 import json
 import pickle
@@ -41,7 +42,7 @@ from repro.filterlists.image import ImageMatcher
 from repro.filterlists.lists import default_lists
 from repro.filterlists.matcher import FilterMatcher
 from repro.filterlists.oracle import FilterListOracle
-from repro.filterlists.parser import parse_filter_list, parse_rule_line
+from repro.filterlists.parser import ParsedList, parse_filter_list, parse_rule_line
 from repro.filterlists.rules import NetworkRule, RequestContext, RuleOptions
 from repro.obs.trace import Tracer
 
@@ -385,6 +386,53 @@ class TestCompileSpans:
         assert set(spans) == {"artifact.index", "artifact.compile"}
         assert spans["artifact.index"].parent_id == 0
         assert spans["artifact.compile"].parent_id == 0
+
+
+class TestCollectorPause:
+    """``compile_lists`` runs with the cyclic collector paused and leaves
+    it as it found it, also when the compile fails."""
+
+    def test_enabled_collector_stays_enabled(self, tmp_path):
+        gc.enable()
+        compile_lists(
+            tmp_path / "on.tsoracle", parse_filter_list(LIST_TEXT, name="unit")
+        )
+        assert gc.isenabled()
+
+    def test_callers_disabled_collector_stays_disabled(self, tmp_path):
+        gc.disable()
+        try:
+            compile_lists(
+                tmp_path / "off.tsoracle", parse_filter_list(LIST_TEXT, name="unit")
+            )
+            assert not gc.isenabled()
+        finally:
+            gc.enable()
+
+    def test_collector_restored_when_compile_raises(self, tmp_path):
+        gc.enable()
+        drift = NetworkRule(text="||a.example^", pattern="||b.example^")
+        with pytest.raises(ArtifactError, match="does not round-trip"):
+            compile_lists(tmp_path / "drift.tsoracle", ParsedList("drift", [drift]))
+        assert gc.isenabled()
+
+    def test_list_scale_compile_runs_no_collection(self, tmp_path):
+        parsed = parse_filter_list("\n".join(_seeded_list("gc", 12000)), name="big")
+        assert len(parsed.rules) == 12000
+        gc.enable()
+        gc.collect()
+        collections: list[int] = []
+
+        def record(phase: str, info: dict) -> None:
+            if phase == "start":
+                collections.append(info["generation"])
+
+        gc.callbacks.append(record)
+        try:
+            compile_lists(tmp_path / "big.tsoracle", parsed)
+        finally:
+            gc.callbacks.remove(record)
+        assert collections == []
 
 
 # -- golden bytes -------------------------------------------------------------

@@ -4,7 +4,7 @@ import pathlib
 import subprocess
 import sys
 
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from reference_matcher import (
@@ -17,7 +17,12 @@ from reference_matcher import (
     url_tokens,
 )
 from repro.filterlists.image import ImageMatcher, build_image
-from repro.filterlists.matcher import FilterMatcher, RequestShape, _digit_segment
+from repro.filterlists.matcher import (
+    _PURE_HOST_RULE_RE,
+    FilterMatcher,
+    RequestShape,
+    _digit_segment,
+)
 from repro.filterlists.parser import parse_filter_list
 from repro.filterlists.rules import RequestContext, _extract_token
 
@@ -448,3 +453,161 @@ class TestIndexHelpersMatchReference:
         for pattern in ("||ads.example^", "|x*track^", "||İx9/a1", "ab|", "||/1"):
             assert _extract_token(pattern) == extract_token(pattern)
             assert _digit_segment(pattern) == digit_segment(pattern)
+
+
+# Rule lines for the one-pass index: host anchors with digits and mixed
+# case, paths and wildcards past the host, ``match-case``, ``@@``,
+# ``domain=``, unsupported options and raw ``/regex/`` rules, plus the
+# helper alphabet above for the odd shapes.
+_index_labels = st.text(alphabet="abzXY09-_", min_size=1, max_size=5)
+_index_hosts = st.builds("{}.{}".format, _index_labels, _index_labels)
+_index_patterns = st.one_of(
+    st.builds("||{}^".format, _index_hosts),
+    st.builds("||{}/{}".format, _index_hosts, _index_labels),
+    st.builds("||{}^*{}".format, _index_hosts, _index_labels),
+    st.builds("||{}*".format, _index_hosts),
+    st.builds("|https://{}/".format, _index_hosts),
+    st.builds("*{}*".format, _index_labels),
+    st.builds("-{}-".format, _index_labels),
+    st.builds("/{}/".format, _index_labels),
+    _HELPER_PATTERNS,
+)
+_index_options = st.lists(
+    st.sampled_from(
+        [
+            "match-case",
+            "domain=a.example|~b.example",
+            "third-party",
+            "image",
+            "~script",
+            "popup",
+            "csp=x",
+        ]
+    ),
+    max_size=3,
+    unique=True,
+)
+_index_lines = st.builds(
+    lambda exception, pattern, options: (
+        ("@@" if exception else "")
+        + pattern
+        + ("$" + ",".join(options) if options else "")
+    ),
+    st.booleans(),
+    _index_patterns,
+    _index_options,
+)
+
+
+def _reference_index(rules) -> dict:
+    """Classify rules the way the index did before it became one pass:
+    ``_digit_segment`` on every supported rule, then the pure-host test,
+    then the token."""
+    tiers = {False: ({}, {}, []), True: ({}, {}, [])}
+    unsupported: dict[str, int] = {}
+    skipped = 0
+    digit_hosts: set[str] = set()
+    digit_anywhere = domain_sensitive = False
+    for rule in rules:
+        options = rule.options
+        if options.unsupported:
+            skipped += 1
+            for reason in options.unsupported:
+                unsupported[reason] = unsupported.get(reason, 0) + 1
+            continue
+        if options.include_domains or options.exclude_domains:
+            domain_sensitive = True
+        segment = _digit_segment(rule.pattern)
+        if segment == "":
+            digit_anywhere = True
+        elif segment is not None:
+            digit_hosts.add(segment)
+        hosts, buckets, catch_all = tiers[rule.is_exception]
+        host = (
+            None
+            if options.match_case
+            else _PURE_HOST_RULE_RE.match(rule.pattern.lower())
+        )
+        if host is not None:
+            hosts.setdefault(host.group(1), []).append(rule)
+            continue
+        token = _extract_token(rule.pattern)
+        if len(token) >= 3:
+            buckets.setdefault(token, []).append(rule)
+        else:
+            catch_all.append(rule)
+    return {
+        "blocking": _tier_ids(*tiers[False]),
+        "exceptions": _tier_ids(*tiers[True]),
+        "digit_hosts": digit_hosts,
+        "digit_anywhere": digit_anywhere,
+        "domain_sensitive": domain_sensitive,
+        "unsupported": unsupported,
+        "unsupported_rules": skipped,
+    }
+
+
+def _tier_ids(hosts, buckets, catch_all) -> tuple:
+    """A tier's contents in order, rules by identity."""
+    return (
+        [(key, [id(rule) for rule in bucket]) for key, bucket in hosts.items()],
+        [(key, [id(rule) for rule in bucket]) for key, bucket in buckets.items()],
+        [id(rule) for rule in catch_all],
+    )
+
+
+def _matcher_index(matcher: FilterMatcher) -> dict:
+    return {
+        "blocking": _tier_ids(
+            matcher._blocking._hosts,
+            matcher._blocking._buckets,
+            matcher._blocking._catch_all,
+        ),
+        "exceptions": _tier_ids(
+            matcher._exceptions._hosts,
+            matcher._exceptions._buckets,
+            matcher._exceptions._catch_all,
+        ),
+        "digit_hosts": matcher._digit_hosts,
+        "digit_anywhere": matcher._digit_anywhere,
+        "domain_sensitive": matcher.domain_sensitive,
+        "unsupported": matcher.unsupported_counts,
+        "unsupported_rules": matcher.unsupported_rule_count,
+    }
+
+
+class TestOnePassIndex:
+    """The index classifies each rule once, trying the pure-host test
+    before ``_digit_segment``, and still fills every tier, in the same
+    order, and records the same cache facts as classifying each rule
+    with every helper."""
+
+    @given(
+        first=st.lists(_index_lines, max_size=12),
+        second=st.lists(_index_lines, max_size=6),
+    )
+    def test_index_equals_reference_classifier(self, first, second):
+        lists = (
+            parse_filter_list("\n".join(first), name="first"),
+            parse_filter_list("\n".join(second), name="second"),
+        )
+        matcher = FilterMatcher.from_lists(*lists)
+        rules = [rule for parsed in lists for rule in parsed.rules]
+        assert _matcher_index(matcher) == _reference_index(rules)
+        supported = sum(1 for rule in rules if not rule.options.unsupported)
+        assert matcher.rule_count == supported
+
+    @given(
+        pattern=st.one_of(
+            st.builds(
+                "||{}^{}".format,
+                st.text(alphabet="abzAZ09_-.%\u212aİß", min_size=1),
+                st.sampled_from(["", "\n"]),
+            ),
+            _HELPER_PATTERNS,
+        )
+    )
+    def test_pure_host_patterns_have_no_digit_segment(self, pattern):
+        """Why the index may skip ``_digit_segment`` for a pure-host rule."""
+        assume(_PURE_HOST_RULE_RE.match(pattern.lower()))
+        assert _digit_segment(pattern) is None

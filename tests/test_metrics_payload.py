@@ -9,8 +9,6 @@ board.
 
 from __future__ import annotations
 
-import multiprocessing
-
 import pytest
 
 from repro.obs.metrics import SharedBoard, prometheus_from_dict
@@ -122,9 +120,7 @@ def test_service_metrics_payload_is_pinned():
 
 
 def _hand_filled_board() -> SharedBoard:
-    board = SharedBoard.create(
-        multiprocessing.get_context("fork"), _SLOT_FIELDS, 3, 4, _FLEET_FIELDS
-    )
+    board = SharedBoard.create(_SLOT_FIELDS, 3, 4, _FLEET_FIELDS)
     board.write_slot(
         0,
         {

@@ -240,7 +240,6 @@ class TestSharedBoard:
 
     def _board(self, workers=2, ring=4, fleet=("spawned", "alive")):
         return SharedBoard.create(
-            multiprocessing.get_context("fork"),
             self.FIELDS,
             workers,
             ring,
@@ -271,9 +270,7 @@ class TestSharedBoard:
 
     def test_ring_requires_cursor_field(self):
         with pytest.raises(ValueError, match="cursor"):
-            SharedBoard.create(
-                multiprocessing.get_context("fork"), ("decisions",), 1, 4
-            )
+            SharedBoard.create(("decisions",), 1, 4)
 
     def test_fleet_survives_fork(self):
         """A forked child sees the parent's fleet writes — the mechanism

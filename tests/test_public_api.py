@@ -64,6 +64,14 @@ _NOT_ON_THE_CLI_IMPORT_PATH = [
     "pickle",
 ]
 
+#: Modules a serve supervisor's start must leave unloaded: its shared
+#: metrics board is an ``mmap`` view, not a ``multiprocessing.Array``.
+_NOT_ON_THE_SERVE_START_PATH = [
+    "ctypes",
+    "multiprocessing.sharedctypes",
+    "multiprocessing.heap",
+]
+
 #: Modules rendering Tables 1-2 after a study must leave unloaded: they
 #: serve Figures 3-5, the bootstrap and Table 3, or (``dataclasses``,
 #: ``inspect``) would compile the table rows' methods at import.
@@ -199,6 +207,26 @@ class TestTopLevel:
             ).run()
             print(sorted(m for m in set(sys.modules) - loaded
                          if m.startswith("repro")))
+            """
+        )
+        assert out == ["[]"]
+
+    @pytest.mark.tier1
+    def test_serve_start_loads_no_ctypes(self, tmp_path):
+        artifact = str(tmp_path / "boot.tsoracle")
+        out = _run_fresh(
+            f"""
+            import sys
+            from repro.filterlists.compile import compile_lists
+            from repro.filterlists.lists import default_lists
+            from repro.serve.supervisor import ServeSupervisor
+            compile_lists({artifact!r}, *default_lists())
+            supervisor = ServeSupervisor({artifact!r}, workers=1).start()
+            try:
+                print([m for m in {_NOT_ON_THE_SERVE_START_PATH!r}
+                       if m in sys.modules])
+            finally:
+                supervisor.shutdown()
             """
         )
         assert out == ["[]"]

@@ -352,6 +352,38 @@ class TestCrashRecovery:
             assert _held_parent_ends(supervisor) == [0, 0]
 
 
+class TestRefusedFork:
+    def test_refused_fork_drains_started_workers_and_frees_port(
+        self, artifacts, monkeypatch
+    ):
+        """A fork refused for the second worker must not leave the first
+        one running, nor the port held, once start() raises."""
+        from multiprocessing.context import ForkProcess
+
+        boot, _ = artifacts
+        real_start = ForkProcess.start
+        forked: list[int] = []
+
+        def start_once(process):
+            if forked:
+                raise OSError("fork refused")
+            real_start(process)
+            forked.append(process.pid)
+
+        monkeypatch.setattr(ForkProcess, "start", start_once)
+        supervisor = ServeSupervisor(boot, workers=2)
+        try:
+            with pytest.raises(OSError, match="fork refused"):
+                supervisor.start()
+            port = supervisor.port
+            assert len(forked) == 1
+            assert _wait_gone(forked, 15.0) == []
+            with socket.socket() as probe:
+                probe.bind(("127.0.0.1", port))
+        finally:
+            supervisor.shutdown(timeout=2.0)
+
+
 class TestDrainAndExit:
     def test_midflight_batch_completes_through_shutdown(self, artifacts):
         boot, _ = artifacts
