@@ -1,14 +1,16 @@
 #!/usr/bin/env python3
 """Time the serve boot stage by stage, each run in a fresh process.
 
-    python scripts/serve_boot_stages.py [--runs 10] [--seed 7] [--rules 12000]
+    python scripts/serve_boot_stages.py [--runs 10]
 
 Each run is a new interpreter pinned to one CPU that boots a server the
-way the repo benchmark's serve workloads time it
-(``benchmarks/perf/serving.py``): parse the embedded lists plus an
-EasyList-shaped synthetic list (``benchmarks/perf/inputs.py``), compile
-the artifact, start one supervised worker, then poll ``/healthz`` until
-it answers ok.  Imports happen before the clock starts, as in the
+way the repo benchmark's serve workloads time it, through the
+benchmark's own ``serving._lists`` and ``serving._healthy``
+(``benchmarks/perf/serving.py``): parse the embedded lists plus the
+seed-7 EasyList-shaped synthetic list at the benchmark's full rule
+count (``inputs.easylist_shaped(7, bench.FULL["rules"])``), compile the
+artifact, start one supervised worker, then poll ``/healthz`` until it
+answers ok.  Imports happen before the clock starts, as in the
 benchmark.  Printed per stage, in raw milliseconds (not scaled for host
 speed): the median and the quartiles over the runs of
 
@@ -39,17 +41,17 @@ ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
 PERF = ROOT / "benchmarks" / "perf"
 STAGES = ("parse", "index", "compile", "start", "healthz")
+#: The seed ``bench.py --seed 7`` builds the serve workloads' list from.
+SEED = 7
 
 
 def _boot(rules_path: str, artifact: str) -> dict:
     """One timed boot in this (fresh) process; stage times in ms."""
     import gc
-    import http.client
     import time
 
+    import serving
     from repro.filterlists.compile import compile_lists
-    from repro.filterlists.lists import default_lists
-    from repro.filterlists.parser import parse_filter_list
     from repro.obs.trace import Tracer
     from repro.serve.supervisor import ServeSupervisor
 
@@ -66,9 +68,10 @@ def _boot(rules_path: str, artifact: str) -> dict:
         else:
             collections.append((inside[0], time.perf_counter() - began[0]))
 
+    ctypes_before = "ctypes" in sys.modules
     gc.callbacks.append(on_collect)
     started = time.perf_counter()
-    lists = (*default_lists(), parse_filter_list(text, name="synthetic"))
+    lists = serving._lists(text)
     parsed = time.perf_counter()
     tracer = Tracer()
     with tracer.activate():
@@ -82,28 +85,10 @@ def _boot(rules_path: str, artifact: str) -> dict:
     supervisor = ServeSupervisor(artifact, workers=1).start()
     try:
         after_start = time.perf_counter()
-        while True:
-            connection = http.client.HTTPConnection(
-                supervisor.host, supervisor.port, timeout=10
-            )
-            try:
-                connection.request("GET", "/healthz")
-                response = connection.getresponse()
-                if (
-                    response.status == 200
-                    and json.loads(response.read()).get("status") == "ok"
-                ):
-                    break
-            except (OSError, ValueError):
-                pass
-            finally:
-                connection.close()
-            if time.perf_counter() - after_start > 10:
-                raise RuntimeError("serve worker never reported healthy")
-            time.sleep(0.005)
+        serving._healthy(supervisor)
         healthy = time.perf_counter()
         gc.callbacks.remove(on_collect)
-        ctypes_loaded = "ctypes" in sys.modules
+        ctypes_loaded = not ctypes_before and "ctypes" in sys.modules
     finally:
         supervisor.shutdown()
     return {
@@ -129,8 +114,6 @@ def _quartiles(values: list[float]) -> tuple[float, float, float]:
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--runs", type=int, default=10)
-    parser.add_argument("--seed", type=int, default=7)
-    parser.add_argument("--rules", type=int, default=12000)
     parser.add_argument("--child", nargs=2, metavar=("RULES", "ARTIFACT"),
                         help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
@@ -141,17 +124,19 @@ def main(argv: list[str] | None = None) -> int:
         parser.error("--runs must be at least 1")
 
     sys.path[:0] = [str(SRC), str(PERF)]
+    import bench
     import inputs
 
+    rule_count = bench.FULL["rules"]
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
-        [str(SRC)] + [p for p in [env.get("PYTHONPATH")] if p]
+        [str(SRC), str(PERF)] + [p for p in [env.get("PYTHONPATH")] if p]
     )
     runs: list[dict] = []
     with tempfile.TemporaryDirectory(prefix="serve-boot-stages-") as tmp:
         rules = Path(tmp) / "rules.txt"
         rules.write_text(
-            inputs.easylist_shaped(args.seed, args.rules), encoding="utf-8"
+            inputs.easylist_shaped(SEED, rule_count), encoding="utf-8"
         )
         for _ in range(args.runs):
             done = subprocess.run(
@@ -165,8 +150,8 @@ def main(argv: list[str] | None = None) -> int:
             runs.append(json.loads(done.stdout))
 
     print(
-        f"serve boot stages: {args.runs} fresh process(es), seed {args.seed}, "
-        f"{args.rules} synthetic rules, raw ms on one CPU"
+        f"serve boot stages: {args.runs} fresh process(es), seed {SEED}, "
+        f"{rule_count} synthetic rules, raw ms on one CPU"
     )
     print(f"{'stage':<9}{'median':>9}{'q1':>9}{'q3':>9}")
     for stage in (*STAGES, "total"):
