@@ -20,8 +20,10 @@ that safe:
   tallies, so each request collapses into its attribution key
   ``(domain, hostname, script, method)`` — memory is bounded by distinct
   resources, not requests — and the report comes from the same
-  :meth:`~repro.core.hierarchy.HierarchicalSifter.sift_grouped`
-  implementation the batch path uses, so the two cannot drift.
+  :meth:`~repro.core.hierarchy.HierarchicalSifter.sift_maps`
+  implementation the batch path uses, so the two cannot drift.  Shard
+  states share one run-level key table, and the sift reads their tally
+  maps in place: the parent holds one copy of each attribution key.
 * **Memoized labeling.**  The oracle's match decision is cached on the
   normalized request shape (url, party, resource type — see
   :mod:`repro.filterlists.cache`), so a tracker script shared by thousands
@@ -188,8 +190,11 @@ class PipelineResult(Record):
 class SiftAccumulator:
     """Incremental grouped tallies a hierarchical sift runs over.
 
-    Feed it :class:`AnalyzedRequest` objects (or merge whole tally maps
-    from other accumulators / checkpoints); ask for the report at the end.
+    Feed it :class:`AnalyzedRequest` objects, or merge whole tally maps
+    from other accumulators / checkpoints; ask for the report at the end.
+    Merged maps are held by reference, not copied, and the report sifts
+    them where they lie, so they must not change while the accumulator
+    is in use.
     """
 
     def __init__(
@@ -200,6 +205,7 @@ class SiftAccumulator:
         self._groups: dict[AttributionKey, list[int]] = (
             groups if groups is not None else {}
         )
+        self._maps: list[Mapping[AttributionKey, list[int]]] = [self._groups]
         self.total_requests = 0
 
     def add(self, request: AnalyzedRequest) -> None:
@@ -208,22 +214,37 @@ class SiftAccumulator:
         self.total_requests += 1
 
     def merge(self, groups: Mapping[AttributionKey, list[int]], total: int) -> None:
-        for key, (tracking, functional) in groups.items():
-            entry = self._groups.setdefault(key, [0, 0])
-            entry[0] += tracking
-            entry[1] += functional
+        self._maps.append(groups)
         self.total_requests += total
 
     @property
     def groups(self) -> dict[AttributionKey, list[int]]:
-        return self._groups
+        """The summed tally map; built afresh on each read once maps were
+        merged in (only the ledger and tests read it)."""
+        if len(self._maps) == 1:
+            return self._groups
+        merged: dict[AttributionKey, list[int]] = {}
+        for groups in self._maps:
+            for key, (tracking, functional) in groups.items():
+                entry = merged.setdefault(key, [0, 0])
+                entry[0] += tracking
+                entry[1] += functional
+        return merged
 
     @property
     def distinct_resources(self) -> int:
-        return len(self._groups)
+        # Counts each key at the first map that holds it, without
+        # building the merged map.
+        count = 0
+        for index, groups in enumerate(self._maps):
+            earlier = self._maps[:index]
+            count += sum(
+                1 for key in groups if not any(key in seen for seen in earlier)
+            )
+        return count
 
     def report(self, sifter: HierarchicalSifter) -> SiftReport:
-        return sifter.sift_grouped(self._groups, self.total_requests)
+        return sifter.sift_maps(self._maps, self.total_requests)
 
 
 class ShardState(Record):
@@ -309,6 +330,28 @@ class ShardState(Record):
             },
         )
 
+    def share_keys(self, keys: dict) -> None:
+        """Hold tally keys and script names through the key table ``keys``.
+
+        The table maps each attribution key and each string in one to
+        itself; every shard state of a run goes through the same table,
+        so an equal key or string across shards is one object.  Order and
+        content are unchanged.
+        """
+        tallies = {}
+        for key, counts in self.tallies.items():
+            shared = keys.get(key)
+            if shared is None:
+                shared = tuple(keys.setdefault(part, part) for part in key)
+                # Entered as its own key, so the table holds no other copy.
+                keys[shared] = shared
+            tallies[shared] = counts
+        self.tallies = tallies
+        self.participation = {
+            keys.setdefault(script, script): entry
+            for script, entry in self.participation.items()
+        }
+
 
 class StreamingPipeline:
     """Sharded streaming crawl → label → sift with checkpoint/resume.
@@ -383,6 +426,10 @@ class StreamingPipeline:
         )
         self._retain = retain_events
         self._states: dict[int, ShardState] = {}
+        # The run's key table (ShardState.share_keys): every state that
+        # enters _states (crawled here, shipped by a worker, or resumed
+        # from a checkpoint) holds its keys and script names through it.
+        self._keys: dict = {}
         self._resumed_shards = 0
         # Chaos plumbing: an explicit FaultPlan wins; otherwise the
         # TRACKERSIFT_FAULTS env var lets scripts chaos a run through the
@@ -561,7 +608,7 @@ class StreamingPipeline:
             path = self._shard_path(shard_id)
             if path.exists():
                 try:
-                    self._states[shard_id] = ShardState.from_json(
+                    state = ShardState.from_json(
                         path.read_text(encoding="utf-8")
                     )
                 except (ValueError, KeyError, TypeError, UnicodeDecodeError):
@@ -573,6 +620,8 @@ class StreamingPipeline:
                     set_aside(path)
                     self._checkpoints_discarded += 1
                     continue
+                state.share_keys(self._keys)
+                self._states[shard_id] = state
                 self._resumed_shards += 1
 
     def _store(self, state: ShardState) -> None:
@@ -587,6 +636,7 @@ class StreamingPipeline:
             raise SimulatedCrash(
                 f"injected crash before checkpointing shard {state.shard_id}"
             )
+        state.share_keys(self._keys)
         self._states[state.shard_id] = state
         if self._checkpoint_dir is not None:
             payload = state.to_json()

@@ -20,11 +20,12 @@ Two refinements over a naive implementation:
 * The sift is computed over **grouped tallies** rather than raw request
   lists: every request is reduced to its attribution key (domain, hostname,
   script, script-scoped method) plus its label, and identical keys are
-  merged.  :meth:`HierarchicalSifter.sift_grouped` is the single
+  merged.  :meth:`HierarchicalSifter.sift_maps` is the single
   implementation both the batch path and the streaming engine
   (:mod:`repro.core.engine`) share, so the two can never drift — and the
   memory footprint is bounded by the number of *distinct* attribution
-  tuples, not the number of requests.
+  tuples, not the number of requests.  It sifts one tally map per shard
+  where it lies, as if merged, without building the merged copy.
 * The **descent policy is separable from the report classifier**.  The
   report classifier decides the class each resource is *published* with;
   the descent classifier decides which requests flow down to the next
@@ -41,7 +42,7 @@ Two refinements over a naive implementation:
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Iterable, Mapping, Sequence
 
 from ..labeling.labeler import AnalyzedRequest
 from .classifier import RatioClassifier, ResourceClass, ResourceCounts
@@ -160,20 +161,39 @@ class HierarchicalSifter:
         ``groups`` maps each distinct :data:`AttributionKey` to its request
         tallies.  This produces exactly the report :meth:`sift` would for a
         request list with the same tallies — it *is* the implementation
-        :meth:`sift` delegates to, and the entry point the streaming
-        engine's shard accumulators merge into.
+        :meth:`sift` delegates to, through :meth:`sift_maps`, which the
+        streaming engine's shard accumulators sift their maps with.
+        """
+        return self.sift_maps((groups,), total_requests)
+
+    def sift_maps(
+        self,
+        maps: Sequence[Mapping[AttributionKey, Iterable[int]]],
+        total_requests: int,
+    ) -> SiftReport:
+        """Sift the sum of several tally maps without merging them.
+
+        A key present in several maps counts once, with its tallies
+        summed: the report equals :meth:`sift_grouped` over the merged
+        map, resource order included.  Each level streams over the maps
+        again and keeps only per-level tallies, so no copy of the keys or
+        of their counts is built.
         """
         report = SiftReport(total_requests=total_requests)
-        remaining: list[tuple[AttributionKey, int, int]] = [
-            (key, tracking, functional)
-            for key, (tracking, functional) in groups.items()
-        ]
+        # (level key, mixed level keys) of every level already sifted: a
+        # key descends to the next level only if all of them are mixed.
+        descended: list[tuple[Callable[[AttributionKey], str], set[str]]] = []
         for granularity, level_key in _LEVEL_KEYS:
             tallies: dict[str, list[int]] = defaultdict(lambda: [0, 0])
-            for key, tracking, functional in remaining:
-                entry = tallies[level_key(key)]
-                entry[0] += tracking
-                entry[1] += functional
+            for groups in maps:
+                for key, (tracking, functional) in groups.items():
+                    if descended and not all(
+                        prior(key) in mixed for prior, mixed in descended
+                    ):
+                        continue
+                    entry = tallies[level_key(key)]
+                    entry[0] += tracking
+                    entry[1] += functional
             report.levels.append(self._build_level(granularity, tallies))
             # Descend by the descent classifier, which the report classes
             # above may deliberately differ from (threshold comparisons).
@@ -183,11 +203,9 @@ class HierarchicalSifter:
                 if self._descent.classify_counts(tracking, functional)
                 is ResourceClass.MIXED
             }
-            remaining = [
-                item for item in remaining if level_key(item[0]) in mixed
-            ]
-            if not remaining:
+            if not mixed:
                 break
+            descended.append((level_key, mixed))
         return report
 
     def sift_flat(

@@ -451,7 +451,14 @@ class ServeSupervisor:
             ),
             name=f"trackersift-serve-worker-{index}",
         )
-        process.start()
+        try:
+            process.start()
+        except BaseException:
+            # A refused fork leaves the slot empty: both ends of this
+            # attempt's pipe close here, so no retry leaks descriptors.
+            parent_end.close()
+            worker_end.close()
+            raise
         worker_end.close()
         self._processes[index] = process
         self._pipes[index] = parent_end
@@ -595,7 +602,6 @@ class ServeSupervisor:
             if now < self._restart_at[index]:
                 continue
             delay = self._backoffs[index]
-            self._spawn_worker(index)
             self._restarts[index] += 1
             self._total_restarts += 1
             self._total_backoff += delay
@@ -603,10 +609,12 @@ class ServeSupervisor:
                 self._backoffs[index] * 2.0, self.restart_cap_seconds
             )
             try:
+                self._spawn_worker(index)
                 self._await_ready(index, ready_timeout)
                 self._converge_worker(index)
-            except RuntimeError:
-                # The replacement itself failed: clear the slot (its
+            except (OSError, RuntimeError):
+                # The replacement itself failed (a refused fork, a missed
+                # ready deadline, a broken pipe): clear the slot (its
                 # restart budget was consumed) and try again next round
                 # with a longer backoff.
                 process = self._processes[index]

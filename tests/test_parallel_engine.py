@@ -139,6 +139,61 @@ class TestParallelCheckpointResume:
         assert result.report.summary() == uninterrupted.report.summary()
 
 
+def _shared_across_states(states) -> int:
+    """Assert that equal tally keys, key strings and script names are one
+    object across ``states``; return how many values a later state shared
+    with an earlier one."""
+    first_seen: dict = {}
+    shared = 0
+    for index, state in enumerate(states):
+        values = [
+            value for key in state.tallies for value in (key, *key)
+        ] + list(state.participation)
+        for value in values:
+            seen, owner = first_seen.setdefault(value, (value, index))
+            assert seen is value, f"shard {state.shard_id} holds a copy of {value!r}"
+            if owner != index:
+                shared += 1
+    return shared
+
+
+@pytest.mark.tier1
+class TestSharedKeyTable:
+    """Every stored shard state holds its keys through the run's one key
+    table, without changing a byte of its checkpoint form."""
+
+    def test_fan_out_states_share_keys(self, small_web):
+        config = PipelineConfig(sites=SITES, seed=SEED)
+        sequential, _ = _run(config, small_web, shards=5, workers=1)
+        parallel, _ = _run(config, small_web, shards=5, workers=2)
+        assert _shared_across_states(parallel.shard_states()) > 0
+        assert [state.to_json() for state in parallel.shard_states()] == [
+            state.to_json() for state in sequential.shard_states()
+        ]
+
+    def test_resumed_states_share_keys(self, tmp_path, small_web):
+        config = PipelineConfig(sites=SITES, seed=SEED)
+        sequential, _ = _run(config, small_web, shards=5, workers=1)
+        ckpt = tmp_path / "ckpt"
+        StreamingPipeline(config, shards=5, checkpoint_dir=ckpt).process_shards(
+            small_web, limit=2
+        )
+        resumed = StreamingPipeline(
+            config, shards=5, workers=2, checkpoint_dir=ckpt
+        )
+        result = resumed.run(small_web)
+        assert result.notes["shards_resumed"] == 2.0
+        assert _shared_across_states(resumed.shard_states()) > 0
+        assert [state.to_json() for state in resumed.shard_states()] == [
+            state.to_json() for state in sequential.shard_states()
+        ]
+
+    def test_sequential_states_share_keys(self, small_web):
+        config = PipelineConfig(sites=SITES, seed=SEED)
+        sequential, _ = _run(config, small_web, shards=5, workers=1)
+        assert _shared_across_states(sequential.shard_states()) > 0
+
+
 class TestWorkerCrash:
     def test_completed_shards_survive_a_permanent_fault(
         self, tmp_path, small_web

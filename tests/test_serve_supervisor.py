@@ -383,6 +383,58 @@ class TestRefusedFork:
         finally:
             supervisor.shutdown(timeout=2.0)
 
+    def test_refused_respawn_keeps_serving_and_retries(
+        self, artifacts, monkeypatch
+    ):
+        """A fork refused while respawning a dead worker is a failed
+        replacement: its pipe closes, the slot's restart budget is
+        charged, the fleet keeps serving degraded, and a later
+        ``maintain()`` respawns the slot."""
+        from multiprocessing.context import ForkProcess
+
+        boot, _ = artifacts
+        real_start = ForkProcess.start
+        with ServeSupervisor(
+            boot, workers=2, restart_base_seconds=0.05
+        ) as supervisor:
+            victim, survivor = supervisor.worker_pids
+            context = supervisor._context
+            real_pipe = context.Pipe
+            attempts: list = []
+
+            def recording_pipe(*args, **kwargs):
+                ends = real_pipe(*args, **kwargs)
+                attempts.append(ends)
+                return ends
+
+            def refused(process):
+                raise OSError("fork refused")
+
+            monkeypatch.setattr(context, "Pipe", recording_pipe)
+            monkeypatch.setattr(ForkProcess, "start", refused)
+            os.kill(victim, signal.SIGKILL)
+            deadline = time.monotonic() + 15
+            while time.monotonic() < deadline and not attempts:
+                supervisor.maintain()
+                time.sleep(0.02)
+            assert len(attempts) == 1
+            assert all(end.closed for end in attempts[0])
+            assert supervisor._restarts == [1, 0]
+            assert supervisor.worker_pids == [survivor]
+            with BlockingClient(supervisor.host, supervisor.port) as client:
+                assert client.healthz()["status"] == "degraded"
+
+            monkeypatch.setattr(ForkProcess, "start", real_start)
+            deadline = time.monotonic() + 15
+            while time.monotonic() < deadline:
+                supervisor.maintain()
+                if len(supervisor.worker_pids) == 2:
+                    break
+                time.sleep(0.05)
+            pids = supervisor.worker_pids
+            assert len(pids) == 2 and victim not in pids
+            assert supervisor._restarts == [2, 0]
+
 
 class TestDrainAndExit:
     def test_midflight_batch_completes_through_shutdown(self, artifacts):

@@ -9,8 +9,10 @@ pipeline's, resource for resource, at all four granularities.
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.core.classifier import RatioClassifier
+from repro.core.classifier import RatioClassifier, ResourceClass
 from repro.core.engine import (
     PipelineConfig,
     ShardState,
@@ -105,6 +107,109 @@ class TestSiftAccumulator:
         assert_reports_identical(report, batch.report)
 
 
+def _old_merge(maps):
+    """The merged tally map: a copy of every key with its counts summed,
+    in first-seen order."""
+    merged = {}
+    for groups in maps:
+        for key, (tracking, functional) in groups.items():
+            entry = merged.setdefault(key, [0, 0])
+            entry[0] += tracking
+            entry[1] += functional
+    return merged
+
+
+def _reference_sift(sifter, groups, total):
+    """An independent sift over one merged map: a list of every key's
+    tallies, filtered level by level to the mixed remainder."""
+    from repro.core.results import SiftReport
+
+    report = SiftReport(total_requests=total)
+    remaining = [(key, t, f) for key, (t, f) in groups.items()]
+    level_keys = (
+        ("domain", lambda k: k[0]),
+        ("hostname", lambda k: k[1]),
+        ("script", lambda k: k[2]),
+        ("method", lambda k: f"{k[2]}@{k[3]}"),
+    )
+    for granularity, level_key in level_keys:
+        tallies = {}
+        for key, t, f in remaining:
+            entry = tallies.setdefault(level_key(key), [0, 0])
+            entry[0] += t
+            entry[1] += f
+        report.levels.append(sifter._build_level(granularity, tallies))
+        mixed = {
+            name
+            for name, (t, f) in tallies.items()
+            if sifter.descent_classifier.classify_counts(t, f)
+            is ResourceClass.MIXED
+        }
+        remaining = [item for item in remaining if level_key(item[0]) in mixed]
+        if not remaining:
+            break
+    return report
+
+
+_KEYS = st.tuples(
+    st.sampled_from(["a.com", "b.com", "c.org"]),
+    st.sampled_from(["a.com", "x.a.com", "b.com", "y.c.org"]),
+    st.sampled_from(["a.js", "b.js", "c.js"]),
+    st.sampled_from(["m1", "m2", "m3"]),
+)
+_COUNTS = st.lists(st.integers(0, 6), min_size=2, max_size=2)
+_SHARDS = st.lists(
+    st.tuples(st.dictionaries(_KEYS, _COUNTS, max_size=12), st.booleans()),
+    max_size=6,
+)
+
+
+class TestStreamedSift:
+    """The report sifts shard tallies where they lie, and must equal the
+    sift of their merged copy."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        shards=_SHARDS,
+        threshold=st.sampled_from([0.5, 1.0, 2.0, 3.0]),
+        descent=st.sampled_from([None, 2.0]),
+    )
+    def test_streamed_report_equals_merged_sift(self, shards, threshold, descent):
+        sifter = HierarchicalSifter(
+            RatioClassifier(threshold),
+            descent_classifier=(
+                RatioClassifier(descent) if descent is not None else None
+            ),
+        )
+        # Quarantined shards (the flag) are left out of the sift entirely.
+        kept = [groups for groups, quarantined in shards if not quarantined]
+        totals = [sum(map(sum, groups.values())) for groups in kept]
+        accumulator = SiftAccumulator()
+        for groups, total in zip(kept, totals):
+            accumulator.merge(groups, total)
+        merged = _old_merge(kept)
+        assert accumulator.groups == merged
+        assert list(accumulator.groups) == list(merged)
+        assert accumulator.distinct_resources == len(merged)
+        try:
+            expected = sifter.sift_grouped(merged, sum(totals))
+        except ValueError:
+            # A resource reached with no requests has no ratio: the
+            # streamed sift must refuse it too.
+            with pytest.raises(ValueError):
+                accumulator.report(sifter)
+            return
+
+        report = accumulator.report(sifter)
+        assert_reports_identical(report, expected)
+        assert_reports_identical(
+            report, _reference_sift(sifter, merged, sum(totals))
+        )
+        for level, old in zip(report.levels, expected.levels):
+            assert list(level.resources) == list(old.resources)
+        assert_reports_identical(accumulator.report(sifter), report)
+
+
 class TestShardStateRoundTrip:
     def test_json_round_trip(self):
         state = ShardState(
@@ -119,6 +224,25 @@ class TestShardStateRoundTrip:
         )
         restored = ShardState.from_json(state.to_json())
         assert restored == state
+
+    def test_share_keys_keeps_one_copy(self):
+        key = ("d.com", "h.d.com", "s.js", "m")
+        payload = ShardState(
+            shard_id=0,
+            tallies={key: [1, 0], ("d.com", "d.com", "t.js", "n"): [0, 2]},
+            participation={"s.js": [1, 0], "t.js": [0, 2]},
+        ).to_json()
+        keys: dict = {}
+        first, second = (ShardState.from_json(payload) for _ in range(2))
+        assert next(iter(first.tallies)) is not next(iter(second.tallies))
+        for state in (first, second):
+            state.share_keys(keys)
+        assert first == second
+        assert next(iter(first.tallies)) is next(iter(second.tallies))
+        (domain, host, script, _), (other_domain, *_) = first.tallies
+        assert other_domain is domain
+        assert next(iter(second.participation)) is script
+        assert first.to_json() == second.to_json() == payload
 
 
 @pytest.mark.tier1
