@@ -198,7 +198,6 @@ def test_fanout_identity_matrix(output_dir):
                     key: result.notes.get(key, 0.0)
                     for key in (
                         "fanout_materialize_seconds",
-                        "fanout_bytes",
                         "worker_startup_seconds",
                         "worker_transfer_seconds",
                         "worker_compute_seconds",
@@ -222,8 +221,8 @@ def test_fanout_identity_matrix(output_dir):
     ]
     for label, overhead in sorted(overheads.items()):
         lines.append(
-            f"{label}: materialize {overhead['fanout_materialize_seconds']:.3f}s "
-            f"({overhead['fanout_bytes'] / 1e6:.2f} MB), startup "
+            f"{label}: materialize "
+            f"{overhead['fanout_materialize_seconds']:.3f}s, startup "
             f"{overhead['worker_startup_seconds']:.3f}s, transfer "
             f"{overhead['worker_transfer_seconds']:.3f}s, compute "
             f"{overhead['worker_compute_seconds']:.3f}s"

@@ -98,7 +98,6 @@ def test_parallel_workers_speedup(output_dir):
                 key: result.notes.get(key)
                 for key in (
                     "fanout_materialize_seconds",
-                    "fanout_bytes",
                     "worker_startup_seconds",
                     "worker_transfer_seconds",
                     "worker_compute_seconds",
@@ -173,8 +172,7 @@ def test_parallel_workers_speedup(output_dir):
         if overhead["worker_compute_seconds"] is not None:
             lines.append(
                 f"  overhead: materialize "
-                f"{overhead['fanout_materialize_seconds']:.3f}s "
-                f"({(overhead['fanout_bytes'] or 0) / 1e6:.2f} MB), "
+                f"{overhead['fanout_materialize_seconds']:.3f}s, "
                 f"worker startup {overhead['worker_startup_seconds']:.3f}s, "
                 f"transfer {overhead['worker_transfer_seconds']:.3f}s, "
                 f"compute {overhead['worker_compute_seconds']:.3f}s"

@@ -66,7 +66,7 @@ BENCH_SMOKE=1 python -m pytest -q -p no:cacheprovider \
     benchmarks/bench_loop.py
 
 echo
-echo "== serve smoke (start server, decide, hot reload, shut down) =="
+echo "== serve smoke (2-worker supervisor: per-worker reload identity; scaling recorded) =="
 BENCH_SMOKE=1 python -m pytest -q -p no:cacheprovider \
     benchmarks/bench_serve.py
 

@@ -14,13 +14,12 @@ PRs without per-bench knowledge, so they share a minimal contract:
   and has already hidden a 0.96x "speedup" for a whole PR cycle;
 * any present ``achieved`` / ``required_*`` / ``max_*`` gate fields must
   be numbers;
-* optional ``latency`` / ``batch`` / ``open_loop`` / ``rss``: non-empty
-  mappings of measurement name to a number (per-decision microseconds,
-  speedup ratios, open-loop arrival-rate percentiles, per-worker
-  resident-set bytes) — the matching-core bench records its
-  walk/automaton latencies and batch-vs-looped numbers here, the serve
-  bench its fixed-rate p50/p99, and the artifacts bench its per-process
-  memory footprints, so they stay diffable across PRs;
+* optional ``latency`` / ``batch`` / ``rss``: non-empty mappings of
+  measurement name to a number (per-decision microseconds, speedup
+  ratios, per-worker resident-set bytes) — the matching-core bench
+  records its walk/automaton latencies and batch-vs-looped numbers here,
+  and the artifacts bench its per-process memory footprints, so they
+  stay diffable across PRs;
 * optional ``scenarios``: a non-empty mapping of pack name to an object
   with ``skipped`` (bool); a pack that *is* skipped must say why in a
   non-empty ``skip_reason`` — a scenario silently missing from the
@@ -88,7 +87,7 @@ def validate_bench(payload: dict, name: str) -> list[str]:
     check(isinstance(payload.get("seed"), int), "'seed' must be an integer")
     check(isinstance(payload.get("smoke"), bool), "'smoke' must be a boolean")
 
-    for section in ("latency", "batch", "open_loop", "rss"):
+    for section in ("latency", "batch", "rss"):
         measurements = payload.get(section)
         if measurements is None:
             continue

@@ -25,8 +25,8 @@ depends on:
 engine, labeler, oracle, matcher, sifter, engine and ``PipelineConfig``.
 Everything else re-exported here or by a subpackage loads on first use
 (:mod:`repro._lazy`): the serving and scenario names (``BlockingService``,
-``AsyncServerThread``, ``BlockingClient``, ``OpenLoopLoadGenerator``,
-``ScenarioRunner``, ``ScenarioSpec``, ``SCENARIO_PACKS``), and the
+``AsyncServerThread``, ``BlockingClient``, ``ScenarioRunner``,
+``ScenarioSpec``, ``SCENARIO_PACKS``), and the
 subpackage names for rule generation, sensitivity, surrogates, guards,
 call-stack analysis, breakage grading, event capture, the web transforms,
 artifact compilation, list maintenance, the ledger, serve metrics, DNS and
@@ -81,9 +81,9 @@ HTTP/1.1 JSON API with hot reload — ``trackersift serve --port 8377``
 (``--workers N`` forks N such servers over one shared oracle image).  Served
 decisions are bit-identical to offline
 :meth:`FilterListOracle.should_block_url` labeling for the same lists
-(the identity gate in ``benchmarks/bench_serve.py`` checks this over
-live HTTP), and a reload never drops a request: in-flight decisions
-finish on the old snapshot.
+(``tests/test_serve_server.py`` and the serve workloads of
+``benchmarks/perf/bench.py`` check this over live HTTP), and a reload
+never drops a request: in-flight decisions finish on the old snapshot.
 
 **Compiled artifacts.**  Parsing list text and building the token/host
 indexes is paid *once*, at compile time: ``trackersift compile --out
@@ -145,12 +145,7 @@ from .webmodel import PAPER, SyntheticWeb, SyntheticWebGenerator, generate_web
 __getattr__ = _lazy.lazy_exports(
     __name__,
     {
-        "serve": (
-            "AsyncServerThread",
-            "BlockingClient",
-            "BlockingService",
-            "OpenLoopLoadGenerator",
-        ),
+        "serve": ("AsyncServerThread", "BlockingClient", "BlockingService"),
         "scenarios": ("SCENARIO_PACKS", "ScenarioRunner", "ScenarioSpec"),
     },
 )
@@ -177,7 +172,6 @@ __all__ = [
     "BlockingService",
     "AsyncServerThread",
     "BlockingClient",
-    "OpenLoopLoadGenerator",
     "SCENARIO_PACKS",
     "ScenarioRunner",
     "ScenarioSpec",

@@ -353,6 +353,27 @@ class ShardState(Record):
         }
 
 
+def _check_checkpoint(state: ShardState, shard_id: int) -> None:
+    """Raise ``ValueError`` unless ``state`` can be shard ``shard_id``'s:
+    its own ID matches, every count is a non-negative int, and every
+    tally row counts at least one request."""
+    if state.shard_id != shard_id:
+        raise ValueError(f"checkpoint holds shard {state.shard_id!r}")
+    counts = [
+        state.pages_crawled,
+        state.pages_failed,
+        state.excluded_non_script,
+        state.excluded_unparseable,
+        state.labeled_requests,
+    ]
+    for row in (*state.tallies.values(), *state.participation.values()):
+        counts.extend(row)
+    if not all(type(count) is int and count >= 0 for count in counts):
+        raise ValueError("checkpoint holds a count that is not a count")
+    if any(sum(row) == 0 for row in state.tallies.values()):
+        raise ValueError("checkpoint holds a tally row with no requests")
+
+
 class StreamingPipeline:
     """Sharded streaming crawl → label → sift with checkpoint/resume.
 
@@ -611,10 +632,12 @@ class StreamingPipeline:
                     state = ShardState.from_json(
                         path.read_text(encoding="utf-8")
                     )
+                    _check_checkpoint(state, shard_id)
                 except (ValueError, KeyError, TypeError, UnicodeDecodeError):
                     # A corrupt checkpoint (torn write from a pre-durable
-                    # version, bit rot) must not poison resume: set the
-                    # bad bytes aside and recompute exactly this shard.
+                    # version, bit rot, another shard's file) must not
+                    # poison resume: set the bad bytes aside and recompute
+                    # exactly this shard.
                     from ..durable import set_aside
 
                     set_aside(path)
@@ -970,13 +993,10 @@ class StreamingPipeline:
             # Fan-out overhead breakdown: parent-side indexing of the
             # slice store, and the summed per-worker startup (pipeline
             # construction), transfer (slice lookups) and compute seconds
-            # shipped back with the shard outcomes.  Workers inherit their
-            # work at fork, so no bytes are written for them; the key
-            # stays for the readers of these notes.
+            # shipped back with the shard outcomes.
             notes["fanout_materialize_seconds"] = (
                 self._fanout_materialize_seconds
             )
-            notes["fanout_bytes"] = 0.0
             notes["worker_startup_seconds"] = self._worker_startup_seconds
             notes["worker_transfer_seconds"] = self._worker_transfer_seconds
             notes["worker_compute_seconds"] = self._worker_compute_seconds

@@ -18,9 +18,10 @@ offline oracle into that deployment:
   asyncio workers on one port (``SO_REUSEPORT`` where available) over
   one shared memory-mapped oracle image, with coordinated reloads,
   merged ``/metrics``, and graceful drain;
-* :mod:`repro.serve.client` — :class:`BlockingClient` and the
-  fixed-arrival-rate :class:`OpenLoopLoadGenerator` driving
-  ``benchmarks/bench_serve.py``.
+* :mod:`repro.serve.client` — :class:`BlockingClient`, one keep-alive
+  JSON connection per thread.  Load testing lives outside the library:
+  ``benchmarks/perf/bench.py --seed 7 --workload serve-open`` drives
+  the server open-loop and pipelined.
 
 Quick embedded use::
 
@@ -37,12 +38,7 @@ or multi-process over a compiled artifact:
 ``trackersift serve --workers 4 --artifact rules.tsoracle``.
 """
 
-from .client import (
-    BlockingClient,
-    OpenLoopLoadGenerator,
-    OpenLoopReport,
-    ServeError,
-)
+from .client import BlockingClient, ServeError
 from .protocol import AsyncBlockingServer, AsyncServerThread
 from .service import BlockingService, Snapshot
 from .supervisor import ServeSupervisor, run_supervisor
@@ -55,7 +51,5 @@ __all__ = [
     "ServeSupervisor",
     "run_supervisor",
     "BlockingClient",
-    "OpenLoopLoadGenerator",
-    "OpenLoopReport",
     "ServeError",
 ]

@@ -25,8 +25,8 @@ Reloads themselves serialize on a lock; decisions never take it.
 Decisions are bit-identical to the offline oracle's by construction: the
 service calls the same :meth:`FilterListOracle.label_request` /
 :meth:`~FilterListOracle.should_block_url` code path the batch studies
-use (the identity gate in ``benchmarks/bench_serve.py`` checks this over
-live HTTP).
+use (``tests/test_serve_server.py`` and the serve workloads of
+``benchmarks/perf/bench.py`` check this over live HTTP).
 """
 
 from __future__ import annotations

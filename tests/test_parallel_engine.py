@@ -398,7 +398,6 @@ class TestShardSliceFanOut:
         notes = par_result.notes
         for key in (
             "fanout_materialize_seconds",
-            "fanout_bytes",
             "worker_startup_seconds",
             "worker_transfer_seconds",
             "worker_compute_seconds",
@@ -406,9 +405,9 @@ class TestShardSliceFanOut:
             assert key in notes, key
             assert notes[key] >= 0.0
         # Every timed field actually measured something; workers inherit
-        # their slices at fork, so no fan-out bytes are written.
+        # their slices at fork, so no fan-out byte count is reported.
         assert notes["fanout_materialize_seconds"] > 0.0
-        assert notes["fanout_bytes"] == 0.0
+        assert "fanout_bytes" not in notes
         assert notes["worker_startup_seconds"] > 0.0
         assert notes["worker_compute_seconds"] > 0.0
 

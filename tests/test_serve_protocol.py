@@ -30,7 +30,6 @@ import json
 import logging
 import re
 import socket
-import threading
 import time
 from unittest import mock
 
@@ -40,7 +39,7 @@ from hypothesis import strategies as st
 
 from repro.filterlists.image import ArtifactError
 from repro.serve import protocol
-from repro.serve.client import BlockingClient, OpenLoopLoadGenerator, ServeError
+from repro.serve.client import BlockingClient, ServeError
 from repro.serve.protocol import (
     AsyncBlockingServer,
     AsyncServerThread,
@@ -849,25 +848,3 @@ def _wait_for(condition, seconds: float = 5.0) -> bool:
         time.sleep(0.01)
     return condition()
 
-
-# -- the open-loop load generator ---------------------------------------------
-
-
-class TestOpenLoopLoadGenerator:
-    def test_server_stopping_mid_run_keeps_the_report(self):
-        urls = [f"https://doubleclick.net/{i}.js" for i in range(300)]
-        server = AsyncServerThread().start()
-        generator = OpenLoopLoadGenerator(
-            server.host, server.port, urls, rate_rps=200.0, connections=4
-        )
-        stopper = threading.Timer(0.5, server.stop)
-        stopper.start()
-        try:
-            report = generator.run()  # must return, not raise
-        finally:
-            stopper.join()
-            server.stop()
-        assert report.decisions, "decisions before the stop were discarded"
-        assert report.errors, "requests after the stop were not recorded"
-        assert report.requests + len(report.errors) == len(urls)
-        assert all(decision["blocked"] for decision in report.decisions)

@@ -9,6 +9,7 @@ protocol-error cases) — the same path production traffic takes.
 import http.client
 import json
 import threading
+import time
 
 import pytest
 
@@ -19,7 +20,6 @@ from repro.serve import (
     AsyncServerThread,
     BlockingClient,
     BlockingService,
-    OpenLoopLoadGenerator,
     ServeError,
 )
 
@@ -40,6 +40,50 @@ def server():
 def client(server):
     with BlockingClient(server.host, server.port) as running:
         yield running
+
+
+class _UnretriedClient(BlockingClient):
+    """A :class:`BlockingClient` that surfaces a transport failure instead
+    of replaying the request on a fresh connection, so a dropped request
+    is counted rather than hidden."""
+
+    def _exchange(self, *args):
+        try:
+            return super()._exchange(*args)
+        except (http.client.HTTPException, OSError) as error:
+            raise RuntimeError(f"transport failure: {error!r}") from error
+
+
+def _striped_load(server, urls, connections, rate_rps):
+    """Decide ``urls`` striped over ``connections`` client threads, URL
+    *i* sent no earlier than ``i / rate_rps`` after the start and no
+    earlier than its thread's previous answer; returns
+    ``(decisions, errors)``."""
+    decisions: list = []
+    errors: list = []
+    start = time.monotonic()
+
+    def connection(index: int) -> None:
+        with _UnretriedClient(server.host, server.port) as client:
+            for i in range(index, len(urls), connections):
+                delay = start + i / rate_rps - time.monotonic()
+                if delay > 0:
+                    time.sleep(delay)
+                try:
+                    decisions.append(client.decide(urls[i]))
+                except RuntimeError as error:  # also ServeError (HTTP >= 400)
+                    errors.append(f"{urls[i]}: {error}")
+
+    threads = [
+        threading.Thread(target=connection, args=(index,))
+        for index in range(connections)
+    ]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=30)
+        assert not thread.is_alive()
+    return decisions, errors
 
 
 def _raw(server, method, path, body=None, headers=None):
@@ -271,9 +315,6 @@ class TestConcurrentServing:
             "https://clean.example/app.js",
             "https://cdn.example/pixel/9.gif",
         ] * 75
-        generator = OpenLoopLoadGenerator(
-            server.host, server.port, urls, rate_rps=1000.0, connections=4
-        )
         reloaded = {}
 
         def hot_reload():
@@ -282,18 +323,48 @@ class TestConcurrentServing:
 
         reloader = threading.Timer(0.05, hot_reload)
         reloader.start()
-        report = generator.run()
+        decisions, errors = _striped_load(
+            server, urls, connections=4, rate_rps=1000.0
+        )
         reloader.join()
 
         assert reloaded["revision"] == 2
-        assert report.errors == []
-        assert report.requests == len(urls)  # nothing dropped
+        assert errors == []
+        assert len(decisions) == len(urls)  # nothing dropped
         oracles = {1: old, 2: new}
-        for decision in report.decisions:
+        for decision in decisions:
             expected = oracles[decision["revision"]].should_block_url(
                 decision["url"]
             )
             assert decision["blocked"] == expected, decision
+
+    def test_batch_beats_single(self, server):
+        """One batch call per 250 URLs must beat one call per URL by 1.5x:
+        the win is one round trip instead of 250, so anything less means
+        the batch path itself is broken."""
+        urls = [
+            f"https://{('tracker', 'cdn', 'clean')[i % 3]}.example/"
+            f"{('pixel', 'app')[i % 2]}/{i}.js"
+            for i in range(300)
+        ]
+        with BlockingClient(server.host, server.port) as client:
+            client.decide(urls[0])  # connection + cache warm-up
+
+            started = time.perf_counter()
+            for url in urls:
+                client.decide(url)
+            single_seconds = time.perf_counter() - started
+
+            started = time.perf_counter()
+            batched = 0
+            for start in range(0, len(urls), 250):
+                chunk = urls[start : start + 250]
+                batched += client.decide_batch(chunk)["count"]
+            batch_seconds = time.perf_counter() - started
+
+        assert batched == len(urls)
+        speedup = single_seconds / batch_seconds
+        assert speedup >= 1.5, f"batch speedup only {speedup:.2f}x"
 
     def test_batched_load(self, server):
         urls = ["https://tracker.example/spy.js", "https://c.example/a.js"] * 30

@@ -283,6 +283,48 @@ class TestCheckpointResume:
         assert result.notes["shards_resumed"] == 3.0
         assert_reports_identical(result.report, first.report)
 
+    def _resume_after(self, tmp_path, tamper):
+        """Checkpoint a full 40-site, 3-shard run, let ``tamper`` edit the
+        directory, then resume on it; returns the clean and resumed
+        results."""
+        config = PipelineConfig(sites=40, seed=5)
+        ckpt = tmp_path / "ckpt"
+        web = StreamingPipeline(config).generate()
+        clean = StreamingPipeline(config, shards=3, checkpoint_dir=ckpt).run(web)
+        tamper(ckpt)
+        resumed = StreamingPipeline(config, shards=3, checkpoint_dir=ckpt)
+        return clean, resumed.run(web)
+
+    def test_checkpoint_with_an_empty_tally_row_is_recomputed(self, tmp_path):
+        """Bit rot that keeps the JSON valid: a ``[..., 0, 0]`` row."""
+
+        def zero_row(ckpt):
+            path = ckpt / "shard-0001.json"
+            record = json.loads(path.read_text(encoding="utf-8"))
+            record["tallies"].append(
+                ["zero.example", "zero.example", "z.js", "m", 0, 0]
+            )
+            path.write_text(json.dumps(record, sort_keys=True), encoding="utf-8")
+
+        clean, result = self._resume_after(tmp_path, zero_row)
+        assert result.notes["shards_resumed"] == 2.0
+        assert result.notes["checkpoints_discarded"] == 1.0
+        assert_reports_identical(result.report, clean.report)
+
+    def test_checkpoint_of_another_shard_is_recomputed(self, tmp_path):
+        """A valid checkpoint under the wrong shard's name."""
+
+        def swap(ckpt):
+            (ckpt / "shard-0002.json").write_bytes(
+                (ckpt / "shard-0000.json").read_bytes()
+            )
+
+        clean, result = self._resume_after(tmp_path, swap)
+        assert result.notes["shards_resumed"] == 2.0
+        assert result.notes["checkpoints_discarded"] == 1.0
+        assert result.total_script_requests == clean.total_script_requests
+        assert_reports_identical(result.report, clean.report)
+
     def test_manifest_guards_config_mismatch(self, tmp_path):
         ckpt = tmp_path / "ckpt"
         config = PipelineConfig(sites=40, seed=5)
