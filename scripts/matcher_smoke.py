@@ -7,7 +7,11 @@ the exact rule it is attributed to — of both production forms (the
 in-memory :class:`FilterMatcher` and the compiled :class:`ImageMatcher`)
 must be identical to the reference tokenize-then-probe walk
 (``tests/reference_matcher.py``), and ``decide_many`` must equal looping
-single decisions.  The probe set mixes
+single decisions.  The same probes then go through
+:class:`FilterListOracle`, which decides everything through its
+decision cache: ``decide_many`` and ``label_request_many`` must equal the
+raw :class:`FilterMatcher` on a cold cache (every probe a miss) and again
+on a warm one (every probe a hit).  The probe set mixes
 ordinary traffic shapes with the boundary cases the matching core
 normalizes (trailing-dot hosts, IDN authorities, userinfo, ports,
 schemeless strings).  Pure stdlib + repro, seconds to run.
@@ -26,6 +30,10 @@ from reference_matcher import ReferenceMatcher  # noqa: E402
 from repro.filterlists.image import ImageMatcher, build_image  # noqa: E402
 from repro.filterlists.lists import default_lists  # noqa: E402
 from repro.filterlists.matcher import FilterMatcher  # noqa: E402
+from repro.filterlists.oracle import (  # noqa: E402
+    FilterListOracle,
+    LabeledRequest,
+)
 from repro.filterlists.rules import RequestContext, ResourceType  # noqa: E402
 
 PROBE_URLS = [
@@ -50,6 +58,8 @@ PROBE_URLS = [
     "",
 ]
 
+RESOURCE_TYPES = (ResourceType.SCRIPT, ResourceType.IMAGE, ResourceType.OTHER)
+
 
 def main() -> int:
     easylist, easyprivacy = default_lists()
@@ -59,12 +69,8 @@ def main() -> int:
 
     contexts = [
         RequestContext(url=url, resource_type=resource_type)
+        for resource_type in RESOURCE_TYPES
         for url in PROBE_URLS
-        for resource_type in (
-            ResourceType.SCRIPT,
-            ResourceType.IMAGE,
-            ResourceType.OTHER,
-        )
     ]
     for context in contexts:
         walk_result = walk.match(context)
@@ -79,12 +85,51 @@ def main() -> int:
         looped = [matcher.match(RequestContext(url=url)) for url in urls]
         assert batched == looped, "decide_many diverged from looped match"
 
+    want = [verdict(fast.match(context)) for context in contexts]
+    check_oracle(
+        want,
+        lambda oracle: [
+            result
+            for resource_type in RESOURCE_TYPES
+            for result in oracle.decide_many(PROBE_URLS, resource_type)
+        ],
+    )
+    check_oracle(
+        want,
+        lambda oracle: oracle.label_request_many(
+            (context.url, context.resource_type, "") for context in contexts
+        ),
+    )
+
     print(
         "matcher smoke: automaton, image and reference walk identical on "
         f"{len(contexts)} probes over {fast.rule_count:,} embedded rules; "
-        "decide_many == looped singles"
+        "decide_many == looped singles; the oracle's cached decide_many "
+        "and label_request_many equal the raw matcher, cold and warm"
     )
     return 0
+
+
+def verdict(answer) -> tuple[bool, str]:
+    """(blocked, attributed rule text) of a match result or a label."""
+    if isinstance(answer, LabeledRequest):
+        return answer.label.is_tracking, answer.matched_rule
+    return answer.blocked, answer.rule.text if answer.blocked else ""
+
+
+def check_oracle(want, decide) -> None:
+    """Decide every probe twice through a fresh default oracle and hold
+    both passes to the raw matcher's verdicts: the first pass must miss
+    on every probe, the second must hit on every one."""
+    oracle = FilterListOracle(*default_lists())
+    count = len(want)
+    for passes, (hits, misses) in enumerate(((0, count), (count, count)), 1):
+        got = [verdict(answer) for answer in decide(oracle)]
+        assert got == want, f"oracle pass {passes} diverged from the raw matcher"
+        stats = oracle.cache_stats
+        assert (stats.hits, stats.misses) == (hits, misses), (
+            passes, stats.hits, stats.misses
+        )
 
 
 if __name__ == "__main__":

@@ -74,8 +74,8 @@ knobs on the command line.
 
 **Serving.**  The same oracle the studies label with also runs as a
 long-lived online service: :class:`~repro.serve.BlockingService` answers
-per-request blocking decisions from an atomically swappable snapshot (a
-cache-enabled oracle + its own thread-safe decision cache), and
+per-request blocking decisions from an atomically swappable snapshot (an
+oracle with its own thread-safe decision cache), and
 :class:`~repro.serve.AsyncServerThread` exposes it over an asyncio
 HTTP/1.1 JSON API with hot reload — ``trackersift serve --port 8377``
 (``--workers N`` forks N such servers over one shared oracle image).  Served

@@ -58,7 +58,6 @@ from ..crawler.cluster import NODE_ENGINE_SEED, node_failure_seed, round_robin_s
 from ..crawler.storage import RequestDatabase
 from ..crawler.tranco import RankedSite
 from ..faults import FaultPlan, SimulatedCrash
-from ..filterlists.cache import CachedMatcher
 from ..filterlists.oracle import FilterListOracle
 from ..labeling.labeler import AnalyzedRequest, LabeledCrawl, RequestLabeler
 from ..obs.trace import current_tracer, span
@@ -437,11 +436,11 @@ class StreamingPipeline:
                 "retain_events materializes per-request state that "
                 "checkpoints do not carry; use one or the other"
             )
-        self._oracle = (oracle or FilterListOracle()).cached_view()
+        self._oracle = oracle or FilterListOracle()
         # Stats are cumulative on the (possibly shared) oracle; snapshot
         # them so this pipeline's notes report only its own lookups.
         stats = self._oracle.cache_stats
-        self._stats_baseline = (stats.hits, stats.misses) if stats else (0, 0)
+        self._stats_baseline = (stats.hits, stats.misses)
         self._checkpoint_dir = (
             Path(checkpoint_dir) if checkpoint_dir is not None else None
         )
@@ -1000,18 +999,15 @@ class StreamingPipeline:
             notes["worker_startup_seconds"] = self._worker_startup_seconds
             notes["worker_transfer_seconds"] = self._worker_transfer_seconds
             notes["worker_compute_seconds"] = self._worker_compute_seconds
+        # Parent-side lookups plus the counters worker processes shipped
+        # back with their shard outcomes.
         stats = self._oracle.cache_stats
-        if stats is not None:
-            # Parent-side lookups plus the counters worker processes
-            # shipped back with their shard outcomes.
-            hits = stats.hits - self._stats_baseline[0] + self._worker_hits
-            misses = (
-                stats.misses - self._stats_baseline[1] + self._worker_misses
-            )
-            lookups = hits + misses
-            notes["label_cache_hits"] = float(hits)
-            notes["label_cache_misses"] = float(misses)
-            notes["label_cache_hit_rate"] = hits / lookups if lookups else 0.0
+        hits = stats.hits - self._stats_baseline[0] + self._worker_hits
+        misses = stats.misses - self._stats_baseline[1] + self._worker_misses
+        lookups = hits + misses
+        notes["label_cache_hits"] = float(hits)
+        notes["label_cache_misses"] = float(misses)
+        notes["label_cache_hit_rate"] = hits / lookups if lookups else 0.0
         return PipelineResult(
             config=self.config,
             web=web,
@@ -1041,8 +1037,7 @@ class StreamingPipeline:
         """
         ledger = self._ledger
         assert ledger is not None
-        matcher = self._oracle.matcher
-        plain = matcher.wrapped if isinstance(matcher, CachedMatcher) else matcher
+        plain = self._oracle.matcher.wrapped
         automaton = plain.automaton
         ledger.record(
             "filterlists",

@@ -126,13 +126,6 @@ class ShardOutcome:
     `_store` path a sequential crawl uses, so checkpoints written by a
     parallel run are indistinguishable from sequential ones.
 
-    The overhead fields attribute the worker's wall-clock:
-    ``startup_seconds`` is the one-time worker initialization (pipeline
-    construction around the inherited oracle), reported with the worker's
-    *first* outcome only so the parent can sum without double counting;
-    ``transfer_seconds`` is this shard's slice lookup in the inherited
-    store; ``compute_seconds`` is the crawl+label+sift itself.
-
     ``spans`` carries the worker-side trace for this shard as exported
     span dicts — always at least the ``worker.startup`` /
     ``worker.transfer`` / ``worker.compute`` synthetic spans (the parent
@@ -148,9 +141,6 @@ class ShardOutcome:
     state_json: str
     cache_hits: int
     cache_misses: int
-    startup_seconds: float = 0.0
-    transfer_seconds: float = 0.0
-    compute_seconds: float = 0.0
     spans: tuple = ()
     crawl_digests: tuple = ()
     label_digests: tuple = ()
@@ -393,7 +383,7 @@ class _ShardWorker:
 
     def _stats(self) -> tuple[int, int]:
         stats = self._pipeline.oracle.cache_stats
-        return (stats.hits, stats.misses) if stats is not None else (0, 0)
+        return (stats.hits, stats.misses)
 
     def run(self, shard_id: int) -> ShardOutcome:
         from ..obs.trace import Tracer
@@ -409,18 +399,18 @@ class _ShardWorker:
             tracer.add("worker.startup", startup_seconds)
         loaded = time.perf_counter()
         shard_slice = self._store.load(shard_id)
-        transfer_seconds = time.perf_counter() - loaded
-        tracer.add("worker.transfer", transfer_seconds, shard=shard_id)
+        tracer.add(
+            "worker.transfer", time.perf_counter() - loaded, shard=shard_id
+        )
         if self._trace:
             with tracer.activate():
-                with tracer.span("worker.compute", shard=shard_id) as record:
+                with tracer.span("worker.compute", shard=shard_id):
                     state = self._pipeline._crawl_shard(
                         shard_id,
                         shard_slice.sites,
                         shard_slice.by_url,
                         shard_slice.failed_urls,
                     )
-            compute_seconds = record.duration
         else:
             computed = time.perf_counter()
             state = self._pipeline._crawl_shard(
@@ -429,8 +419,11 @@ class _ShardWorker:
                 shard_slice.by_url,
                 shard_slice.failed_urls,
             )
-            compute_seconds = time.perf_counter() - computed
-            tracer.add("worker.compute", compute_seconds, shard=shard_id)
+            tracer.add(
+                "worker.compute",
+                time.perf_counter() - computed,
+                shard=shard_id,
+            )
         crawl_digests, label_digests = self._pipeline.take_site_digests()
         hits, misses = self._stats()
         outcome = ShardOutcome(
@@ -438,9 +431,6 @@ class _ShardWorker:
             state_json=state.to_json(),
             cache_hits=hits - self._last_stats[0],
             cache_misses=misses - self._last_stats[1],
-            startup_seconds=startup_seconds,
-            transfer_seconds=transfer_seconds,
-            compute_seconds=compute_seconds,
             spans=tuple(tracer.export()),
             crawl_digests=crawl_digests,
             label_digests=label_digests,

@@ -58,13 +58,12 @@ class TrackerSiftPipeline:
         if workers < 1:
             raise ValueError("need at least one worker")
         self._workers = workers
+        # Every run() and label() decides through this oracle's cache, so
+        # repeat runs reuse warm decisions.
         self._oracle = oracle or FilterListOracle()
         # Determinism ledger, passed through to the engine each run().
         # Run once per ledger: every run() appends a fresh stage chain.
         self._ledger = ledger
-        # One caching view shared by every run() of this pipeline: repeat
-        # runs reuse warm decisions, the caller's oracle stays unmutated.
-        self._cached_oracle = self._oracle.cached_view()
 
     # -- stages --------------------------------------------------------------
     def generate(self) -> SyntheticWeb:
@@ -96,7 +95,7 @@ class TrackerSiftPipeline:
             self.config,
             shards=self.config.cluster_nodes,
             workers=self._workers,
-            oracle=self._cached_oracle,
+            oracle=self._oracle,
             retain_events=self._workers == 1,
             ledger=self._ledger,
         )

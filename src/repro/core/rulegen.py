@@ -203,10 +203,6 @@ def script_rule(script_url: str) -> str | None:
     return f"||{host}{slash}{path}^$script"
 
 
-#: historical private alias, kept for callers that imported it.
-_script_rule = script_rule
-
-
 @dataclass(frozen=True)
 class StrategyOutcome:
     """How one strategy scores on a labeled request log."""

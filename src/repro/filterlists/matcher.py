@@ -707,9 +707,10 @@ class FilterMatcher(_DecisionLoop):
 
     @property
     def revision(self) -> int:
-        """Bumped on every rule addition — lets external decision caches
-        (e.g. the oracle's URL-only convenience cache) detect in-place
-        mutation and invalidate themselves."""
+        """Bumped on every rule addition — lets a wrapping decision cache
+        (:class:`~repro.filterlists.cache.CachedMatcher`, which every
+        oracle decides through) detect in-place mutation and invalidate
+        itself."""
         return self._revision
 
     @property

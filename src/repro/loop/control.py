@@ -97,10 +97,9 @@ class GroundTruthOracle(FilterListOracle):
     what lets the sift classify traffic the incumbent rules miss (e.g. a
     freshly relocated tracking host).
 
-    Subclassing is safe: the oracle's batch paths (``label_request_many``
-    / ``decide_many``) devolve to the per-request override whenever
-    ``label_request`` is overridden, so no pipeline path bypasses the
-    ground truth.
+    Subclassing is safe: the oracle's batch path (``label_request_many``)
+    devolves to the per-request override whenever ``label_request`` is
+    overridden, so no pipeline path bypasses the ground truth.
     """
 
     def __init__(self, web: SyntheticWeb, *lists: ParsedList) -> None:

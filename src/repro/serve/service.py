@@ -4,7 +4,7 @@ The paper frames TrackerSift's output as deployable blocking knowledge —
 filter rules a content blocker consults per request.  Everything else in
 this repo runs as an offline batch study; :class:`BlockingService` is the
 long-lived deployment of the same oracle: it answers per-request blocking
-decisions from a :class:`Snapshot` (a cache-enabled
+decisions from a :class:`Snapshot` (a
 :class:`~repro.filterlists.oracle.FilterListOracle` plus the list
 provenance it was built from) and swaps in new list versions without
 dropping a request.
@@ -61,7 +61,7 @@ def _coerce_resource_type(value: object) -> ResourceType:
 class Snapshot:
     """One immutable, atomically-swappable serving state.
 
-    Holds the cache-enabled oracle *and* the list provenance the next
+    Holds the oracle *and* the list provenance the next
     reload diffs against: the parsed ``lists`` a text-built snapshot came
     from, or — for a snapshot opened from a compiled artifact — the rule
     lines its mapped image stores.  The oracle's decision cache belongs
@@ -86,7 +86,7 @@ class Snapshot:
         provenance: str = "",
     ) -> "Snapshot":
         return cls(
-            oracle=FilterListOracle(*lists, cache=True),
+            oracle=FilterListOracle(*lists),
             lists=lists,
             revision=revision,
             provenance=provenance,
@@ -116,15 +116,14 @@ class Snapshot:
                 "with compile_lists / `trackersift compile`"
             )
         return cls(
-            oracle=FilterListOracle.from_matcher(image, cache=True),
+            oracle=FilterListOracle.from_matcher(image),
             lists=(),
             revision=revision,
         )
 
     @property
     def _image(self) -> ImageMatcher | None:
-        matcher = self.oracle.matcher
-        matcher = getattr(matcher, "wrapped", matcher)
+        matcher = self.oracle.matcher.wrapped
         return matcher if isinstance(matcher, ImageMatcher) else None
 
     @property
@@ -291,8 +290,8 @@ class BlockingService:
         tracer = current_tracer()
         if tracer is not None:
             stats = snapshot.oracle.cache_stats
-            hits_before = stats.hits if stats else 0
-            misses_before = stats.misses if stats else 0
+            hits_before = stats.hits
+            misses_before = stats.misses
         started = time.perf_counter()
         labeled = snapshot.oracle.label_request_many(validated)
         elapsed = time.perf_counter() - started
@@ -326,15 +325,14 @@ class BlockingService:
                 ),
             )
         if tracer is not None:
-            stats = snapshot.oracle.cache_stats
             tracer.add(
                 "serve.batch",
                 elapsed,
                 requests=count,
                 coalesced_batches=batches,
                 revision=snapshot.revision,
-                cache_hits=(stats.hits - hits_before) if stats else 0,
-                cache_misses=(stats.misses - misses_before) if stats else 0,
+                cache_hits=stats.hits - hits_before,
+                cache_misses=stats.misses - misses_before,
             )
         return {
             "decisions": decisions,
@@ -438,8 +436,7 @@ class BlockingService:
             self._snapshot = new  # the atomic publish
         self._reloads.inc()
         self._note_revision(new)
-        old_matcher = getattr(old.oracle.matcher, "wrapped", old.oracle.matcher)
-        close = getattr(old_matcher, "close", None)
+        close = getattr(old.oracle.matcher.wrapped, "close", None)
         if close is not None:
             close()
         return {
@@ -545,8 +542,8 @@ class BlockingService:
             "batches": self._decisions_batches.value,
             "blocked": self._decisions_blocked.value,
             "reloads": self._reloads.value,
-            "hits": stats.hits if stats else 0,
-            "misses": stats.misses if stats else 0,
+            "hits": stats.hits,
+            "misses": stats.misses,
             "entries": len(snapshot.oracle.matcher),
             "observed": self.latency.count,
             "total_s": self.latency.total,

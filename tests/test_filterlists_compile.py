@@ -307,7 +307,7 @@ class TestLoadedMatcherLiveness:
         path = tmp_path / "oracle.tsoracle"
         parsed = parse_filter_list(LIST_TEXT, name="unit")
         compile_lists(path, parsed)
-        oracle = FilterListOracle.from_artifact(path, cache=True)
+        oracle = FilterListOracle.from_artifact(path)
         reference = FilterListOracle(parsed)
         urls = [
             "https://tracker.example/a.js",

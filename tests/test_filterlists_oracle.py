@@ -8,6 +8,8 @@ drifts, the pipeline would no longer *re-derive* the paper's labels.
 
 import random
 
+import pytest
+
 from repro.filterlists.lists import (
     AD_PATH_MARKERS,
     ADVERTISING_DOMAINS,
@@ -16,8 +18,10 @@ from repro.filterlists.lists import (
     load_easylist,
     load_easyprivacy,
 )
-from repro.filterlists.oracle import FilterListOracle, Label
-from repro.filterlists.rules import ResourceType
+from repro.filterlists.oracle import FilterListOracle, Label, LabeledRequest
+from repro.filterlists.parser import parse_filter_list
+from repro.filterlists.rules import RequestContext, ResourceType
+from repro.urlkit import is_third_party
 from repro.webmodel.naming import NameFactory
 
 
@@ -84,22 +88,11 @@ class TestOracleLabels:
 
 
 class TestUrlConvenienceCaching:
-    """The URL-only convenience path always routes through a decision
-    cache, so ad-hoc ``should_block_url`` loops get the same memoization
-    the streaming engine's cached view provides."""
-
-    def test_uncached_oracle_still_memoizes_convenience_calls(self):
-        oracle = FilterListOracle()
-        assert oracle.cache_stats is None  # the oracle itself is uncached
-        url = "https://google-analytics.com/collect?v=1"
-        assert oracle.should_block_url(url)
-        assert oracle.should_block_url(url)
-        stats = oracle._decision_matcher().stats
-        assert stats.misses == 1
-        assert stats.hits == 1
+    """The URL-only convenience path decides through the oracle's one
+    decision cache, like every other query."""
 
     def test_cache_enabled_oracle_shares_one_cache(self):
-        oracle = FilterListOracle(cache=True)
+        oracle = FilterListOracle()
         url = "https://google-analytics.com/collect?v=1"
         oracle.label(url)  # warms the decision cache
         assert oracle.should_block_url(url)
@@ -115,10 +108,8 @@ class TestUrlConvenienceCaching:
 
     def test_convenience_cache_invalidated_by_matcher_mutation(self):
         """Adding rules through the public ``oracle.matcher`` mutates the
-        matcher in place; the hidden convenience cache must notice (via
-        the matcher revision) and not serve stale decisions."""
-        from repro.filterlists.parser import parse_filter_list
-
+        matcher in place; the decision cache must notice and not serve
+        stale decisions."""
         oracle = FilterListOracle()
         url = "https://brand-new-host.example/app.js"
         assert not oracle.should_block_url(url)
@@ -126,15 +117,76 @@ class TestUrlConvenienceCaching:
         assert oracle.should_block_url(url)  # not the cached False
         assert oracle.should_block_url(url) == oracle.label(url).is_tracking
 
-    def test_convenience_cache_rebuilt_after_enable_cache(self):
-        oracle = FilterListOracle()
-        url = "https://google-analytics.com/collect?v=1"
-        assert oracle.should_block_url(url)
-        oracle.enable_cache()
-        # The side cache must not shadow the now-caching main matcher.
-        assert oracle.should_block_url(url)
-        assert oracle.cache_stats is not None
-        assert oracle.cache_stats.lookups >= 1
+
+_DOMAIN_LIST = "||tracker.example^$domain=site.example\n/pixel/*\n@@||tracker.example/ok.js"
+_PAGE = "https://www.site.example/"
+_URLS = [
+    "https://tracker.example/a.js",
+    "https://tracker.example/ok.js",
+    "https://www.site.example/pixel/1.gif",
+    "https://cdn.example/lib.js",
+]
+
+
+def _verdict(result):
+    """(blocked, rule text) of any oracle answer, or the bare bool."""
+    if isinstance(result, bool):
+        return result
+    if isinstance(result, LabeledRequest):
+        return (result.label.is_tracking, result.matched_rule)
+    rule = result.rule
+    return (result.blocked, rule.text if rule is not None and result.blocked else "")
+
+
+_METHODS = {
+    "match": lambda o: [o.match(u, ResourceType.SCRIPT, _PAGE) for u in _URLS],
+    "label_request": lambda o: [
+        o.label_request(u, ResourceType.SCRIPT, _PAGE) for u in _URLS
+    ],
+    "should_block_url": lambda o: [
+        o.should_block_url(u, ResourceType.SCRIPT, _PAGE) for u in _URLS
+    ],
+    "decide_many": lambda o: o.decide_many(_URLS, ResourceType.SCRIPT, _PAGE),
+    "label_request_many": lambda o: o.label_request_many(
+        [(u, ResourceType.SCRIPT, _PAGE) for u in _URLS]
+    ),
+}
+
+
+class TestEveryQueryDecidesThroughTheCache:
+    """A fresh oracle, with a ``domain=`` rule so the page host is part of
+    the cache key: every query method counts one lookup per URL in
+    ``cache_stats`` and agrees with the raw matcher underneath."""
+
+    @pytest.mark.parametrize("method", sorted(_METHODS))
+    def test_one_lookup_per_url_and_raw_agreement(self, method):
+        oracle = FilterListOracle(parse_filter_list(_DOMAIN_LIST, name="unit"))
+        raw = oracle.matcher.wrapped
+        assert raw.domain_sensitive
+        expected = [
+            raw.match(
+                RequestContext(
+                    url=url,
+                    resource_type=ResourceType.SCRIPT,
+                    page_host="www.site.example",
+                    third_party=is_third_party(url, _PAGE),
+                )
+            )
+            for url in _URLS
+        ]
+        assert [r.blocked for r in expected] == [True, False, True, False]
+
+        first = _METHODS[method](oracle)
+        assert (oracle.cache_stats.hits, oracle.cache_stats.misses) == (0, len(_URLS))
+        second = _METHODS[method](oracle)
+        stats = oracle.cache_stats
+        assert (stats.hits, stats.misses) == (len(_URLS), len(_URLS))
+
+        for answers in (first, second):
+            for answer, raw_result in zip(answers, expected):
+                want = _verdict(raw_result)
+                got = _verdict(answer)
+                assert got == (want[0] if isinstance(got, bool) else want)
 
 
 class TestGeneratorVocabularyConsistency:

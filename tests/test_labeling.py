@@ -185,7 +185,7 @@ class TestBatchedLabelLoop:
 
         stats = []
         for batch_size in (1, 5, 256):
-            labeler = RequestLabeler(FilterListOracle(cache=True))
+            labeler = RequestLabeler(FilterListOracle())
             counters = LabeledCrawl()
             list(
                 labeler.iter_labeled(

@@ -469,22 +469,42 @@ class TestWrapperCompatibility:
 
     def test_repeated_run_is_idempotent_in_retain_mode(self):
         """A second run() re-merges shard states; aggregates must not
-        double and the caller's oracle must stay unmutated."""
-        from repro.filterlists.matcher import FilterMatcher
+        double and the caller's rule set must stay unmutated."""
         from repro.filterlists.oracle import FilterListOracle
 
         oracle = FilterListOracle()
+        rule_count = oracle.rule_count
         config = PipelineConfig(sites=40, seed=5)
         engine = StreamingPipeline(config, oracle=oracle, retain_events=True)
         first = engine.run()
         second = engine.run()
-        assert isinstance(oracle.matcher, FilterMatcher)  # not wrapped
+        assert oracle.rule_count == rule_count
         assert len(second.labeled.requests) == len(first.labeled.requests)
         assert (
             second.labeled.excluded_non_script == first.labeled.excluded_non_script
         )
         assert second.labeled.participation == first.labeled.participation
         assert_reports_identical(second.report, first.report)
+
+    def test_two_pipelines_sharing_one_oracle_share_its_cache(self):
+        """Two engines handed one oracle decide through its one cache:
+        identical reports, the second run only hits, and each run's
+        notes count only its own lookups."""
+        from repro.filterlists.oracle import FilterListOracle
+
+        oracle = FilterListOracle()
+        config = PipelineConfig(sites=40, seed=5)
+        first = StreamingPipeline(config, shards=3, oracle=oracle).run()
+        second = StreamingPipeline(config, shards=3, oracle=oracle).run()
+        assert_reports_identical(second.report, first.report)
+        for result in (first, second):
+            notes = result.notes
+            assert (
+                notes["label_cache_hits"] + notes["label_cache_misses"]
+                == notes["labeled_requests"]
+            )
+        assert second.notes["label_cache_hits"] > first.notes["label_cache_hits"]
+        assert second.notes["label_cache_misses"] == 0
 
     def test_cache_counters_are_per_run_not_cumulative(self):
         """Repeated runs on one pipeline (shared oracle) report per-run
