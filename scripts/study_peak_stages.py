@@ -16,9 +16,12 @@ interpreter.  After each stage it reads ``VmRSS`` (resident now) and
 * ``shards`` — every shard crawled (or fanned out) and stored;
 * ``run``    — ``run()``: merge, sift and report.
 
-With ``workers=2`` the numbers are the parent's; its shard workers are
-separate processes.  Evidence, not a gate: there are no options, and
-the exit status is 0 unless a run fails.
+After ``shards`` and ``run`` it also prints the entry count of the
+oracle's decision cache, the largest block the study holds after the
+plan.  With ``workers=2`` the numbers are the parent's; its shard
+workers are separate processes that decide through their own caches.
+Evidence, not a gate: there are no options, and the exit status is 0
+unless a run fails.
 """
 
 from __future__ import annotations
@@ -49,8 +52,10 @@ def _memory_mb() -> tuple[float, float]:
 
 
 def _study(workers: int) -> dict:
-    """One study in this (fresh) process; memory after each stage."""
+    """One study in this (fresh) process; memory after each stage, and
+    the decision cache's entry count after ``shards`` and ``run``."""
     samples = {}
+    entries = {}
     import repro
     from repro.filterlists.oracle import FilterListOracle
 
@@ -66,10 +71,13 @@ def _study(workers: int) -> dict:
     samples["generate"] = _memory_mb()
     pipeline.process_shards(web)
     samples["shards"] = _memory_mb()
+    entries["shards"] = len(oracle.matcher)
     result = pipeline.run(web)
     samples["run"] = _memory_mb()
+    entries["run"] = len(oracle.matcher)
     return {
         "samples": samples,
+        "cache_entries": entries,
         "labeled_requests": int(result.notes["labeled_requests"]),
         "distinct_resources": int(result.notes["distinct_resources"]),
     }
@@ -90,7 +98,10 @@ def main() -> int:
         f"study memory by stage: seed {SEED}, {SITES:,} sites, "
         f"{SHARDS} shards, MB of the study process"
     )
-    print(f"{'workers':<9}{'stage':<10}{'VmRSS':>9}{'VmHWM':>9}")
+    print(
+        f"{'workers':<9}{'stage':<10}{'VmRSS':>9}{'VmHWM':>9}"
+        f"{'cache entries':>15}"
+    )
     for workers in (1, 2):
         done = subprocess.run(
             [sys.executable, __file__, "--child", str(workers)],
@@ -102,7 +113,9 @@ def main() -> int:
         record = json.loads(done.stdout)
         for stage in STAGES:
             rss, hwm = record["samples"][stage]
-            print(f"{workers:<9}{stage:<10}{rss:>9.1f}{hwm:>9.1f}")
+            entries = record["cache_entries"].get(stage)
+            count = "" if entries is None else f"{entries:,}"
+            print(f"{workers:<9}{stage:<10}{rss:>9.1f}{hwm:>9.1f}{count:>15}")
         print(
             f"{'':<9}{record['labeled_requests']:,} labeled requests, "
             f"{record['distinct_resources']:,} distinct resources"

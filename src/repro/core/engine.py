@@ -354,8 +354,9 @@ class ShardState(Record):
 
 def _check_checkpoint(state: ShardState, shard_id: int) -> None:
     """Raise ``ValueError`` unless ``state`` can be shard ``shard_id``'s:
-    its own ID matches, every count is a non-negative int, and every
-    tally row counts at least one request."""
+    its own ID matches, every count is a non-negative int, every
+    participation row is a list of exactly two counts, and every tally
+    row counts at least one request."""
     if state.shard_id != shard_id:
         raise ValueError(f"checkpoint holds shard {state.shard_id!r}")
     counts = [
@@ -365,7 +366,13 @@ def _check_checkpoint(state: ShardState, shard_id: int) -> None:
         state.excluded_unparseable,
         state.labeled_requests,
     ]
-    for row in (*state.tallies.values(), *state.participation.values()):
+    for row in state.tallies.values():
+        counts.extend(row)
+    for row in state.participation.values():
+        if type(row) is not list or len(row) != 2:
+            raise ValueError(
+                "checkpoint holds a participation row that is not two counts"
+            )
         counts.extend(row)
     if not all(type(count) is int and count >= 0 for count in counts):
         raise ValueError("checkpoint holds a count that is not a count")
@@ -965,10 +972,14 @@ class StreamingPipeline:
                 pages_failed += state.pages_failed
                 labeled.excluded_non_script += state.excluded_non_script
                 labeled.excluded_unparseable += state.excluded_unparseable
-                for script, (tracking, functional) in state.participation.items():
-                    entry = labeled.participation.setdefault(script, [0, 0])
-                    entry[0] += tracking
-                    entry[1] += functional
+                # By reference: a script in one shard keeps that shard's
+                # row; only a script two shards share gets a new summed
+                # row, so no shard row is ever written here.
+                participation = labeled.participation
+                for script, row in state.participation.items():
+                    held = participation.setdefault(script, row)
+                    if held is not row:
+                        participation[script] = [held[0] + row[0], held[1] + row[1]]
             report = accumulator.report(sifter_for(self.config))
         if self._ledger is not None and not self._ledger_recorded:
             self._record_ledger(web, accumulator, report)

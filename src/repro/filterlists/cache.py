@@ -19,10 +19,24 @@ rules can read —
   decision provably never reads the page host, and dropping it from the
   key is what turns "script X on site k" into a cross-site cache hit.
 
+**Key encoding.**  A key is one string, not a tuple of the fields: a
+study holds tens of thousands of entries, and a tuple per entry would
+be a second object beside the URL that already identifies it.  The key
+is two characters coding ``(resource_type, third_party)`` (one table
+entry per pair, built once from :class:`ResourceType`), then — only when
+the matcher is domain-sensitive — ``len(page_host)``, ``":"`` and the
+page host, then the (normalized) URL.  The prefix has a fixed width and
+the host carries its length, so the encoding is injective: two contexts
+get equal keys exactly when their ``(url, resource_type, third_party
+[, page_host])`` tuples are equal, and hits and misses are those of a
+tuple key.  A resource type or third-party value outside the table keeps
+that tuple as its key, which no string key equals.
+
 ``tests/test_filterlists_cache_properties.py`` holds the Hypothesis proof
 obligation: over randomized rule sets (including ``domain=`` rules) and
 randomized request contexts, the cached matcher is observationally
-equivalent to the uncached one.
+equivalent to the uncached one, and the string keys are equal exactly
+when the field tuples are.
 
 **Thread safety.**  The cache is shared across server threads by the
 online blocking service (:mod:`repro.serve`), so the decision store and
@@ -44,11 +58,18 @@ import threading
 
 from .._record import Record
 from .matcher import FilterMatcher, MatchResult
-from .rules import RequestContext
+from .rules import RequestContext, ResourceType
 
 __all__ = ["CacheStats", "DecisionCache", "CachedMatcher", "normalize_url_key"]
 
 _DIGIT_RUN_RE = re.compile(r"[0-9]+")
+
+#: ``(resource_type, third_party)`` -> the two-character key prefix.
+_CONTEXT_PREFIX = {
+    (resource_type, third_party): chr(0x41 + index) + ("1" if third_party else "0")
+    for index, resource_type in enumerate(ResourceType)
+    for third_party in (False, True)
+}
 
 
 def normalize_url_key(url: str) -> str:
@@ -113,14 +134,14 @@ class DecisionCache:
     def __init__(self, max_entries: int = 1_000_000) -> None:
         self.lock = threading.RLock()
         self.stats = CacheStats()
-        self._entries: dict[tuple, MatchResult] = {}
+        self._entries: dict[object, MatchResult] = {}
         self._max_entries = max_entries
 
     @property
     def max_entries(self) -> int:
         return self._max_entries
 
-    def lookup(self, key: tuple) -> MatchResult | None:
+    def lookup(self, key: object) -> MatchResult | None:
         """The cached decision for ``key`` (counted as a hit), or ``None``."""
         with self.lock:
             result = self._entries.get(key)
@@ -128,7 +149,7 @@ class DecisionCache:
                 self.stats.hits += 1
             return result
 
-    def store(self, key: tuple, result: MatchResult, *, insert: bool = True) -> bool:
+    def store(self, key: object, result: MatchResult, *, insert: bool = True) -> bool:
         """Count a miss; insert the decision unless ``insert`` is False
         (the caller observed a concurrent rule change) or the cache is
         full.  Returns whether the entry was actually inserted, so batch
@@ -152,9 +173,8 @@ class DecisionCache:
 class CachedMatcher:
     """A :class:`FilterMatcher` front-end that memoizes match decisions.
 
-    Exposes the matcher's full query interface (``match`` /
-    ``should_block`` / ``should_block_url`` plus introspection), so it can
-    stand in anywhere a matcher is consulted.  Rule additions through the
+    Decides through :meth:`match` and its batch forms, and passes the
+    wrapped matcher's introspection through.  Rule additions through the
     *wrapped* matcher are detected via :attr:`FilterMatcher.revision` and
     invalidate the cache on the next lookup; :meth:`add_list` /
     :meth:`add_rules` here invalidate immediately.
@@ -223,16 +243,25 @@ class CachedMatcher:
         return len(self._cache)
 
     # -- matching ------------------------------------------------------------
-    def _key(self, context: RequestContext) -> tuple:
+    def _key(self, context: RequestContext) -> str | tuple:
+        """The decision-cache key (see the module docstring's encoding)."""
         url = context.url
         if self._matcher.digit_runs_irrelevant_for(url):
             url = normalize_url_key(url)
+        resource_type = context.resource_type
+        third_party = context.third_party
+        prefix = _CONTEXT_PREFIX.get((resource_type, third_party))
         # The page host participates in the decision only through
         # ``domain=`` options; leaving it out otherwise is what makes the
         # same resource a hit across every site that loads it.
         if self._matcher.domain_sensitive:
-            return (url, context.resource_type, context.third_party, context.page_host)
-        return (url, context.resource_type, context.third_party)
+            host = context.page_host
+            if prefix is None:
+                return (url, resource_type, third_party, host)
+            return f"{prefix}{len(host)}:{host}{url}"
+        if prefix is None:
+            return (url, resource_type, third_party)
+        return prefix + url
 
     def match(self, context: RequestContext) -> MatchResult:
         cache = self._cache
@@ -297,9 +326,3 @@ class CachedMatcher:
     def decide_many(self, urls) -> list[MatchResult]:
         """Batch URL-only decisions (default request context per URL)."""
         return self.match_many([RequestContext(url=url) for url in urls])
-
-    def should_block(self, context: RequestContext) -> bool:
-        return self.match(context).blocked
-
-    def should_block_url(self, url: str) -> bool:
-        return self.match(RequestContext(url=url)).blocked

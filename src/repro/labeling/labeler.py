@@ -121,6 +121,9 @@ class LabeledCrawl(Record):
     #: script URL -> (tracking, functional) request participation counts,
     #: counting every request whose *ancestry* (not just initiator)
     #: contains the script — the paper's ancestral label propagation.
+    #: In a streaming ``run()``'s result the rows are shared with the
+    #: shard states (a script seen by one shard keeps that shard's row):
+    #: treat them as read-only.
     participation: dict[str, list[int]]
 
     def __init__(

@@ -35,7 +35,7 @@ from typing import Callable
 
 from ..urlkit import hostname
 from ..webmodel.generator import SyntheticWeb
-from ..webmodel.resources import PlannedRequest
+from ..webmodel.resources import Invocation, PlannedRequest
 
 __all__ = ["Adversary", "AdversaryMove"]
 
@@ -82,13 +82,13 @@ class Adversary:
     # -- eligibility -------------------------------------------------------
     def _blocked_tracking_sites(
         self, blocked: Callable[[str], bool]
-    ) -> dict[str, list[tuple[list, int, PlannedRequest]]]:
+    ) -> dict[str, list[tuple[Invocation, int, PlannedRequest]]]:
         """Blocked tracking requests, grouped by host, in canonical order.
 
-        Each entry is ``(invocation.requests, index, request)`` so the
-        mutation can replace the request in place.
+        Each entry is ``(invocation, index, request)`` so the mutation can
+        replace the request through :meth:`Invocation.replace_request`.
         """
-        by_host: dict[str, list[tuple[list, int, PlannedRequest]]] = {}
+        by_host: dict[str, list[tuple[Invocation, int, PlannedRequest]]] = {}
         for script in sorted(self._web.scripts, key=lambda s: s.url):
             for method in script.methods:
                 for invocation in method.invocations:
@@ -102,7 +102,7 @@ class Adversary:
                         except ValueError:
                             continue
                         by_host.setdefault(host, []).append(
-                            (invocation.requests, index, request)
+                            (invocation, index, request)
                         )
         return by_host
 
@@ -125,14 +125,17 @@ class Adversary:
             # the incumbent lists know, nothing a path marker gives away.
             fresh = f"a{ordinal}.evade-g{generation}-{ordinal}.example"
             fresh_hosts.append(fresh)
-            for requests, index, request in by_host[host]:
+            for invocation, index, request in by_host[host]:
                 token = "".join(
                     self._rng.choice("0123456789abcdef") for _ in range(10)
                 )
-                requests[index] = PlannedRequest(
-                    url=f"https://{fresh}/api/v2/asset/{token}",
-                    tracking=True,
-                    resource_type=request.resource_type,
+                invocation.replace_request(
+                    index,
+                    PlannedRequest(
+                        url=f"https://{fresh}/api/v2/asset/{token}",
+                        tracking=True,
+                        resource_type=request.resource_type,
+                    ),
                 )
                 rewritten += 1
         return AdversaryMove(
@@ -155,7 +158,7 @@ class Adversary:
         touched = []
         for host in sorted(by_host):
             drifted_any = False
-            for requests, index, request in by_host[host]:
+            for invocation, index, request in by_host[host]:
                 if self._rng.random() >= fraction:
                     continue
                 key = self._rng.choice(_DRIFT_KEYS)
@@ -163,10 +166,13 @@ class Adversary:
                     self._rng.choice("0123456789") for _ in range(8)
                 )
                 joiner = "&" if "?" in request.url else "?"
-                requests[index] = PlannedRequest(
-                    url=f"{request.url}{joiner}{key}={token}",
-                    tracking=True,
-                    resource_type=request.resource_type,
+                invocation.replace_request(
+                    index,
+                    PlannedRequest(
+                        url=f"{request.url}{joiner}{key}={token}",
+                        tracking=True,
+                        resource_type=request.resource_type,
+                    ),
                 )
                 rewritten += 1
                 drifted_any = True

@@ -107,10 +107,13 @@ def apply_cname_cloaking(
                         manifest.aliases[tracker_domain + "|" + publisher] = alias
                         manifest.zone.add_cname(alias, url.host)
                     cloaked = f"https://{alias}/api/v1/content/{rng.randrange(10**6)}"
-                    invocation.requests[index] = PlannedRequest(
-                        url=cloaked,
-                        tracking=request.tracking,
-                        resource_type=request.resource_type,
+                    invocation.replace_request(
+                        index,
+                        PlannedRequest(
+                            url=cloaked,
+                            tracking=request.tracking,
+                            resource_type=request.resource_type,
+                        ),
                     )
                     manifest.cloaked_requests += 1
     return manifest

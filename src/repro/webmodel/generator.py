@@ -1035,7 +1035,7 @@ class SyntheticWebGenerator:
                 while count > 0:
                     batch = min(count, rng.randint(1, 3))
                     count -= batch
-                    requests = [
+                    requests = tuple(
                         PlannedRequest(
                             url=names.request_url(host, tracking_side, listed),
                             tracking=tracking_side,
@@ -1046,7 +1046,7 @@ class SyntheticWebGenerator:
                             ),
                         )
                         for _ in range(batch)
-                    ]
+                    )
                     is_async = rng.random() < 0.25
                     if mixed and context_separable:
                         chain = tracking_chain if tracking_side else functional_chain
@@ -1156,7 +1156,7 @@ def _append_app_requests(
         method.invocations.append(
             Invocation(
                 site=site,
-                requests=[
+                requests=tuple(
                     PlannedRequest(
                         url=names.request_url(host, tracking, listed),
                         tracking=tracking,
@@ -1167,7 +1167,7 @@ def _append_app_requests(
                         ),
                     )
                     for _ in range(batch)
-                ],
+                ),
                 caller_chain=chain,
                 args=shared.args("load", host),
             )

@@ -92,7 +92,7 @@ def add_internal_pages(
                             continue
                         clone = Invocation(
                             site=page_url,
-                            requests=list(invocation.requests),
+                            requests=invocation.requests,
                             caller_chain=invocation.caller_chain,
                             async_chain=invocation.async_chain,
                             args=invocation.args,
@@ -136,14 +136,14 @@ def _article_script(page_url: str, site_url: str, rng: random.Random) -> ScriptS
     method.invocations.append(
         Invocation(
             site=page_url,
-            requests=[
+            requests=tuple(
                 PlannedRequest(
                     url=f"https://{host}/api/v1/content/{rng.randrange(10**6)}",
                     tracking=False,
                     resource_type="xmlhttprequest",
                 )
                 for _ in range(count)
-            ],
+            ),
             caller_chain=(Frame(f"{page_url}#inline-0", "onload"),),
             args={"event": "load", "dest": host},
         )

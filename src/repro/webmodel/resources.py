@@ -93,13 +93,15 @@ class Invocation(Record):
     generated web: equal chains (async halves included), equal frames
     inside them and equal ``(event, dest)`` contexts are each one object.
     Treat them as read-only: assign a new tuple or a new dict to change
-    one, and never write into ``args``.
+    one, and never write into ``args``.  ``requests`` is an exact-size
+    tuple (a replayed invocation shares its original's); change one
+    request with :meth:`replace_request`.
     """
 
     __slots__ = ("site", "requests", "caller_chain", "async_chain", "args", "sequence")
 
     site: str
-    requests: list[PlannedRequest]
+    requests: tuple[PlannedRequest, ...]
     caller_chain: tuple[Frame, ...]
     async_chain: tuple[Frame, ...]
     args: dict[str, str]
@@ -108,18 +110,24 @@ class Invocation(Record):
     def __init__(
         self,
         site: str,
-        requests: list[PlannedRequest] | None = None,
+        requests: tuple[PlannedRequest, ...] = (),
         caller_chain: tuple[Frame, ...] = (),
         async_chain: tuple[Frame, ...] = (),
         args: dict[str, str] | None = None,
         sequence: int = 0,
     ) -> None:
         self.site = site
-        self.requests = [] if requests is None else requests
+        self.requests = requests
         self.caller_chain = caller_chain
         self.async_chain = async_chain
         self.args = {} if args is None else args
         self.sequence = sequence
+
+    def replace_request(self, index: int, request: PlannedRequest) -> None:
+        """Give this invocation a new ``requests`` tuple with ``request``
+        at ``index``; the old tuple, which a replay may share, is kept."""
+        requests = self.requests
+        self.requests = (*requests[:index], request, *requests[index + 1 :])
 
 
 class MethodSpec(Record):

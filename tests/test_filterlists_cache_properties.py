@@ -160,6 +160,75 @@ class TestCacheEquivalence:
             assert cached.match(context).blocked == matcher.match(context).blocked
 
 
+def _tuple_key(cached: CachedMatcher, context: RequestContext) -> tuple:
+    """The field tuple a context's cache key stands for."""
+    url = context.url
+    if cached.wrapped.digit_runs_irrelevant_for(url):
+        url = normalize_url_key(url)
+    fields = (url, context.resource_type, context.third_party)
+    if cached.domain_sensitive:
+        return fields + (context.page_host,)
+    return fields
+
+
+# Few characters, so that distinct contexts often spell similar keys:
+# ``:`` and digits are the host-length framing, NUL and non-ASCII the
+# characters a naive separator would use.
+_KEY_TEXT = st.text(alphabet="a1:9\x00é/", max_size=5)
+
+
+@st.composite
+def _key_contexts(draw) -> RequestContext:
+    url = draw(st.one_of(_KEY_TEXT, _KEY_TEXT.map(lambda t: "https://h/" + t)))
+    resource_type = draw(
+        st.one_of(
+            st.sampled_from(list(ResourceType)),
+            # A plain string equal to a member is the same resource type;
+            # one equal to none (an option alias) keeps a tuple key.
+            st.sampled_from([member.value for member in ResourceType] + ["xhr"]),
+        )
+    )
+    return RequestContext(url, resource_type, draw(_KEY_TEXT), draw(st.booleans()))
+
+
+@st.composite
+def _spliced_pairs(draw) -> list[RequestContext]:
+    """Two contexts whose page host + URL spell the same text, cut at two
+    places: a key that only concatenated the fields would confuse them."""
+    text = draw(st.text(alphabet="a1:\x00é", min_size=1, max_size=8))
+    resource_type = draw(st.sampled_from(list(ResourceType)))
+    third_party = draw(st.booleans())
+    return [
+        RequestContext(text[cut:], resource_type, text[:cut], third_party)
+        for cut in draw(st.lists(st.integers(0, len(text)), min_size=2, max_size=2))
+    ]
+
+
+@pytest.mark.tier1
+class TestStringKeys:
+    @pytest.mark.parametrize(
+        "rule", ["||t.example^", "||t.example^$domain=s.example"]
+    )
+    @given(
+        contexts=st.lists(_key_contexts(), min_size=2, max_size=12),
+        pairs=st.lists(_spliced_pairs(), max_size=3),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_string_keys_equal_exactly_when_tuple_keys_do(
+        self, rule, contexts, pairs
+    ):
+        contexts = contexts + [context for pair in pairs for context in pair]
+        cached = CachedMatcher(_build([rule]))
+        assert cached.domain_sensitive == ("domain=" in rule)
+        keys = [cached._key(context) for context in contexts]
+        for key, context in zip(keys, contexts):
+            assert (type(key) is str) == (context.resource_type in set(ResourceType))
+        tuples = [_tuple_key(cached, context) for context in contexts]
+        for key, fields in zip(keys, tuples):
+            for other_key, other_fields in zip(keys, tuples):
+                assert (key == other_key) == (fields == other_fields)
+
+
 class TestNormalizeUrlKey:
     def test_collapses_path_and_query_digits(self):
         assert (

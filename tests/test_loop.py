@@ -1,5 +1,7 @@
 """The control loop: sift → rulegen → validation → hot reload (ISSUE 10)."""
 
+import hashlib
+
 import pytest
 
 from repro.filterlists.oracle import FilterListOracle
@@ -104,6 +106,40 @@ class TestAdversary:
             assert relocated
             # the whole point: the incumbent lists miss the fresh hosts
             assert not any(oracle.should_block_url(u) for u in relocated)
+
+    def test_moves_keep_request_tuples_and_their_counts(self):
+        """Internal pages, cloaking, relocate and drift on one web: every
+        invocation's requests stay an exact-size tuple, and the counts
+        and the planned URLs are those of the list-based rewrite."""
+        from repro.webmodel.cloaking import apply_cname_cloaking
+        from repro.webmodel.internal import add_internal_pages
+        from repro.webmodel.generator import generate_web
+
+        web = generate_web(sites=40, seed=3)
+        internal = add_internal_pages(
+            web, pages_per_site=2, site_fraction=0.5, seed=4
+        )
+        cloaked = apply_cname_cloaking(web, fraction=0.5, seed=5)
+        oracle = FilterListOracle()
+        adversary = Adversary(web, seed=1)
+        relocate = adversary.relocate(oracle.should_block_url, max_hosts=3)
+        drift = adversary.drift(oracle.should_block_url, fraction=0.5)
+        assert (
+            internal.pages_added,
+            internal.tracking_requests_added,
+            internal.functional_requests_added,
+        ) == (32, 390, 183)
+        assert cloaked.cloaked_requests == 127
+        assert relocate.rewritten_requests == 324
+        assert drift.rewritten_requests == 215
+        invocations = [
+            inv for s in web.scripts for m in s.methods for inv in m.invocations
+        ]
+        assert len(invocations) == 913
+        assert all(type(inv.requests) is tuple for inv in invocations)
+        urls = "\n".join(r.url for inv in invocations for r in inv.requests)
+        digest = hashlib.sha256(urls.encode()).hexdigest()
+        assert digest.startswith("7d8f914c28bfb16c")
 
     def test_relocation_is_seeded_deterministic(self):
         def run():

@@ -157,7 +157,7 @@ CASES = [
         Invocation,
         lambda: Invocation(
             _PAGE,
-            [PlannedRequest(_PIXEL, True)],
+            (PlannedRequest(_PIXEL, True),),
             (Frame(_SCRIPT, "init"),),
             (Frame(_SCRIPT, "tick"),),
             {"event": "imp", "dest": "ads"},
@@ -165,7 +165,7 @@ CASES = [
         ),
         False,
         minimal=lambda: Invocation(_PAGE),
-        factories=("requests", "args"),
+        factories=("args",),
     ),
     Case(
         MethodSpec,
@@ -636,8 +636,8 @@ REPRS = {
     ),
     "Invocation": (
         "Invocation(site='https://site.example/', "
-        "requests=[PlannedRequest(url='https://ads.example/p.gif', "
-        "tracking=True, resource_type='xmlhttprequest')], "
+        "requests=(PlannedRequest(url='https://ads.example/p.gif', "
+        "tracking=True, resource_type='xmlhttprequest'),), "
         "caller_chain=(Frame(script_url='https://cdn.example/a.js', "
         "method='init'),), "
         "async_chain=(Frame(script_url='https://cdn.example/a.js', "
@@ -647,7 +647,7 @@ REPRS = {
     "MethodSpec": (
         "MethodSpec(name='send', category=<Category.MIXED: 'mixed'>, "
         "invocations=[Invocation(site='https://site.example/', "
-        'requests=[], caller_chain=(), async_chain=(), args={}, '
+        'requests=(), caller_chain=(), async_chain=(), args={}, '
         'sequence=0)], coverage=0.5, line=10, column=2)'
     ),
     "ScriptSpec": (

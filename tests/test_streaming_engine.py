@@ -311,6 +311,26 @@ class TestCheckpointResume:
         assert result.notes["checkpoints_discarded"] == 1.0
         assert_reports_identical(result.report, clean.report)
 
+    @pytest.mark.parametrize("extra", [[5], []], ids=["three-counts", "one-count"])
+    def test_checkpoint_with_a_malformed_participation_row_is_recomputed(
+        self, tmp_path, extra
+    ):
+        """A participation row that is not exactly two counts: set aside
+        and recomputed, not carried into the merge."""
+
+        def reshape_row(ckpt):
+            path = ckpt / "shard-0001.json"
+            record = json.loads(path.read_text(encoding="utf-8"))
+            script, row = next(iter(record["participation"].items()))
+            record["participation"][script] = row[: 1 + len(extra)] + extra
+            path.write_text(json.dumps(record, sort_keys=True), encoding="utf-8")
+
+        clean, result = self._resume_after(tmp_path, reshape_row)
+        assert result.notes["shards_resumed"] == 2.0
+        assert result.notes["checkpoints_discarded"] == 1.0
+        assert_reports_identical(result.report, clean.report)
+        assert result.labeled.participation == clean.labeled.participation
+
     def test_checkpoint_of_another_shard_is_recomputed(self, tmp_path):
         """A valid checkpoint under the wrong shard's name."""
 
@@ -457,6 +477,38 @@ class TestDescentThresholdConfig:
                     loose_level.separation_factor
                     <= tight_level.separation_factor + 1e-12
                 )
+
+
+@pytest.mark.tier1
+class TestParticipationMerge:
+    """``run()`` merges shard participation by reference: a script one
+    shard holds keeps that shard's row, and only a script two shards
+    share gets a new, summed row."""
+
+    def test_repeated_run_leaves_participation_and_states_unchanged(self):
+        engine = StreamingPipeline(PipelineConfig(sites=40, seed=5), shards=3)
+        first = engine.run()
+        states = [state.to_json() for state in engine.shard_states()]
+        second = engine.run()
+        assert second.labeled.participation == first.labeled.participation
+        assert [state.to_json() for state in engine.shard_states()] == states
+
+    def test_shared_script_merges_to_the_sum_and_no_shard_row_changes(self):
+        both, alone = "https://s.example/both.js", "https://a.example/a.js"
+        engine = StreamingPipeline(PipelineConfig(sites=20, seed=5), shards=2)
+        engine.process_shards()
+        left, right = engine.shard_states()
+        left.participation = {both: [3, 1], alone: [0, 2]}
+        right.participation = {both: [1, 4]}
+        before = [state.to_json() for state in (left, right)]
+        rows = [left.participation[both], right.participation[both]]
+        for _ in range(2):
+            merged = engine.run().labeled.participation
+            assert merged == {both: [4, 5], alone: [0, 2]}
+            assert merged[alone] is left.participation[alone]
+            assert all(merged[both] is not row for row in rows)
+        assert rows == [[3, 1], [1, 4]]
+        assert [state.to_json() for state in (left, right)] == before
 
 
 class TestWrapperCompatibility:
