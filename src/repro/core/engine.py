@@ -355,8 +355,8 @@ class ShardState(Record):
 def _check_checkpoint(state: ShardState, shard_id: int) -> None:
     """Raise ``ValueError`` unless ``state`` can be shard ``shard_id``'s:
     its own ID matches, every count is a non-negative int, every
-    participation row is a list of exactly two counts, and every tally
-    row counts at least one request."""
+    participation row holds exactly two counts, and every tally row
+    counts at least one request."""
     if state.shard_id != shard_id:
         raise ValueError(f"checkpoint holds shard {state.shard_id!r}")
     counts = [
@@ -369,7 +369,7 @@ def _check_checkpoint(state: ShardState, shard_id: int) -> None:
     for row in state.tallies.values():
         counts.extend(row)
     for row in state.participation.values():
-        if type(row) is not list or len(row) != 2:
+        if len(row) != 2:
             raise ValueError(
                 "checkpoint holds a participation row that is not two counts"
             )
