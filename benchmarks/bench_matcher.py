@@ -240,11 +240,14 @@ def test_matcher_core_gates(output_dir):
     batch_seconds = _best_of(lambda: fast.decide_many(urls))
 
     cached = CachedMatcher(fast)
-    cached.decide_many(urls)  # warm: steady-state is the all-hit regime
+    # warm: steady-state is the all-hit regime
+    cached.match_many([RequestContext(url=url) for url in urls])
     cached_looped_seconds = _best_of(
         lambda: [cached.match(RequestContext(url=url)) for url in urls]
     )
-    cached_batch_seconds = _best_of(lambda: cached.decide_many(urls))
+    cached_batch_seconds = _best_of(
+        lambda: cached.match_many([RequestContext(url=u) for u in urls])
+    )
 
     count = len(urls)
     decision_speedup = walk_seconds / fast_seconds

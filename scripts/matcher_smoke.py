@@ -11,7 +11,10 @@ single decisions.  The same probes then go through
 :class:`FilterListOracle`, which decides everything through its
 decision cache: ``decide_many`` and ``label_request_many`` must equal the
 raw :class:`FilterMatcher` on a cold cache (every probe a miss) and again
-on a warm one (every probe a hit).  The probe set mixes
+on a warm one (every probe a hit).  Last, :class:`BlockingService` decides
+them with ``decide`` per probe and then ``decide_batch`` over all of
+them (both run its one decision path), and must equal the raw matcher
+too; the empty URL it must reject.  The probe set mixes
 ordinary traffic shapes with the boundary cases the matching core
 normalizes (trailing-dot hosts, IDN authorities, userinfo, ports,
 schemeless strings).  Pure stdlib + repro, seconds to run.
@@ -35,6 +38,7 @@ from repro.filterlists.oracle import (  # noqa: E402
     LabeledRequest,
 )
 from repro.filterlists.rules import RequestContext, ResourceType  # noqa: E402
+from repro.serve.service import BlockingService  # noqa: E402
 
 PROBE_URLS = [
     # Ordinary traffic shapes.
@@ -101,20 +105,60 @@ def main() -> int:
         ),
     )
 
+    check_service(contexts, want)
+
     print(
         "matcher smoke: automaton, image and reference walk identical on "
         f"{len(contexts)} probes over {fast.rule_count:,} embedded rules; "
         "decide_many == looped singles; the oracle's cached decide_many "
-        "and label_request_many equal the raw matcher, cold and warm"
+        "and label_request_many equal the raw matcher, cold and warm; "
+        "the service's decide and decide_batch equal it too"
     )
     return 0
 
 
 def verdict(answer) -> tuple[bool, str]:
-    """(blocked, attributed rule text) of a match result or a label."""
+    """(blocked, attributed rule text) of a match result, a label or a
+    service decision."""
+    if isinstance(answer, dict):
+        return answer["blocked"], answer["matched_rule"]
     if isinstance(answer, LabeledRequest):
         return answer.label.is_tracking, answer.matched_rule
     return answer.blocked, answer.rule.text if answer.blocked else ""
+
+
+def check_service(contexts, want) -> None:
+    """Decide every probe the service accepts one by one, then as one
+    batch, through a default service; both must equal the raw matcher,
+    and each accepted probe counts one decision."""
+    service = BlockingService(*default_lists())
+    probes = [
+        (context, expected)
+        for context, expected in zip(contexts, want)
+        if context.url
+    ]
+    singles = [
+        verdict(service.decide(context.url, context.resource_type))
+        for context, _ in probes
+    ]
+    expected = [expected for _, expected in probes]
+    assert singles == expected, "service decide diverged from the raw matcher"
+    batch = service.decide_batch(
+        [
+            {"url": context.url, "resource_type": context.resource_type.value}
+            for context, _ in probes
+        ]
+    )
+    got = [verdict(decision) for decision in batch["decisions"]]
+    assert got == expected, "service decide_batch diverged from the raw matcher"
+    decisions = service.metrics()["decisions"]
+    assert (decisions["served"], decisions["batches"]) == (2 * len(probes), 1)
+    try:
+        service.decide("")
+    except ValueError:
+        pass
+    else:
+        raise AssertionError("the service decided an empty URL")
 
 
 def check_oracle(want, decide) -> None:

@@ -80,7 +80,7 @@ oracle with its own thread-safe decision cache), and
 HTTP/1.1 JSON API with hot reload — ``trackersift serve --port 8377``
 (``--workers N`` forks N such servers over one shared oracle image).  Served
 decisions are bit-identical to offline
-:meth:`FilterListOracle.should_block_url` labeling for the same lists
+:meth:`FilterListOracle.label_request_many` labeling for the same lists
 (``tests/test_serve_server.py`` and the serve workloads of
 ``benchmarks/perf/bench.py`` check this over live HTTP), and a reload
 never drops a request: in-flight decisions finish on the old snapshot.

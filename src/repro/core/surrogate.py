@@ -100,11 +100,6 @@ class SurrogateValidation:
     broken_features: tuple[str, ...]
 
     @property
-    def tracking_removal_rate(self) -> float:
-        total = self.tracking_removed + self.tracking_remaining
-        return self.tracking_removed / total if total else 0.0
-
-    @property
     def collateral_rate(self) -> float:
         total = self.functional_removed + self.functional_remaining
         return self.functional_removed / total if total else 0.0

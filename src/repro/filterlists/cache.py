@@ -173,16 +173,18 @@ class DecisionCache:
 class CachedMatcher:
     """A :class:`FilterMatcher` front-end that memoizes match decisions.
 
-    Decides through :meth:`match` and its batch forms, and passes the
-    wrapped matcher's introspection through.  Rule additions through the
-    *wrapped* matcher are detected via :attr:`FilterMatcher.revision` and
-    invalidate the cache on the next lookup; :meth:`add_list` /
-    :meth:`add_rules` here invalidate immediately.
+    Decides through :meth:`match_many` (:meth:`match` is a batch of
+    one), and passes the wrapped matcher's introspection through.  Rule
+    additions through the *wrapped* matcher are detected via
+    :attr:`FilterMatcher.revision` and invalidate the cache on the next
+    lookup; :meth:`add_list` / :meth:`add_rules` here invalidate
+    immediately.
 
     Safe to share across threads: the decision store is a
-    :class:`DecisionCache`, underlying matches run outside its lock (reads
-    of the wrapped matcher are concurrency-safe), and a decision computed
-    concurrently with a rule change is served but never cached.
+    :class:`DecisionCache`, a batch decides its misses under that store's
+    lock (so rule additions through this class wait for it), and a
+    decision computed concurrently with a rule change made on the wrapped
+    matcher directly is served but never cached.
     """
 
     def __init__(self, matcher: FilterMatcher, *, max_entries: int = 1_000_000) -> None:
@@ -210,10 +212,6 @@ class CachedMatcher:
     @property
     def stats(self) -> CacheStats:
         return self._cache.stats
-
-    @property
-    def decision_cache(self) -> DecisionCache:
-        return self._cache
 
     @property
     def wrapped(self) -> FilterMatcher:
@@ -264,44 +262,25 @@ class CachedMatcher:
         return prefix + url
 
     def match(self, context: RequestContext) -> MatchResult:
-        cache = self._cache
-        with cache.lock:
-            if self._matcher.revision != self._revision:
-                # The wrapped matcher gained rules behind our back;
-                # decisions made under the old rule set must not survive.
-                cache.clear()
-                self._revision = self._matcher.revision
-            # The key derives from matcher state (digit-run safety, domain
-            # sensitivity), so it is computed under the same lock that
-            # synchronized the revision — a key built against stale rules
-            # could alias decisions across rule sets.
-            revision = self._revision
-            key = self._key(context)
-            cached = cache.lookup(key)
-        if cached is not None:
-            return cached
-        result = self._matcher.match(context)
-        # Insert only when no rule change raced the match; every clear and
-        # insert runs under the cache lock, so a stale decision can never
-        # land after the invalidating clear.
-        with cache.lock:
-            cache.store(key, result, insert=self._matcher.revision == revision)
-        return result
+        """One decision: a batch of one through :meth:`match_many`."""
+        return self.match_many((context,))[0]
 
     def match_many(self, contexts) -> list[MatchResult]:
-        """Batch :meth:`match`: one result per context, same order.
+        """The one decision entry: one result per context, same order.
 
-        One lock acquisition covers the whole batch (versus two per
-        decision when looping :meth:`match`), which is where the batch
-        path's throughput win over looped singles comes from at the
-        service layer.  Hit/miss accounting is *exactly* the sequential
-        loop's: a key seen twice in one batch is a miss then a hit (the
-        first occurrence's decision is memoized before the second is
-        looked up), so cache-stats fields in pipeline notes and scenario
-        goldens are byte-identical either way.  The whole batch decides
-        against one rule revision; a revision change racing the batch
-        suppresses inserts (never a stale entry), exactly like the
-        per-call guard.
+        One lock acquisition covers the whole batch, which is where the
+        batch path's throughput win over looped singles comes from at
+        the service layer.  Hit/miss accounting is *exactly* the
+        sequential loop's: a key seen twice in one batch is a miss then
+        a hit (the first occurrence's decision is memoized before the
+        second is looked up), so cache-stats fields in pipeline notes and
+        scenario goldens are byte-identical however requests are
+        batched.  The whole batch decides against one rule revision, and
+        the key is built under the lock that synchronized it (the key
+        derives from matcher state — digit-run safety, domain
+        sensitivity — so a key built against stale rules could alias
+        decisions across rule sets).  A revision change on the wrapped
+        matcher racing the batch suppresses inserts: never a stale entry.
         """
         cache = self._cache
         matcher = self._matcher
@@ -322,7 +301,3 @@ class CachedMatcher:
                 cache.store(key, result, insert=matcher.revision == revision)
                 append(result)
         return results
-
-    def decide_many(self, urls) -> list[MatchResult]:
-        """Batch URL-only decisions (default request context per URL)."""
-        return self.match_many([RequestContext(url=url) for url in urls])

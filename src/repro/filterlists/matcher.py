@@ -56,10 +56,12 @@ valid per start position).  The walk itself lives in
 property tests and ``scripts/matcher_smoke.py`` hold the automaton
 decision-identical to it.
 
-Batch decisions go through :meth:`FilterMatcher.match_many` /
-:meth:`FilterMatcher.decide_many` (``decide_many`` skips context
-construction and the index walks for URLs with no candidate keys; one
-layer up, the decision cache pays its lock once per batch).
+:meth:`FilterMatcher.match` decides one request context;
+:meth:`FilterMatcher.decide_many` is a URL-only batch helper that skips
+context construction and the index walks for URLs with no candidate
+keys.  One layer up, :meth:`CachedMatcher.match_many
+<repro.filterlists.cache.CachedMatcher.match_many>` calls ``match`` once
+per cache miss, taking the cache lock once per batch.
 Quickstart::
 
     >>> from repro.filterlists.matcher import FilterMatcher
@@ -532,17 +534,6 @@ class _DecisionLoop:
                 context.third_party,
             )
         return self._decide(context, shape)
-
-    def match_many(
-        self, contexts: Iterable[RequestContext]
-    ) -> list[MatchResult]:
-        """Batch :meth:`match`: one result per context, same order.
-
-        This is the layer :class:`~repro.filterlists.cache.CachedMatcher`
-        and the oracle's ``decide_many`` build on.
-        """
-        match = self.match
-        return [match(context) for context in contexts]
 
     def decide_many(self, urls: Iterable[str]) -> list[MatchResult]:
         """Batch URL-only decisions (default request context per URL).

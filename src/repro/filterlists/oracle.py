@@ -130,7 +130,7 @@ class FilterListOracle:
         if page_url:
             try:
                 page_host = hostname(page_url)
-                third_party = is_third_party(url, page_url)
+                third_party = is_third_party(url, page_host)
             except ValueError:
                 page_host = ""
         return RequestContext(
@@ -140,6 +140,19 @@ class FilterListOracle:
             third_party=third_party,
         )
 
+    def _match_many(
+        self,
+        requests: "Iterable[tuple[str, ResourceType, str]]",
+    ) -> list[MatchResult]:
+        """Decide ``(url, resource_type, page_url)`` triples in order:
+        the one place request contexts are built, decided through the
+        decision cache's one entry (:meth:`CachedMatcher.match_many`)."""
+        context = self._context
+        return self._matcher.match_many(
+            [context(url, resource_type, page_url)
+             for url, resource_type, page_url in requests]
+        )
+
     def match(
         self,
         url: str,
@@ -147,7 +160,7 @@ class FilterListOracle:
         page_url: str = "",
     ) -> MatchResult:
         """Raw ABP match decision for one request."""
-        return self._matcher.match(self._context(url, resource_type, page_url))
+        return self._match_many(((url, resource_type, page_url),))[0]
 
     def should_block_url(
         self,
@@ -175,8 +188,7 @@ class FilterListOracle:
         page_url: str = "",
     ) -> LabeledRequest:
         """Label a request and keep the matched rule for reporting."""
-        result = self.match(url, resource_type, page_url)
-        return self._to_labeled(url, result)
+        return self.label_request_many(((url, resource_type, page_url),))[0]
 
     @staticmethod
     def _to_labeled(url: str, result: MatchResult) -> LabeledRequest:
@@ -197,43 +209,28 @@ class FilterListOracle:
     ) -> list[MatchResult]:
         """Batch :meth:`match` over URLs sharing one request context shape.
 
-        Each URL still gets its own context, built exactly as :meth:`match`
-        builds it: the page host and the third-party check are resolved
-        once per URL, not once per batch.  The saving is in the decision
-        cache underneath, which takes its lock once per batch instead of
-        twice per URL.
+        Each URL still gets its own context: the page host and the
+        third-party check are resolved once per URL, not once per batch.
         Decision-identical to looping :meth:`match`, including cache
         hit/miss accounting (see :meth:`CachedMatcher.match_many`).
         """
-        contexts = [
-            self._context(url, resource_type, page_url) for url in urls
-        ]
-        return self._matcher.match_many(contexts)
+        return self._match_many((url, resource_type, page_url) for url in urls)
 
     def label_request_many(
         self,
         requests: "Iterable[tuple[str, ResourceType, str]]",
     ) -> list[LabeledRequest]:
-        """Batch :meth:`label_request` over ``(url, resource_type,
-        page_url)`` triples — the streaming engine's label loop and the
-        serve layer's ``decide_batch`` both drain through here.
+        """Label ``(url, resource_type, page_url)`` triples, in order —
+        the one labeling entry: :meth:`label_request`, the streaming
+        engine's label loop and the serve layer's decisions all come
+        through here.
 
-        Oracle subclasses stay first-class: when :meth:`label_request` is
-        overridden, the batch devolves to looping it so custom labeling
-        (e.g. the control loop's ground-truth oracle) is never silently
-        bypassed.
+        A subclass that labels differently (e.g. the control loop's
+        ground-truth oracle) overrides this method, so no caller can
+        bypass it.
         """
         items = list(requests)
-        if type(self).label_request is not FilterListOracle.label_request:
-            return [
-                self.label_request(url, resource_type, page_url)
-                for url, resource_type, page_url in items
-            ]
-        contexts = [
-            self._context(url, resource_type, page_url)
-            for url, resource_type, page_url in items
-        ]
-        results = self._matcher.match_many(contexts)
+        results = self._match_many(items)
         return [
             self._to_labeled(item[0], result)
             for item, result in zip(items, results)

@@ -117,10 +117,6 @@ class FunctionInfo:
     char_end: int = 0
 
     @property
-    def is_anonymous(self) -> bool:
-        return not self.name
-
-    @property
     def has_network_calls(self) -> bool:
         return bool(self.network_urls)
 

@@ -204,18 +204,7 @@ class RequestLabeler:
 
     def label_event(self, event: RequestWillBeSent) -> AnalyzedRequest | None:
         """Label one event; ``None`` when it is excluded from analysis."""
-        if not event.script_initiated:
-            return None
-        prepared = self._prepare(event)
-        if prepared is None:
-            return None
-        _, host, domain, resource_type, match_url = prepared
-        labeled = self._oracle.label_request(
-            match_url,
-            resource_type=resource_type,
-            page_url=event.top_level_url,
-        )
-        return self._finish(event, host, domain, labeled)
+        return next(self.iter_labeled((event,), counters=LabeledCrawl()), None)
 
     def _prepare(
         self, event: RequestWillBeSent

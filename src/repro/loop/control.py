@@ -97,9 +97,9 @@ class GroundTruthOracle(FilterListOracle):
     what lets the sift classify traffic the incumbent rules miss (e.g. a
     freshly relocated tracking host).
 
-    Subclassing is safe: the oracle's batch path (``label_request_many``)
-    devolves to the per-request override whenever ``label_request`` is
-    overridden, so no pipeline path bypasses the ground truth.
+    It overrides the oracle's one labeling entry,
+    ``label_request_many``, so every pipeline path and
+    ``label_request`` see the ground truth.
     """
 
     def __init__(self, web: SyntheticWeb, *lists: ParsedList) -> None:
@@ -112,23 +112,35 @@ class GroundTruthOracle(FilterListOracle):
                         truth[request.url] = request.tracking
         self._truth = truth
 
-    def label_request(
-        self,
-        url: str,
-        resource_type: ResourceType = ResourceType.OTHER,
-        page_url: str = "",
-    ) -> LabeledRequest:
-        tracking = self._truth.get(url)
-        if tracking is None:
-            return super().label_request(url, resource_type, page_url)
-        if tracking:
-            return LabeledRequest(
-                url=url,
-                label=Label.TRACKING,
-                matched_rule="ground-truth",
-                matched_list="ground-truth",
+    def label_request_many(self, requests) -> list[LabeledRequest]:
+        """Truth-table URLs from the table; the rest decided by the filter
+        lists in one batch, in input order (so the decision cache sees
+        the same hits and misses as a plain oracle over those URLs)."""
+        items = list(requests)
+        truth = self._truth
+        decided = iter(
+            super().label_request_many(
+                item for item in items if item[0] not in truth
             )
-        return LabeledRequest(url=url, label=Label.FUNCTIONAL)
+        )
+        labeled = []
+        for item in items:
+            url = item[0]
+            tracking = truth.get(url)
+            if tracking is None:
+                labeled.append(next(decided))
+            elif tracking:
+                labeled.append(
+                    LabeledRequest(
+                        url=url,
+                        label=Label.TRACKING,
+                        matched_rule="ground-truth",
+                        matched_list="ground-truth",
+                    )
+                )
+            else:
+                labeled.append(LabeledRequest(url=url, label=Label.FUNCTIONAL))
+        return labeled
 
 
 @dataclass(frozen=True)

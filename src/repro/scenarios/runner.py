@@ -235,16 +235,6 @@ class ScenarioRunner:
             self._check_golden(outcome)
         return outcome
 
-    def run_matrix(
-        self,
-        specs: tuple[ScenarioSpec, ...],
-        *,
-        update_golden: bool = False,
-    ) -> list[ScenarioOutcome]:
-        return [
-            self.run(spec, update_golden=update_golden) for spec in specs
-        ]
-
     def _run_pipeline(
         self,
         path: str,

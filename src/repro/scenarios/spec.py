@@ -115,14 +115,6 @@ class WebKnobs:
         if self.internal_pages_per_site < 1:
             raise ValueError("internal_pages_per_site must be >= 1")
 
-    @property
-    def any_enabled(self) -> bool:
-        return (
-            self.internal_site_fraction > 0
-            or self.cloaking_fraction > 0
-            or self.anonymize_fraction > 0
-        )
-
 
 @dataclass(frozen=True)
 class ScenarioSpec:

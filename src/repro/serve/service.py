@@ -22,9 +22,10 @@ snapshot it started with; concurrent requests during a reload are each
 answered consistently by either the old or the new rules, never a blend.
 Reloads themselves serialize on a lock; decisions never take it.
 
-Decisions are bit-identical to the offline oracle's by construction: the
-service calls the same :meth:`FilterListOracle.label_request` /
-:meth:`~FilterListOracle.should_block_url` code path the batch studies
+Decisions are bit-identical to the offline oracle's by construction:
+every decision, single or batched, goes through
+:meth:`BlockingService.decide_validated` into
+:meth:`FilterListOracle.label_request_many`, the code path the studies
 use (``tests/test_serve_server.py`` and the serve workloads of
 ``benchmarks/perf/bench.py`` check this over live HTTP).
 """
@@ -206,11 +207,16 @@ class BlockingService:
     ) -> dict:
         """One blocking decision, as a JSON-ready dict.
 
-        Raises :class:`ValueError` for a missing URL or unknown resource
-        type (the server maps that to HTTP 400).
+        Decided exactly as ``POST /v1/decide`` decides one request:
+        validated by :meth:`validate_requests` (a missing URL or unknown
+        resource type raises its :class:`ValueError`, which the server
+        maps to HTTP 400), then decided by :meth:`decide_validated` as a
+        batch of one that counts no client batch.
         """
-        snapshot = self._snapshot
-        return self._decide_on(snapshot, url, resource_type, page_url)
+        validated = self.validate_requests(
+            [{"url": url, "resource_type": resource_type, "page_url": page_url}]
+        )
+        return self.decide_validated(validated, batches=0)["decisions"][0]
 
     def decide_batch(self, requests: list) -> dict:
         """Decide a batch of requests — all against *one* snapshot.
@@ -337,41 +343,6 @@ class BlockingService:
         return {
             "decisions": decisions,
             "count": len(decisions),
-            "revision": snapshot.revision,
-        }
-
-    def should_block_url(self, url: str) -> bool:
-        """The offline oracle's convenience query, served online."""
-        return self._snapshot.oracle.should_block_url(url)
-
-    def _decide_on(
-        self,
-        snapshot: Snapshot,
-        url: str,
-        resource_type: object,
-        page_url: str,
-    ) -> dict:
-        if not url or not isinstance(url, str):
-            raise ValueError("decide requires a non-empty url")
-        resource = _coerce_resource_type(resource_type)
-        started = time.perf_counter()
-        labeled = snapshot.oracle.label_request(url, resource, page_url)
-        self.latency.observe(time.perf_counter() - started)
-        blocked = labeled.label.is_tracking
-        self._decisions_served.inc()
-        if blocked:
-            self._decisions_blocked.inc()
-        if self._ledger is not None:
-            self._ledger_observe(
-                snapshot.revision,
-                (f"{url}|{labeled.label.value}|{int(blocked)}",),
-            )
-        return {
-            "url": url,
-            "label": labeled.label.value,
-            "blocked": blocked,
-            "matched_rule": labeled.matched_rule,
-            "matched_list": labeled.matched_list,
             "revision": snapshot.revision,
         }
 

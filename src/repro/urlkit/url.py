@@ -28,6 +28,10 @@ _DEFAULT_PORTS = {
 
 _SCHEME_CHARS = set("abcdefghijklmnopqrstuvwxyz0123456789+-.")
 
+#: ASCII a host may not hold once IDNA-encoded (the WHATWG URL standard's
+#: forbidden domain code points, printable part).
+_FORBIDDEN_IDNA_CHARS = frozenset(" #%/:<>?@[\\]^|")
+
 
 class URLError(ValueError):
     """Raised when a string cannot be parsed as an absolute URL."""
@@ -145,9 +149,15 @@ def normalize_host(host: str) -> str:
     # IDNA-encode non-ASCII labels, mirroring what browsers report.
     if not host.isascii():
         try:
-            host = host.encode("idna").decode("ascii")
+            encoded = host.encode("idna").decode("ascii")
         except UnicodeError as exc:
             raise URLError(f"invalid international host: {host!r}") from exc
+        # Compatibility mapping can turn a code point into an ASCII
+        # delimiter ("／" -> "/", "¨" -> a space): such a host would parse
+        # differently when normalized again, so it is not a host.
+        if not _FORBIDDEN_IDNA_CHARS.isdisjoint(encoded):
+            raise URLError(f"invalid international host: {host!r}")
+        host = encoded
     if host.startswith("[") and host.endswith("]"):
         return host  # IPv6 literal, keep as-is
     for label in host.split("."):

@@ -113,10 +113,6 @@ class Website(Record):
         self.scripts = [] if scripts is None else scripts
         self.functionalities = [] if functionalities is None else functionalities
 
-    @property
-    def domain_url(self) -> str:
-        return self.url
-
     def script_urls(self) -> list[str]:
         return [script.url for script in self.scripts]
 

@@ -9,6 +9,8 @@ drifts, the pipeline would no longer *re-derive* the paper's labels.
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.filterlists.lists import (
     AD_PATH_MARKERS,
@@ -21,7 +23,7 @@ from repro.filterlists.lists import (
 from repro.filterlists.oracle import FilterListOracle, Label, LabeledRequest
 from repro.filterlists.parser import parse_filter_list
 from repro.filterlists.rules import RequestContext, ResourceType
-from repro.urlkit import is_third_party
+from repro.urlkit import hostname, is_third_party
 from repro.webmodel.naming import NameFactory
 
 
@@ -187,6 +189,86 @@ class TestEveryQueryDecidesThroughTheCache:
                 want = _verdict(raw_result)
                 got = _verdict(answer)
                 assert got == (want[0] if isinstance(got, bool) else want)
+
+
+def _page_url_form(url: str, page_url: str) -> tuple[str, bool]:
+    """``(page_host, third_party)`` with the third-party test re-parsing
+    the page URL — how the oracle derived it before it reused the page
+    host it had already resolved."""
+    page_host = ""
+    third_party = True
+    if page_url:
+        try:
+            page_host = hostname(page_url)
+            third_party = is_third_party(url, page_url)
+        except ValueError:
+            page_host = ""
+    return page_host, third_party
+
+
+# Labels mix ASCII, IDN code points, and code points whose compatibility
+# mapping yields an ASCII delimiter (fullwidth solidus/colon/stops, a
+# diaeresis that maps to a space).
+_LABEL = st.text(alphabet="abcXYZ019-_üß例İ／：．。¨ ", max_size=6)
+_HOST = st.one_of(
+    st.sampled_from(
+        [
+            "site.example", "cdn.site.example", "Site.Example", "other.example",
+            "bücher.example", "xn--bcher-kva.example", "com", "co.uk",
+            "github.io", "10.0.0.8", "[::1]", "[2001:db8::1]", "localhost",
+            "／／site.example", "a：／／site.example", "¨a.example", "", ".",
+        ]
+    ),
+    st.lists(_LABEL, min_size=1, max_size=4).map(".".join),
+)
+
+
+@st.composite
+def _url_like(draw) -> str:
+    scheme = draw(st.sampled_from(["https://", "http://", "//", "", "1x://"]))
+    userinfo = draw(st.sampled_from(["", "user@", "user:pass@"]))
+    host = draw(_HOST) + draw(st.sampled_from(["", ".", ".."]))
+    port = draw(st.sampled_from(["", ":80", ":8443", ":0", ":70000", ":x"]))
+    path = draw(st.sampled_from(["", "/", "/a.js", "/p?q=1#f"]))
+    return scheme + userinfo + host + port + path
+
+
+_URL_LIKE = st.one_of(_url_like(), st.text(max_size=20))
+_CONTEXT_ORACLE = FilterListOracle(parse_filter_list("||x.example^", name="unit"))
+
+
+class TestContextReusesPageHost:
+    """The oracle derives third-party-ness from the page host it already
+    resolved; that must equal re-parsing the page URL for every pair,
+    including the quirk that a failed parse gives ``("", True)``."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(url=_URL_LIKE, page_url=_URL_LIKE)
+    def test_equals_page_url_form(self, url, page_url):
+        context = _CONTEXT_ORACLE._context(url, ResourceType.OTHER, page_url)
+        assert (context.page_host, context.third_party) == _page_url_form(
+            url, page_url
+        )
+
+    @pytest.mark.parametrize(
+        "url, page_url, expected",
+        [
+            ("https://cdn.site.example/a.js", "https://Site.Example./", ("site.example", False)),
+            ("https://x.example/a.js", "https://bücher.example/", ("xn--bcher-kva.example", True)),
+            ("https://x.example/a.js", "site.example", ("site.example", True)),
+            ("https://x.example/a.js", "https://site.example:70000/", ("", True)),
+            ("not a url", "https://site.example/", ("", True)),
+            ("https://x.example/a.js", "", ("", True)),
+            # Compatibility mapping would yield "//site.example" and
+            # "a://site.example": not hosts, so the parse fails.
+            ("https://site.example/a.js", "／／site.example", ("", True)),
+            ("https://site.example/a.js", "https://a：／／site.example/", ("", True)),
+        ],
+    )
+    def test_known_pairs(self, url, page_url, expected):
+        context = _CONTEXT_ORACLE._context(url, ResourceType.OTHER, page_url)
+        assert (context.page_host, context.third_party) == expected
+        assert _page_url_form(url, page_url) == expected
 
 
 class TestGeneratorVocabularyConsistency:

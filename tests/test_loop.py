@@ -4,6 +4,8 @@ import hashlib
 
 import pytest
 
+from repro.browser.callstack import CallFrame, CallStack
+from repro.browser.devtools import RequestWillBeSent
 from repro.filterlists.oracle import FilterListOracle
 from repro.filterlists.parser import parse_filter_list
 from repro.filterlists.rules import ResourceType
@@ -14,6 +16,7 @@ from repro.loop import (
     GroundTruthOracle,
     LoopError,
 )
+from repro.labeling.labeler import RequestLabeler
 from repro.webmodel.generator import SyntheticWebGenerator
 
 SITES = 30
@@ -74,6 +77,108 @@ class TestGroundTruthOracle:
             [(url, ResourceType.OTHER, "")]
         )
         assert batched == oracle.label_request(url)
+
+
+def _recording(oracle: FilterListOracle) -> list[str]:
+    """Record, in order, every URL the oracle's decision cache is asked
+    about (one entry per lookup, hit or miss)."""
+    seen: list[str] = []
+    cache = oracle.matcher
+    match_many = cache.match_many
+
+    def recorder(contexts):
+        contexts = list(contexts)
+        seen.extend(context.url for context in contexts)
+        return match_many(contexts)
+
+    cache.match_many = recorder
+    return seen
+
+
+class TestGroundTruthOneEntry:
+    """Every query form of :class:`GroundTruthOracle` goes through its one
+    ``label_request_many`` override: truth-table URLs are answered from
+    the table, and only the unknown URLs reach the decision cache, in
+    input order, with the hits and misses a plain oracle would count."""
+
+    PAGE = "https://www.pub.example/"
+
+    @pytest.fixture(scope="class")
+    def mixed(self):
+        web = SyntheticWebGenerator(sites=12, seed=3).build()
+        requests = [
+            r
+            for s in web.scripts
+            for m in s.methods
+            for inv in m.invocations
+            for r in inv.requests
+        ]
+        tracking = [r.url for r in requests if r.tracking][:2]
+        functional = [r.url for r in requests if not r.tracking][:2]
+        unknown = [
+            "https://doubleclick.net/pixel/1.gif",
+            "https://functional.example/app.js",
+            "https://doubleclick.net/pixel/1.gif",
+            "https://google-analytics.com/collect?v=1",
+        ]
+        urls = [
+            tracking[0], unknown[0], functional[0], unknown[1],
+            tracking[1], unknown[2], functional[1], unknown[3],
+        ]
+        return web, urls, unknown
+
+    def _event(self, url: str) -> RequestWillBeSent:
+        return RequestWillBeSent(
+            request_id=url,
+            url=url,
+            top_level_url=self.PAGE,
+            frame_url=self.PAGE,
+            resource_type="other",
+            timestamp=1.0,
+            call_stack=CallStack(
+                frames=(CallFrame(url="https://cdn.example/a.js", function_name="f"),)
+            ),
+        )
+
+    def _verdicts(self, labeled):
+        return [(x.label, x.matched_rule, x.matched_list) for x in labeled]
+
+    def test_every_query_form_agrees_and_caches_like_a_plain_oracle(self, mixed):
+        web, urls, unknown = mixed
+        plain = FilterListOracle()
+        plain_seen = _recording(plain)
+        plain.label_request_many(
+            [(url, ResourceType.OTHER, self.PAGE) for url in unknown]
+        )
+        assert plain_seen == unknown
+        plain_stats = (plain.cache_stats.hits, plain.cache_stats.misses)
+        assert plain_stats == (1, 3)
+
+        forms = {
+            "label_request": lambda o: [
+                o.label_request(url, ResourceType.OTHER, self.PAGE) for url in urls
+            ],
+            "label_request_many": lambda o: o.label_request_many(
+                [(url, ResourceType.OTHER, self.PAGE) for url in urls]
+            ),
+            "label_event": lambda o: [
+                RequestLabeler(o).label_event(self._event(url)) for url in urls
+            ],
+        }
+        verdicts = {}
+        for name, decide in forms.items():
+            oracle = GroundTruthOracle(web)
+            seen = _recording(oracle)
+            verdicts[name] = self._verdicts(decide(oracle))
+            assert seen == unknown, name
+            stats = oracle.cache_stats
+            assert (stats.hits, stats.misses) == plain_stats, name
+        assert verdicts["label_request"] == verdicts["label_request_many"]
+        assert verdicts["label_event"] == verdicts["label_request_many"]
+        lists = [matched_list for _, _, matched_list in verdicts["label_request"]]
+        assert lists[0::4] == ["ground-truth", "ground-truth"]
+        assert lists[2::4] == ["", ""]
+        assert "ground-truth" not in lists[1::2]
 
 
 class TestAdversary:

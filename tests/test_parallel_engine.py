@@ -28,12 +28,18 @@ SEED = 11
 class _InvertingOracle(FilterListOracle):
     """Module-level (picklable) oracle subclass with flipped labels."""
 
-    def label_request(self, *args, **kwargs):
-        labeled = super().label_request(*args, **kwargs)
-        flipped = (
-            Label.FUNCTIONAL if labeled.label.is_tracking else Label.TRACKING
-        )
-        return LabeledRequest(url=labeled.url, label=flipped)
+    def label_request_many(self, requests):
+        return [
+            LabeledRequest(
+                url=labeled.url,
+                label=(
+                    Label.FUNCTIONAL
+                    if labeled.label.is_tracking
+                    else Label.TRACKING
+                ),
+            )
+            for labeled in super().label_request_many(requests)
+        ]
 
 
 @pytest.fixture(scope="module")

@@ -29,7 +29,7 @@ class TestDecide:
             assert decision["matched_rule"] == labeled.matched_rule
             assert decision["matched_list"] == labeled.matched_list
             assert decision["revision"] == 1
-            assert service.should_block_url(url) == oracle.should_block_url(url)
+            assert service.decide(url)["blocked"] == oracle.should_block_url(url)
 
     def test_resource_type_and_page_url_reach_the_oracle(self):
         service = _mini_service("||cdn.example^$script,third-party\n")
@@ -55,6 +55,40 @@ class TestDecide:
             service.decide("")
         with pytest.raises(ValueError, match="unknown resource_type"):
             service.decide(CLEAN, "teapot")
+
+    def test_single_decides_count_decisions_not_batches(self):
+        service = _mini_service()
+        urls = ["https://tracker.example/a.js", CLEAN, CLEAN, "https://tracker.example/b"]
+        for url in urls:
+            service.decide(url)
+        decisions = service.metrics()["decisions"]
+        assert decisions["served"] == len(urls)
+        assert decisions["batches"] == 0
+        assert decisions["blocked"] == 2
+        assert service.latency.count == len(urls)
+
+    @pytest.mark.parametrize(
+        "item",
+        [
+            {"url": ""},
+            {"url": None},
+            {"url": CLEAN, "resource_type": "teapot"},
+            {"url": CLEAN, "page_url": 7},
+        ],
+    )
+    def test_bad_single_raises_the_batch_validation_text(self, item):
+        service = _mini_service()
+        with pytest.raises(ValueError) as expected:
+            service.validate_requests([item])
+        with pytest.raises(ValueError) as got:
+            service.decide(
+                item["url"],
+                item.get("resource_type", "other"),
+                item.get("page_url", ""),
+            )
+        assert str(got.value) == str(expected.value)
+        assert str(got.value).startswith("batch item 0: ")
+        assert service.metrics()["decisions"]["served"] == 0
 
     def test_batch_decides_against_one_snapshot(self):
         service = _mini_service()

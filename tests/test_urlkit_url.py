@@ -146,6 +146,17 @@ class TestProperties:
     def test_idna_host(self):
         assert parse_url("https://bücher.example/").host == "xn--bcher-kva.example"
 
+    @pytest.mark.parametrize(
+        "host", ["／／site.example", "a：／／b.example", "¨a.example"]
+    )
+    def test_idna_mapping_to_a_delimiter_is_rejected(self, host):
+        # "／" maps to "/", "：" to ":" and "¨" to a space: the encoded
+        # string would re-parse as another host (or none).
+        with pytest.raises(URLError, match="invalid international host"):
+            normalize_host(host)
+        with pytest.raises(URLError):
+            parse_url(f"https://{host}/")
+
 
 _host_labels = st.lists(
     st.text(alphabet="abcdefghijklmnopqrstuvwxyz0123456789", min_size=1, max_size=8),
